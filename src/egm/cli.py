@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
@@ -169,10 +170,16 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _round2(x: float) -> float:
+    """Round half-up to two decimals, so that boundary cells such as
+    ARE(4, -0.05) = 1.005 do not depend on the last bit of ``x``."""
+    return float(Decimal(f"{x:.9f}").quantize(Decimal("0.01"), ROUND_HALF_UP))
+
+
 def cmd_are_table(args) -> int:
     p_list = args.p_list or DEFAULT_P_LIST
     c_list = args.c_list or DEFAULT_C_LIST
-    table = [[round(inference.are_chordless_cycle(p, c).are, 2) for p in p_list]
+    table = [[_round2(inference.are_chordless_cycle(p, c).are) for p in p_list]
              for c in c_list]
     if args.format == "json" or args.output:
         _emit({"command": "are-table", "p": p_list, "c": c_list, "are": table}, args)

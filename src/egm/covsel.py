@@ -6,9 +6,9 @@ its inverse vanishes on the absent edges.  The solver is clique-wise
 iterative proportional scaling on the concentration matrix, which
 converges for arbitrary (also non-decomposable) graphs.
 
-The analytic derivative of that map and the asymptotic covariance
-matrices of constrained scatter estimates built from it are provided as
-dense p^2 x p^2 (resp. (m-q) x (m-q)) matrices.
+The analytic derivative of that map and the asymptotic covariances built
+from it are dense p^2 x p^2 (resp. (m-q) x (m-q)) matrices, assembled from
+p x p pieces by :func:`_pair` without any Kronecker or selection matrix.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConvergenceError, DefinitenessError, PreconditionError
 from .graphs import GraphIndex
-from .linops import check_spd, kron, spd_inverse, symmetrization_matrix, vec
+from .linops import check_spd, spd_inverse, vec
 
 __all__ = [
     "AsymptoticScalars",
@@ -169,6 +169,44 @@ def constrain_scatter(A, index: GraphIndex, tol: float = 1e-10,
     )
 
 
+def _pair(T, rows, cols) -> np.ndarray:
+    """Entries 1/2 (T_ik T_jl + T_il T_jk) for index-array pairs rows = (i, j)
+    and cols = (k, l): the (rows, cols) block of M_p (T x T), any square T."""
+    (i, j), (k, l) = rows, cols
+    out = T[np.ix_(i, k)] * T[np.ix_(j, l)]
+    out += T[np.ix_(i, l)] * T[np.ix_(j, k)]
+    out *= 0.5
+    return out
+
+
+def _rc(v, p: int):
+    """0-based (row, col) index arrays of the vec positions v of a p x p matrix."""
+    return v % p, v // p
+
+
+def _derivative_block(U, index: GraphIndex):
+    """Vec positions kv of the edge and diagonal entries, dv of the absent
+    edges (both triangles), and L = J[dv, kv] for the completion derivative
+    J at the point whose inverse is U.  J[kv] is M_p[kv] and J[:, dv] = 0.
+    L = -1/2 B^-1 _pair(U, D, kv) on rows (i, j) and (j, i), with the q x q
+    constraint system B = _pair(U, D, D); warns when B is ill-conditioned.
+    """
+    p = index.p
+    on_k = index.k_mask.ravel(order="F")
+    kv, dv = np.flatnonzero(on_k), np.flatnonzero(~on_k)
+    if index.q == 0:
+        return kv, dv, np.zeros((0, kv.size))
+    i, j = D = _rc(dv[dv % p > dv // p], p)  # the absent edges below the diagonal
+    B = _pair(U, D, D)
+    eigs = np.linalg.eigvalsh(B)
+    if eigs[0] <= 0 or eigs[-1] / eigs[0] > COND_WARN:
+        warnings.warn("constraint system is ill-conditioned", RuntimeWarning)
+    X = cho_solve(cho_factor(B), _pair(U, D, _rc(kv, p)))
+    slot = np.empty((p, p), dtype=int)
+    slot[i, j] = slot[j, i] = np.arange(len(i))
+    return kv, dv, -0.5 * X[slot[_rc(dv, p)]]
+
+
 def constrain_jacobian(A, index: GraphIndex, tol: float = 1e-12) -> np.ndarray:
     """Derivative of the constrained-completion map at A, as p^2 x p^2.
 
@@ -181,20 +219,13 @@ def constrain_jacobian(A, index: GraphIndex, tol: float = 1e-12) -> np.ndarray:
     is raised when it is ill-conditioned.
     """
     p = index.p
-    Mp = symmetrization_matrix(p)
-    if index.q == 0:
-        return Mp
-    fit = constrain_scatter(A, index, tol=tol)
-    U = spd_inverse(fit.matrix)
-    UU = kron(U, U)
-    QD = index.Q_D
-    B = QD @ (Mp @ UU) @ QD.T
-    B = 0.5 * (B + B.T)
-    eigs = np.linalg.eigvalsh(B)
-    if eigs[0] <= 0 or eigs[-1] / eigs[0] > COND_WARN:
-        warnings.warn("constraint system is ill-conditioned", RuntimeWarning)
-    X = scipy.linalg.solve(B, QD @ (UU @ Mp), assume_a="pos")
-    return Mp - (Mp @ QD.T) @ X
+    # a complete graph needs no completion: the derivative is M_p
+    U = spd_inverse(constrain_scatter(A, index, tol=tol).matrix) if index.q else None
+    kv, dv, L = _derivative_block(U, index)
+    J = np.zeros((p * p, p * p))
+    J[np.ix_(kv, kv)] = _pair(np.eye(p), _rc(kv, p), _rc(kv, p))
+    J[np.ix_(dv, kv)] = L
+    return J
 
 
 def scatter_acov(V, scalars: AsymptoticScalars) -> np.ndarray:
@@ -202,9 +233,8 @@ def scatter_acov(V, scalars: AsymptoticScalars) -> np.ndarray:
     V = check_spd(V)
     p = V.shape[0]
     scalars.check_bounds(p)
-    Mp = symmetrization_matrix(p)
-    vV = vec(V)
-    return 2.0 * scalars.sigma1 * Mp @ kron(V, V) + scalars.sigma2 * np.outer(vV, vV)
+    every, vV = _rc(np.arange(p * p), p), vec(V)
+    return 2.0 * scalars.sigma1 * _pair(V, every, every) + scalars.sigma2 * np.outer(vV, vV)
 
 
 def pattern_violation(V, index: GraphIndex) -> float:
@@ -217,10 +247,13 @@ def constrained_scatter_acov(V, index: GraphIndex, scalars: AsymptoticScalars,
                              form: str = "auto") -> np.ndarray:
     """Asymptotic covariance of the graph-constrained scatter estimate.
 
-    ``form`` selects the evaluation: "general" pushes the unconstrained
-    covariance through the completion derivative; "reduced" uses the
-    closed form valid when the inverse of V already has the graph's zero
-    pattern; "auto" picks "reduced" exactly in that case.
+    The result is 2 s1 J (V x V) J^T + s2 vec(V_G) vec(V_G)^T with J the
+    completion derivative at V_G.  ``form`` selects V_G: "general" takes
+    the completion of V; "reduced" takes V itself, valid when the inverse
+    of V already has the graph's zero pattern; "auto" picks "reduced"
+    exactly in that case.  With M = M_p(V x V) on the edge and diagonal
+    entries and L from ``_derivative_block``, J (V x V) J^T has the blocks
+    M, M L^T, L M and L M L^T, so every column stays tangent to the graph.
     """
     V = check_spd(V)
     p = index.p
@@ -233,20 +266,19 @@ def constrained_scatter_acov(V, index: GraphIndex, scalars: AsymptoticScalars,
     if form == "auto":
         form = "reduced" if pattern_ok else "general"
 
-    Mp = symmetrization_matrix(p)
-    if form == "general" or index.q == 0:
-        J = constrain_jacobian(V, index)
-        VG = constrain_scatter(V, index).matrix
-        vG = vec(VG)
-        W = 2.0 * scalars.sigma1 * J @ kron(V, V) @ J.T + scalars.sigma2 * np.outer(vG, vG)
-    else:
-        U = spd_inverse(V)
-        QD = index.Q_D
-        B = QD @ (Mp @ kron(U, U)) @ QD.T
-        B = 0.5 * (B + B.T)
-        inner = kron(V, V) - QD.T @ scipy.linalg.solve(B, QD @ Mp, assume_a="pos")
-        vV = vec(V)
-        W = 2.0 * scalars.sigma1 * Mp @ inner + scalars.sigma2 * np.outer(vV, vV)
+    vG, VJ = vec(V), V  # VJ: the point at which J is evaluated
+    if form == "general" and index.q:
+        vG = vec(constrain_scatter(V, index).matrix)
+        VJ = constrain_scatter(V, index, tol=1e-12).matrix
+    kv, dv, L = _derivative_block(spd_inverse(VJ), index)
+    M = _pair(V, _rc(kv, p), _rc(kv, p))
+    LM = L @ M
+    W = np.zeros((p * p, p * p))
+    W[np.ix_(kv, kv)] = M
+    W[np.ix_(dv, kv)] = LM
+    W[np.ix_(kv, dv)] = LM.T
+    W[np.ix_(dv, dv)] = LM @ L.T
+    W = 2.0 * scalars.sigma1 * W + scalars.sigma2 * np.outer(vG, vG)
     return 0.5 * (W + W.T)
 
 
@@ -257,21 +289,10 @@ def edge_basis_gram(V, index: GraphIndex) -> np.ndarray:
     columns are vec(E_ij + E_ji) for sub-diagonal edges and vec(E_ii)
     for the diagonal.  Entries are assembled from p x p products only.
     """
-    kpos = index.K.positions
-    r = len(kpos)
-    G = np.empty((r, r))
-    for b, (k, l) in enumerate(kpos):
-        vk = V[:, k - 1]
-        vl = V[:, l - 1]
-        if k == l:
-            T = np.outer(vk, vk)
-        else:
-            T = np.outer(vk, vl) + np.outer(vl, vk)
-        for a, (i, j) in enumerate(kpos):
-            if i == j:
-                G[a, b] = T[i - 1, i - 1]
-            else:
-                G[a, b] = T[i - 1, j - 1] + T[j - 1, i - 1]
+    # the edge and diagonal entries on and below the diagonal, in the order of index.K
+    K = _rc(np.flatnonzero(np.tril(index.k_mask).ravel(order="F")), index.p)
+    w = np.where(K[0] == K[1], 1.0, 2.0)
+    G = w[:, None] * _pair(V, K, K) * w[None, :]
     return 0.5 * (G + G.T)
 
 

@@ -7,12 +7,13 @@ triangle (diagonal included) of a p x p matrix into
 * ``K``: diagonal plus sub-diagonal edge positions, and
 * ``D``: sub-diagonal non-edge positions,
 
-which drive all selection/embedding operators used elsewhere.
+held as position lists plus boolean masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -108,10 +109,8 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class GraphIndex:
-    """Graph plus the dense selection/embedding operators derived from it.
+    """Graph plus its D(G)/K(G) split, as position lists and p x p masks.
 
-    ``Pt`` stacks ``Qt_K`` over ``Qt_D`` and is an orthogonal m x m
-    permutation, so extraction and embedding round-trip exactly.
     Identity comparison only (the array fields make value equality
     ill-defined).
     """
@@ -119,14 +118,17 @@ class GraphIndex:
     graph: Graph
     D: PositionSet
     K: PositionSet
-    Q_D: np.ndarray
-    Q_K: np.ndarray
-    Qt_D: np.ndarray
-    Qt_K: np.ndarray
-    Pt: np.ndarray
     cliques: tuple
     k_mask: np.ndarray = field(repr=False)
     d_mask: np.ndarray = field(repr=False)
+
+    # Dense reference operators built on first access (no solver reads them): Q_*
+    # select from vec(A), Qt_* from v(A); Pt (Qt_K over Qt_D) is an m x m permutation.
+    Q_D = cached_property(lambda self: selection_matrix(self.D))
+    Q_K = cached_property(lambda self: selection_matrix(self.K))
+    Qt_D = cached_property(lambda self: self.Q_D @ duplication_matrix(self.p)[0])
+    Qt_K = cached_property(lambda self: self.Q_K @ duplication_matrix(self.p)[0])
+    Pt = cached_property(lambda self: np.vstack([self.Qt_K, self.Qt_D]))
 
     @property
     def p(self) -> int:
@@ -142,32 +144,17 @@ class GraphIndex:
 
 
 def build_index(G: Graph) -> GraphIndex:
-    """Split the lower triangle into D(G)/K(G) and materialize operators."""
+    """Split the lower triangle into D(G)/K(G) and enumerate the cliques."""
     p = G.p
-    d_pos, k_pos = [], []
-    for (i, j) in lower_triangle_positions(p).positions:
-        if i == j or G.has_edge(i, j):
-            k_pos.append((i, j))
-        else:
-            d_pos.append((i, j))
-    D = PositionSet(p, tuple(d_pos))
-    K = PositionSet(p, tuple(k_pos))
-    Q_D = selection_matrix(D)
-    Q_K = selection_matrix(K)
-    Dp, _ = duplication_matrix(p)
-    Qt_D = Q_D @ Dp
-    Qt_K = Q_K @ Dp
-    Pt = np.vstack([Qt_K, Qt_D])
-
     k_mask = np.eye(p, dtype=bool)
-    d_mask = np.zeros((p, p), dtype=bool)
     for a, b in G.edges:
         k_mask[a - 1, b - 1] = k_mask[b - 1, a - 1] = True
-    for (i, j) in d_pos:
-        d_mask[i - 1, j - 1] = d_mask[j - 1, i - 1] = True
-
+    d_pos, k_pos = [], []
+    for (i, j) in lower_triangle_positions(p).positions:
+        (k_pos if k_mask[i - 1, j - 1] else d_pos).append((i, j))
     cliques = tuple(tuple(c) for c in maximal_cliques(G))
-    return GraphIndex(G, D, K, Q_D, Q_K, Qt_D, Qt_K, Pt, cliques, k_mask, d_mask)
+    return GraphIndex(G, PositionSet(p, tuple(d_pos)), PositionSet(p, tuple(k_pos)),
+                      cliques, k_mask, ~k_mask)
 
 
 def embed(a, b, index: GraphIndex) -> np.ndarray:
@@ -182,7 +169,11 @@ def embed(a, b, index: GraphIndex) -> np.ndarray:
         raise DimensionError(
             f"expected lengths {len(index.K)} and {len(index.D)}, got {a.shape} and {b.shape}"
         )
-    return index.Pt.T @ np.concatenate([a, b])
+    j, i = np.triu_indices(index.p)  # the lower triangle in v(A) order
+    on_k = index.k_mask[i, j]
+    out = np.empty(index.m)
+    out[on_k], out[~on_k] = a, b
+    return out
 
 
 def is_chordal(G: Graph) -> bool:

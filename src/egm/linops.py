@@ -1,11 +1,9 @@
 """Matrix-calculus primitives for symmetric-matrix differentiation.
 
 Everything here works on dense float64 arrays.  The structural matrices
-(commutation, symmetrization, duplication, selection) are materialized
-densely; they have p^4 entries, which is fine for the dimensions this
-package targets (p <= 50, and the dense forms are mostly needed for
-p <= 10).  For hot paths at larger p the ``apply_*`` helpers act on
-vectors without ever forming a p^2 x p^2 matrix.
+(Kronecker, commutation, symmetrization, duplication, selection) have up
+to p^4 entries and no solver builds them: they are reference operators
+for the tests and for ``GraphIndex``'s on-demand dense operators.
 """
 
 from __future__ import annotations
@@ -26,9 +24,6 @@ __all__ = [
     "duplication_matrix",
     "selection_matrix",
     "lower_triangle_positions",
-    "apply_commutation",
-    "apply_symmetrization",
-    "apply_kron",
     "check_symmetric",
     "check_spd",
     "spd_inverse",
@@ -108,25 +103,6 @@ def commutation_matrix(p: int) -> np.ndarray:
 def symmetrization_matrix(p: int) -> np.ndarray:
     """The idempotent M_p = (I + K_p)/2 mapping vec(A) to vec(A + A^T)/2."""
     return 0.5 * (np.eye(p * p) + commutation_matrix(p))
-
-
-def apply_commutation(x, p: int) -> np.ndarray:
-    """Compute K_p @ x without forming K_p."""
-    return vec(mat(x, p).T)
-
-
-def apply_symmetrization(x, p: int) -> np.ndarray:
-    """Compute M_p @ x without forming M_p."""
-    X = mat(x, p)
-    return vec(0.5 * (X + X.T))
-
-
-def apply_kron(A, B, x) -> np.ndarray:
-    """Compute (A kron B) @ x via vec(B X A^T), without the p^4 product."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    X = np.asarray(x, dtype=float).reshape(A.shape[1], B.shape[1]).T
-    return vec(B @ X @ A.T)
 
 
 def duplication_matrix(p: int) -> tuple[np.ndarray, np.ndarray]:

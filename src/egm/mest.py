@@ -102,8 +102,8 @@ def make_spec(text: str, p: int) -> EstimatorSpec:
 
     Accepted forms: ``gaussian``, ``t:NU`` (NU > 0), ``huber:K`` (K > 0).
     The Huber scatter weight is rescaled by the consistency constant
-    c = p / E[min(R, k^2)] under the chi-square(p) radial law, computed
-    by quadrature.
+    c = p / E[min(R, k^2)] = p / {p F_{p+2}(k^2) + k^2 (1 - F_p(k^2))} under
+    the chi-square(p) radial law, with F_d the chi-square(d) CDF.
     """
     text = text.strip()
     if text == "gaussian":
@@ -128,7 +128,7 @@ def make_spec(text: str, p: int) -> EstimatorSpec:
         if k <= 0:
             raise PreconditionError(f"huber threshold must be > 0, got {k}")
         k2 = k * k
-        c = p / radial_for_family("gaussian", p).expect(lambda r: np.minimum(r, k2))
+        c = p / (p * scipy.stats.chi2.cdf(k2, p + 2) + k2 * scipy.stats.chi2.sf(k2, p))
 
         def u1(s, k=k):
             # the floor only dodges a 0/0 warning; the weight is 1 there

@@ -5,7 +5,7 @@ import pytest
 
 from egm import cli
 from egm.graphs import Graph, build_index, read_graph, write_graph
-from egm.inference import chordless_cycle_shape
+from egm.inference import are_chordless_cycle, chordless_cycle_shape
 from egm.mest import m_estimate, make_spec
 from egm.simulate import EllipticalModel, sample
 
@@ -248,6 +248,26 @@ class TestAreTable:
         rc = cli.main(["are-table", "--c-list", "-0.49", "--p-list", "5"])
         out = capsys.readouterr().out
         assert rc == 0 and "2.27" in out
+
+    def test_p4_cells_are_closed_form(self):
+        # the 4-cycle efficiency is exactly 1 + 2c^2
+        for c in cli.DEFAULT_C_LIST:
+            assert abs(are_chordless_cycle(4, c).are - (1.0 + 2.0 * c * c)) <= 1e-12
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_half_cell_rounds_up_whatever_its_last_bit(self, capsys, monkeypatch, step):
+        # ARE(4, -0.05) = 1.005 lies on the rounding boundary; neither
+        # neighbouring double may flip the rendered cell
+        x = 1.005
+        if step:
+            x = float(np.nextafter(1.005, 2.0 if step > 0 else 0.0))
+        monkeypatch.setattr(cli.inference, "are_chordless_cycle",
+                            lambda p, c: type("R", (), {"are": x})())
+        argv = ["are-table", "--c-list", "-0.05", "--p-list", "4"]
+        rc, payload = run_json(capsys, argv + ["--format", "json"])
+        assert rc == 0 and payload["are"] == [[1.01]]
+        assert cli.main(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "-0.05,1.01"
 
 
 class TestStudy:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from egm.covsel import (
 )
 from egm.errors import ConvergenceError, DefinitenessError, PreconditionError
 from egm.graphs import Graph, build_index
-from egm.inference import chordless_cycle_shape
+from egm.inference import are_chordless_cycle, backward_elimination, chordless_cycle_shape, deviance
 from egm.linops import (
     commutation_matrix,
     duplication_matrix,
@@ -23,6 +25,7 @@ from egm.linops import (
     symmetrization_matrix,
     vec,
 )
+from egm.mest import make_spec
 
 from _oracles import (
     fd_directional,
@@ -323,3 +326,31 @@ class TestConcentrationAcov:
         K, S = chordless_cycle_shape(4, -0.3)
         assert pattern_violation(S, CYCLE4) < 1e-12
         assert pattern_violation(rand_spd(4, np.random.default_rng(3)), CYCLE4) > 1e-3
+
+
+class TestNoDenseOperators:
+    def test_solve_paths_avoid_dense_operators(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense structural operator built on a solve path")
+
+        for name, module in list(sys.modules.items()):
+            if name == "egm" or name.startswith("egm."):
+                for op in ("kron", "selection_matrix", "duplication_matrix", "commutation_matrix"):
+                    if hasattr(module, op):
+                        monkeypatch.setattr(module, op, forbidden)
+
+        local = np.random.default_rng(77)
+        s = AsymptoticScalars(1.2, 0.1)
+        G = Graph.cycle(5)
+        idx = build_index(G)
+        A = rand_spd(5, local)
+        K, S = chordless_cycle_shape(5, -0.3)
+        constrain_jacobian(A, idx)
+        constrained_scatter_acov(A, idx, s, form="general")
+        constrained_scatter_acov(S, idx, s, form="reduced")
+        scatter_acov(A, s)
+        edge_basis_gram(S, idx)
+        are_chordless_cycle(7, -0.3)
+        deviance(A, idx, build_index(G.with_edge(1, 3)), n=100)
+        X = local.standard_normal((60, 4))
+        backward_elimination(X, make_spec("gaussian", 4), 0.05)

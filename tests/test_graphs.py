@@ -15,7 +15,7 @@ from egm.graphs import (
     read_graph,
     write_graph,
 )
-from egm.linops import lower_triangle_positions
+from egm.linops import lower_triangle_positions, selection_matrix
 
 from _oracles import random_graph
 
@@ -81,6 +81,14 @@ class TestBuildIndex:
         assert idx.m == 1 and idx.q == 0
         assert idx.K.positions == ((1, 1),)
         assert idx.cliques == ((1,),)
+
+    def test_dense_operators_built_on_demand(self):
+        p = 60
+        idx = build_index(Graph.cycle(p))
+        big = [k for k, v in vars(idx).items() if isinstance(v, np.ndarray) and v.size > p * p]
+        assert big == []
+        assert np.array_equal(idx.Q_D, selection_matrix(idx.D))
+        assert "Q_D" in vars(idx)
 
     def test_pt_orthogonal(self):
         for G in (Graph.cycle(5), Graph.complete(4), random_graph(6, rng)):

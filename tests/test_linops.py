@@ -4,9 +4,6 @@ import pytest
 from egm.errors import DimensionError
 from egm.linops import (
     PositionSet,
-    apply_commutation,
-    apply_kron,
-    apply_symmetrization,
     commutation_matrix,
     duplication_matrix,
     kron,
@@ -196,18 +193,6 @@ class TestPositionSet:
     def test_from_positions_sorts(self):
         Z = PositionSet.from_positions(3, [(1, 2), (2, 1), (3, 3)])
         assert Z.positions == ((2, 1), (1, 2), (3, 3))
-
-
-class TestImplicitOperators:
-    @pytest.mark.parametrize("p", [2, 4, 7])
-    def test_match_dense(self, p):
-        x = rng.standard_normal(p * p)
-        assert np.allclose(apply_commutation(x, p), commutation_matrix(p) @ x, atol=1e-14)
-        assert np.allclose(apply_symmetrization(x, p), symmetrization_matrix(p) @ x,
-                           atol=1e-14)
-        A = rng.standard_normal((p, p))
-        B = rng.standard_normal((p, p))
-        assert np.allclose(apply_kron(A, B, x), kron(A, B) @ x, atol=1e-11)
 
 
 class TestStructuralIdentitySuite:

@@ -66,6 +66,13 @@ class TestSpecs:
                       + a * (1.0 - scipy.stats.chi2.cdf(a, p)))
         assert abs(spec.params["c"] - closed) < 1e-10
 
+    @pytest.mark.parametrize("p", [3, 5, 10, 30])
+    @pytest.mark.parametrize("k", [0.5, 1.345, 2.5])
+    def test_huber_constant_matches_quadrature(self, p, k):
+        quad = p / radial_for_family("gaussian", p).expect(lambda r: np.minimum(r, k * k))
+        c = make_spec(f"huber:{k}", p).params["c"]
+        assert abs(c - quad) / quad <= 1e-10
+
     @pytest.mark.parametrize("name", ["gaussian", "t:5", "t:8", "huber:1.345", "huber:2.0"])
     def test_builtin_monotonicity(self, name):
         make_spec(name, 4).check_monotone()
@@ -338,6 +345,16 @@ class TestScalars:
         assert abs(sm.sigma1 - se.sigma1) <= 1e-6
         assert abs(sm.sigma2 - se.sigma2) <= 1e-6
         assert abs(sm.eta - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("p,nu", [(3, 5), (5, 5), (10, 3), (8, 10)])
+    def test_t_mle_sigma1_closed_form(self, p, nu):
+        # Tyler (1982): the elliptical-t MLE has sigma1 = (p+nu+2)/(p+nu)
+        radial = radial_for_family(f"t:{nu}", p)
+        expected = (p + nu + 2.0) / (p + nu)
+        sm = m_scalars(make_spec(f"t:{nu}", p), radial, p)
+        se = mle_scalars(radial, lambda y: -0.5 * (p + nu) / (nu + np.asarray(y, float)), p)
+        assert abs(sm.sigma1 - expected) <= 1e-10
+        assert abs(se.sigma1 - expected) <= 1e-10
 
     def test_huber_defining_equation(self):
         p = 3
