@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from decimal import ROUND_HALF_UP, Decimal
@@ -28,7 +29,7 @@ DEFAULT_C_LIST = [0.0, -0.05, -0.1, -0.2, -0.3, -0.4, -0.49]
 
 
 def read_data(path, header: bool = False) -> np.ndarray:
-    """Read a comma-separated numeric matrix; errors name the bad row."""
+    """Read a comma-separated matrix of finite numbers; errors name the bad row."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -47,6 +48,9 @@ def read_data(path, header: bool = False) -> np.ndarray:
             elif len(values) != width:
                 raise ValueError(
                     f"{path}: row {lineno}: expected {width} columns, got {len(values)}")
+            if not all(map(math.isfinite, values)):
+                col = next(c for c, v in enumerate(values, 1) if not math.isfinite(v))
+                raise ValueError(f"{path}: row {lineno}, column {col}: {row[col - 1]!r} is not finite")
             rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")

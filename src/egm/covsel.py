@@ -140,12 +140,19 @@ def constrain_scatter(A, index: GraphIndex, tol: float = 1e-10,
     if res0 <= tol:
         return ConstrainedFit(A.copy(), 0, res0, [res0], cond_flag)
 
-    cliques = [np.array(c, dtype=int) - 1 for c in index.cliques]
-    K = np.diag(1.0 / np.diag(A))
-    W = np.diag(np.diag(A).copy())  # W tracks K^{-1}
+    _, W, history = _ips(A, index, tol, max_iter)
+    return ConstrainedFit(W, len(history), history[-1], history, cond_flag)
 
+
+def _ips(A, index: GraphIndex, tol: float, max_iter: int = 10_000, start=None):
+    """Clique sweeps (see :func:`constrain_scatter`) until the residual is
+    within ``tol``; returns (K, W = K^{-1}, residual history).  ``start`` is
+    a concentration with exact zeros on the absent edges and its inverse,
+    by default the diagonal of A; its K is updated in place."""
+    K, W = start if start is not None else (np.diag(1.0 / np.diag(A)), np.diag(np.diag(A)))
+    cliques = [np.array(c, dtype=int) - 1 for c in index.cliques]
     history = []
-    for sweep in range(1, max_iter + 1):
+    for _ in range(max_iter):
         for C in cliques:
             Acc_inv = spd_inverse(A[np.ix_(C, C)])
             Wcc = W[np.ix_(C, C)]
@@ -158,10 +165,9 @@ def constrain_scatter(A, index: GraphIndex, tol: float = 1e-10,
             W = W - WU @ M @ WU.T
         # refresh the inverse once per sweep to stop Woodbury drift
         W = spd_inverse(K)
-        res = _residual(W, K, A, index)
-        history.append(res)
-        if res <= tol:
-            return ConstrainedFit(0.5 * (W + W.T), sweep, res, history, cond_flag)
+        history.append(_residual(W, K, A, index))
+        if history[-1] <= tol:
+            return K, W, history
     raise ConvergenceError(
         f"constrained completion did not reach tol={tol} in {max_iter} sweeps "
         f"(last residual {history[-1]:.3e})",
@@ -266,11 +272,8 @@ def constrained_scatter_acov(V, index: GraphIndex, scalars: AsymptoticScalars,
     if form == "auto":
         form = "reduced" if pattern_ok else "general"
 
-    vG, VJ = vec(V), V  # VJ: the point at which J is evaluated
-    if form == "general" and index.q:
-        vG = vec(constrain_scatter(V, index).matrix)
-        VJ = constrain_scatter(V, index, tol=1e-12).matrix
-    kv, dv, L = _derivative_block(spd_inverse(VJ), index)
+    VG = constrain_scatter(V, index, tol=1e-12).matrix if form == "general" else V
+    kv, dv, L = _derivative_block(spd_inverse(VG), index)
     M = _pair(V, _rc(kv, p), _rc(kv, p))
     LM = L @ M
     W = np.zeros((p * p, p * p))
@@ -278,6 +281,7 @@ def constrained_scatter_acov(V, index: GraphIndex, scalars: AsymptoticScalars,
     W[np.ix_(dv, kv)] = LM
     W[np.ix_(kv, dv)] = LM.T
     W[np.ix_(dv, dv)] = LM @ L.T
+    vG = vec(VG)
     W = 2.0 * scalars.sigma1 * W + scalars.sigma2 * np.outer(vG, vG)
     return 0.5 * (W + W.T)
 

@@ -26,10 +26,12 @@ class PreconditionError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver exhausted its iteration budget.
+    """An iterative solver exhausted its iteration budget or lost
+    positive definiteness on the way.
 
     Carries the last residual so callers can inspect how close the
-    iteration got.
+    iteration got; a loss of definiteness has no residual and is
+    chained to the linear-algebra error that exposed it.
     """
 
     def __init__(self, message, residual=None):

@@ -88,9 +88,6 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
 
-    def neighbors(self, v: int) -> set:
-        return {b if a == v else a for a, b in self.edges if v in (a, b)}
-
     def without_edge(self, i: int, j: int) -> "Graph":
         e = (min(i, j), max(i, j))
         if e not in self.edges:
@@ -99,9 +96,6 @@ class Graph:
 
     def with_edge(self, i: int, j: int) -> "Graph":
         return Graph.from_edges(self.p, set(self.edges) | {(i, j)})
-
-    def is_subgraph_of(self, other: "Graph") -> bool:
-        return self.p == other.p and self.edges <= other.edges
 
     def sorted_edges(self) -> list:
         return sorted(self.edges)

@@ -1,7 +1,7 @@
 """Multivariate M-estimators of location and scatter.
 
-Provides the unconstrained simultaneous fixed-point solver, the
-graph-constrained (double-loop) variant, the plug-in estimator, and the
+Provides one fixed-point solver of the simultaneous location/scatter
+equations, unconstrained or graph-constrained, the plug-in estimator, and the
 asymptotic scalars (sigma1, sigma2, eta) of the three classical cases:
 sample covariance, elliptical maximum likelihood, and general monotone
 M-estimators.
@@ -29,9 +29,10 @@ import scipy.integrate
 import scipy.optimize
 import scipy.stats
 
-from .covsel import AsymptoticScalars, constrain_scatter
+from .covsel import AsymptoticScalars, _ips, constrain_scatter
 from .errors import (
     ConvergenceError,
+    DefinitenessError,
     DegenerateDataError,
     DimensionError,
     PreconditionError,
@@ -218,13 +219,6 @@ class RadialLaw:
             return self._quad(lambda r: np.asarray(fn(r), dtype=float))
         return float(np.mean(fn(self._mc_samples())))
 
-    def sample(self, rng, n: int) -> np.ndarray:
-        if self.sampler is not None:
-            return self.sampler(rng, n)
-        if self.samples is not None:
-            return rng.choice(self.samples, size=n, replace=True)
-        raise PreconditionError("radial law has no sampler")
-
 
 def radial_for_family(family: str, p: int) -> RadialLaw:
     """Radial law of a named elliptical family (``gaussian`` or ``t:NU``)."""
@@ -255,6 +249,10 @@ def _validate_data(X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionError(f"data must be an n x p matrix, got shape {X.shape}")
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        i, j = bad[0] + 1
+        raise PreconditionError(f"data has a non-finite value at row {i}, column {j}")
     n, p = X.shape
     if n < p + 1:
         raise SampleSizeError(f"estimation requires at least p+1={p + 1} data points, got {n}")
@@ -270,18 +268,76 @@ def _radii(X, mu, S) -> np.ndarray:
     return np.einsum("ij,ij->j", Y, Y)
 
 
-def _equation_residual(X, mu, S, spec) -> float:
-    """Max-abs residual of the simultaneous estimating equations."""
-    n = X.shape[0]
+def _reweight(X, mu, S, spec, center=None):
+    """The fixed-point map at (mu, S): the u1-weighted mean and the
+    u2-weighted scatter about ``center``, by default that new mean."""
     R = _radii(X, mu, S)
     w1 = spec.u1(R)
     w2 = spec.u2(R)
-    mu_fix = (w1[:, None] * X).sum(axis=0) / w1.sum()
-    Xc = X - mu
-    S_fix = (w2[:, None] * Xc).T @ Xc / n
+    mu_new = (w1[:, None] * X).sum(axis=0) / w1.sum()
+    Xc = X - (mu_new if center is None else center)
+    return mu_new, (w2[:, None] * Xc).T @ Xc / X.shape[0]
+
+
+def _residual(X, mu, S, spec, index: Optional[GraphIndex] = None) -> float:
+    """Max-abs residual of the estimating equations; with ``index`` the
+    scatter equation holds on edges and the diagonal only and the inverse
+    must vanish on the absent edges."""
+    mu_fix, W = _reweight(X, mu, S, spec, center=mu)
     scale = max(1.0, float(np.max(np.abs(S))))
-    return float(max(np.max(np.abs(mu_fix - mu)),
-                     np.max(np.abs(S_fix - S)) / scale))
+    gap = np.abs(S - W) if index is None else np.abs((S - W)[index.k_mask])
+    res = max(float(np.max(np.abs(mu_fix - mu))), float(np.max(gap)) / scale)
+    if index is not None:
+        res = max(res, float(np.max(np.abs(np.linalg.inv(S)[index.d_mask]))))
+    return res
+
+
+def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
+           index: Optional[GraphIndex] = None) -> FitResult:
+    """Fixed-point iteration of the M-estimating equations, constrained
+    to the graph of ``index`` when that graph has an absent edge.
+
+    Each step reweights location and scatter at the current estimate;
+    under a graph it then completes the weighted scatter by IPS, started
+    from the previous step's concentration, to an inner tolerance that
+    follows the outer progress down to one hundredth of ``tol``.
+    """
+    X = _validate_data(X)
+    n, p = X.shape
+    what = "M-estimation" if index is None else "graphical M-estimation"
+    if index is not None and p != index.p:
+        raise DimensionError(f"data has {p} columns but the graph has p={index.p}")
+    if index is not None and index.q == 0:
+        index = None  # a complete graph constrains nothing
+    it = 0
+    try:
+        mu = X.mean(axis=0)
+        Xc = X - mu
+        S = Xc.T @ Xc / n
+        if index is not None:
+            S = constrain_scatter(S, index, tol=1e-2 * tol).matrix
+        start, change = None, np.inf
+        for it in range(1, max_iter + 1):
+            mu_new, S_new = _reweight(X, mu, S, spec)
+            if index is not None:
+                inner_tol = min(max(1e-2 * change, 1e-2 * tol), 1e-2)
+                K, S_new, _ = _ips(S_new, index, inner_tol, start=start)
+                start = K, S_new
+            scale = max(1.0, float(np.max(np.abs(S))))
+            change = max(float(np.max(np.abs(mu_new - mu))),
+                         float(np.max(np.abs(S_new - S))) / scale)
+            mu, S = mu_new, S_new
+            if change <= tol:
+                residual = _residual(X, mu, S, spec, index)
+                if residual <= tol:
+                    return FitResult(mu, S, None, it, True, residual)
+        residual = _residual(X, mu, S, spec, index)
+    except (np.linalg.LinAlgError, DefinitenessError) as exc:
+        raise ConvergenceError(
+            f"{what} lost positive definiteness at iteration {it}: {exc}") from exc
+    raise ConvergenceError(
+        f"{what} did not converge in {max_iter} iterations "
+        f"(residual {residual:.3e})", residual=residual)
 
 
 def m_estimate(X, spec: EstimatorSpec, tol: float = 1e-9,
@@ -291,7 +347,7 @@ def m_estimate(X, spec: EstimatorSpec, tol: float = 1e-9,
     Parameters
     ----------
     X : (n, p) array_like
-        Data, n >= p+1 rows in general position.
+        Data, n >= p+1 finite rows in general position.
     spec : EstimatorSpec
         Weight functions.
     tol : float
@@ -305,92 +361,23 @@ def m_estimate(X, spec: EstimatorSpec, tol: float = 1e-9,
     Plain alternating fixed-point iteration: reweighted mean for the
     location, reweighted scatter for the shape, radii refreshed each
     pass.  Gaussian weights converge in one step to the sample mean and
-    the 1/n-denominator sample covariance.
+    the 1/n-denominator sample covariance.  An exhausted budget, or an
+    iterate that loses positive definiteness, raises ConvergenceError.
     """
-    X = _validate_data(X)
-    n, p = X.shape
-    mu = X.mean(axis=0)
-    Xc = X - mu
-    S = Xc.T @ Xc / n
-
-    for it in range(1, max_iter + 1):
-        R = _radii(X, mu, S)
-        w1 = spec.u1(R)
-        w2 = spec.u2(R)
-        mu_new = (w1[:, None] * X).sum(axis=0) / w1.sum()
-        Xc = X - mu_new
-        S_new = (w2[:, None] * Xc).T @ Xc / n
-        scale = max(1.0, float(np.max(np.abs(S))))
-        change = max(float(np.max(np.abs(mu_new - mu))),
-                     float(np.max(np.abs(S_new - S))) / scale)
-        mu, S = mu_new, S_new
-        if change <= tol:
-            residual = _equation_residual(X, mu, S, spec)
-            if residual <= tol:
-                return FitResult(mu, S, None, it, True, residual)
-    residual = _equation_residual(X, mu, S, spec)
-    raise ConvergenceError(
-        f"M-estimation did not converge in {max_iter} iterations "
-        f"(residual {residual:.3e})", residual=residual)
-
-
-def _constrained_residual(X, mu, S, spec, index: GraphIndex) -> float:
-    """Max-abs residual of the graph-constrained estimating equations."""
-    n = X.shape[0]
-    R = _radii(X, mu, S)
-    w1 = spec.u1(R)
-    w2 = spec.u2(R)
-    mu_fix = (w1[:, None] * X).sum(axis=0) / w1.sum()
-    Xc = X - mu
-    W = (w2[:, None] * Xc).T @ Xc / n
-    scale = max(1.0, float(np.max(np.abs(S))))
-    r1 = float(np.max(np.abs(mu_fix - mu)))
-    r2 = float(np.max(np.abs((S - W)[index.k_mask]))) / scale
-    Khat = np.linalg.inv(S)
-    r3 = float(np.max(np.abs(Khat[index.d_mask]))) if index.d_mask.any() else 0.0
-    return max(r1, r2, r3)
+    return _solve(X, spec, tol, max_iter)
 
 
 def graphical_m_estimate(X, index: GraphIndex, spec: EstimatorSpec,
                          tol: float = 1e-9, max_iter: int = 500) -> FitResult:
     """Solve the graph-constrained M-estimating equations.
 
-    Double-loop iteration: the outer loop reweights location and scatter
-    at the current estimate, the inner loop runs a complete constrained
-    completion (IPS) of the weighted scatter.  The inner tolerance
-    follows the outer progress down to one hundredth of ``tol`` so early
-    inner problems are not over-solved.
+    The fixed-point iteration of :func:`m_estimate` with every reweighted
+    scatter replaced by its graph-constrained completion.  The completion
+    is warm-started from the previous step's concentration, so late steps
+    need about one IPS sweep each.  A complete graph gives exactly the
+    :func:`m_estimate` result.
     """
-    X = _validate_data(X)
-    n, p = X.shape
-    if p != index.p:
-        raise DimensionError(f"data has {p} columns but the graph has p={index.p}")
-    mu = X.mean(axis=0)
-    Xc = X - mu
-    S = constrain_scatter(Xc.T @ Xc / n, index, tol=1e-2 * tol).matrix
-
-    change = np.inf
-    for it in range(1, max_iter + 1):
-        R = _radii(X, mu, S)
-        w1 = spec.u1(R)
-        w2 = spec.u2(R)
-        mu_new = (w1[:, None] * X).sum(axis=0) / w1.sum()
-        Xc = X - mu_new
-        W = (w2[:, None] * Xc).T @ Xc / n
-        inner_tol = min(max(1e-2 * change, 1e-2 * tol), 1e-2)
-        S_new = constrain_scatter(W, index, tol=inner_tol).matrix
-        scale = max(1.0, float(np.max(np.abs(S))))
-        change = max(float(np.max(np.abs(mu_new - mu))),
-                     float(np.max(np.abs(S_new - S))) / scale)
-        mu, S = mu_new, S_new
-        if change <= tol:
-            residual = _constrained_residual(X, mu, S, spec, index)
-            if residual <= tol:
-                return FitResult(mu, S, None, it, True, residual)
-    residual = _constrained_residual(X, mu, S, spec, index)
-    raise ConvergenceError(
-        f"graphical M-estimation did not converge in {max_iter} iterations "
-        f"(residual {residual:.3e})", residual=residual)
+    return _solve(X, spec, tol, max_iter, index)
 
 
 def plug_in_estimate(X, index: GraphIndex, spec: EstimatorSpec,

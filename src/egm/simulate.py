@@ -91,6 +91,7 @@ class StudyReport:
             "metrics": self.metrics,
             "summary": self.summary,
             "failures": self.failures,
+            "failure_log": [[r, reason] for r, reason in self.failure_log],
         }
 
     def csv_rows(self) -> list:

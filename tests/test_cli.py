@@ -90,6 +90,29 @@ class TestFit:
         assert rc == 1
         assert "row 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, capsys, cell):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"1.0,2.0\n3.0,4.0\n\n5.0,{cell}\n", encoding="utf-8")
+        graph = tmp_path / "g.g"
+        write_graph(Graph.complete(2), graph)
+        rc = cli.main(["fit", "--data", str(data), "--graph", str(graph),
+                       "--estimator", "gaussian"])
+        assert rc == 1
+        assert "row 4, column 2" in capsys.readouterr().err
+
+    def test_lost_definiteness_exit_2(self, tmp_path, capsys):
+        X = np.random.default_rng(0).standard_normal((100, 4))
+        X[0] *= 1e10
+        data = tmp_path / "X.csv"
+        write_csv(data, X)
+        graph = tmp_path / "g.g"
+        write_graph(Graph.cycle(4), graph)
+        rc = cli.main(["fit", "--data", str(data), "--graph", str(graph),
+                       "--estimator", "t:5"])
+        assert rc == 2
+        assert "definiteness" in capsys.readouterr().err
+
     def test_dimension_mismatch(self, cycle4_files, tmp_path, capsys):
         graph3 = tmp_path / "g3.g"
         write_graph(Graph.complete(3), graph3)
@@ -290,6 +313,7 @@ class TestStudy:
             "--replicates", "3", "--seed", "6"])
         assert rc == 0
         assert payload["kind"] == "equivalence"
+        assert payload["failures"] == 0 and payload["failure_log"] == []
         assert set(payload["summary"]["median_delta"]) == {"100", "200"}
 
     def test_deviance_null_study_with_csv(self, tmp_path, capsys):

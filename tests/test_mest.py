@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from egm import covsel
 from egm.covsel import constrain_scatter
 from egm.errors import (
     ConvergenceError,
+    DefinitenessError,
     DegenerateDataError,
     PreconditionError,
     SampleSizeError,
@@ -30,6 +32,13 @@ from egm.simulate import EllipticalModel, sample
 from _oracles import hg_optimization_oracle
 
 rng = np.random.default_rng(808)
+
+
+def gross_outlier(scale):
+    """t-fit input with one row scaled up: standard normal 100 x 4, seed 0."""
+    X = np.random.default_rng(0).standard_normal((100, 4))
+    X[0] *= scale
+    return X
 
 
 class TestSpecs:
@@ -181,6 +190,20 @@ class TestMEstimate:
             m_estimate(X, make_spec("t:5", 3), tol=1e-12, max_iter=2)
         assert exc.value.residual is not None
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_names_position(self, value):
+        X = rng.standard_normal((20, 3))
+        X[6, 1] = value
+        with pytest.raises(PreconditionError, match="row 7, column 2"):
+            m_estimate(X, make_spec("t:5", 3))
+
+    def test_lost_definiteness_is_convergence_error(self):
+        # a gross outlier makes the sample covariance numerically singular
+        X = gross_outlier(1e10)
+        with pytest.raises(ConvergenceError, match="iteration 1") as exc:
+            m_estimate(X, make_spec("t:5", 4))
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
 
 class TestGraphicalMEstimate:
     def test_gaussian_collapses_to_completion(self):
@@ -238,6 +261,39 @@ class TestGraphicalMEstimate:
         constrained = graphical_m_estimate(X, idx, spec, tol=1e-11)
         assert np.max(np.abs(constrained.scatter - plain.scatter)) <= 1e-7
         assert np.max(np.abs(constrained.mu - plain.mu)) <= 1e-8
+        assert np.array_equal(constrained.scatter, plain.scatter)
+        assert np.array_equal(constrained.mu, plain.mu)
+        assert constrained.iterations == plain.iterations
+
+    def test_completion_is_warm_started(self, monkeypatch):
+        # a cold-started IPS at every outer step costs 1974 inverses here
+        calls = []
+        inverse = covsel.spd_inverse
+
+        def counted(A):
+            calls.append(A.shape)
+            return inverse(A)
+
+        monkeypatch.setattr(covsel, "spd_inverse", counted)
+        K0, S0 = chordless_cycle_shape(5, -0.3)
+        X = sample(EllipticalModel(np.zeros(5), S0, "t:5"), 500, 3)
+        fit = graphical_m_estimate(X, build_index(Graph.cycle(5)), make_spec("t:5", 5))
+        assert fit.converged
+        assert len(calls) <= 600
+
+    def test_ill_conditioned_scatter_warns(self):
+        X = sample(EllipticalModel(np.zeros(4), np.eye(4), "t:5"), 300, 4)
+        X[:, 1] *= 1e-7  # scatter condition number about 1e14
+        with pytest.warns(RuntimeWarning, match="condition number"):
+            fit = graphical_m_estimate(X, build_index(Graph.cycle(4)), make_spec("t:5", 4))
+        assert fit.converged
+
+    def test_lost_definiteness_is_convergence_error(self):
+        with pytest.warns(RuntimeWarning, match="condition number"):
+            with pytest.raises(ConvergenceError, match="definiteness") as exc:
+                graphical_m_estimate(gross_outlier(1e8), build_index(Graph.cycle(4)),
+                                     make_spec("t:5", 4))
+        assert isinstance(exc.value.__cause__, DefinitenessError)
 
     def test_huber_graphical_fit(self):
         idx = build_index(Graph.cycle(4))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -8,6 +10,7 @@ from egm.inference import chordless_cycle_shape
 from egm.mest import make_spec
 from egm.simulate import (
     EllipticalModel,
+    StudyReport,
     deviance_null_study,
     equivalence_study,
     sample,
@@ -116,6 +119,13 @@ class TestEquivalenceStudy:
         with pytest.raises(ConvergenceError, match="cap"):
             equivalence_study(build_index(Graph.cycle(4)), model,
                               make_spec("t:5", 4), [40], 2, seed=3, tol=1e-17)
+
+    def test_failure_log_round_trips_through_json(self):
+        rep = StudyReport("equivalence", 1, 3, {}, {}, 2,
+                          [(0, "n=40: no convergence"), (2, "n=80: lost definiteness")])
+        back = json.loads(json.dumps(rep.to_dict()))
+        assert back["failure_log"] == [[0, "n=40: no convergence"], [2, "n=80: lost definiteness"]]
+        assert [tuple(f) for f in back["failure_log"]] == rep.failure_log
 
     def test_csv_rows(self):
         K, S = chordless_cycle_shape(4, -0.2)
