@@ -4,7 +4,10 @@ Given an SPD matrix A and a graph G, :func:`constrain_scatter` computes
 the unique SPD matrix that agrees with A on edges and the diagonal while
 its inverse vanishes on the absent edges.  The solver is clique-wise
 iterative proportional scaling on the concentration matrix, which
-converges for arbitrary (also non-decomposable) graphs.
+converges for arbitrary (also non-decomposable) graphs.  It runs on
+(R, p, p) stacks, so M-estimation and the studies complete many matrices
+per LAPACK call; each slice stops sweeping when it would stop alone, and
+a single completion is a stack of one.
 
 The analytic derivative of that map and the asymptotic covariances built
 from it are dense p^2 x p^2 (resp. (m-q) x (m-q)) matrices, assembled from
@@ -21,7 +24,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConvergenceError, DefinitenessError, PreconditionError
 from .graphs import GraphIndex
-from .linops import check_spd, spd_inverse, vec
+from .linops import _per_slice, check_spd, spd_inverse, vec
 
 __all__ = [
     "AsymptoticScalars",
@@ -82,11 +85,12 @@ class ConstrainedFit:
     condition_warning: bool = False
 
 
-def _residual(Sigma, Kmat, A, index: GraphIndex) -> float:
-    """Max-abs violation of the two defining conditions."""
-    res_match = np.max(np.abs((Sigma - A)[index.k_mask])) if index.k_mask.any() else 0.0
-    res_zero = np.max(np.abs(Kmat[index.d_mask])) if index.d_mask.any() else 0.0
-    return float(max(res_match, res_zero))
+def _residual(Sigma, Kmat, A, index: GraphIndex) -> np.ndarray:
+    """Max-abs violation of the two defining conditions, per slice of the stacks."""
+    res = np.max(np.abs((Sigma - A)[:, index.k_mask]), axis=1)
+    if index.d_mask.any():
+        res = np.maximum(res, np.max(np.abs(Kmat[:, index.d_mask]), axis=1))
+    return res
 
 
 def constrain_scatter(A, index: GraphIndex, tol: float = 1e-10,
@@ -124,55 +128,116 @@ def constrain_scatter(A, index: GraphIndex, tol: float = 1e-10,
     positions throughout, so only the entry-match part of the residual
     is ever nonzero.
     """
-    A = check_spd(A)
-    p = index.p
-    if A.shape != (p, p):
-        raise PreconditionError(f"matrix is {A.shape} but the graph has p={p}")
-    cond_flag = bool(np.linalg.cond(A) > COND_WARN)
-    if cond_flag:
+    fit, = _complete(check_spd(A)[None], index, tol, max_iter)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
+
+
+def _complete(A, index: GraphIndex, tol: float, max_iter: int = 10_000) -> list:
+    """:func:`constrain_scatter` on each slice of an (R, p, p) stack, with its
+    checks, warning and early exits; one ConstrainedFit, or the exception
+    that constrain_scatter raises, per slice.  One IPS call serves the
+    whole stack."""
+    if A.shape[1:] != (index.p, index.p):
+        raise PreconditionError(f"matrix is {A.shape[1:]} but the graph has p={index.p}")
+    out = [None] * len(A)
+    checked, live, errors = _per_slice(lambda a: (check_spd(a),), A)
+    for r, exc in errors.items():
+        out[r] = exc
+    if not live.size:
+        return out
+    A, = checked
+    cond = np.linalg.cond(A) > COND_WARN
+    for _ in range(np.count_nonzero(cond)):
         warnings.warn("input matrix has condition number above 1e12", RuntimeWarning)
-
+    # a complete graph, or a compliant input, is its own completion
     if index.q == 0:
-        return ConstrainedFit(A.copy(), 0, 0.0, [0.0], cond_flag)
+        res0, done = np.zeros(len(A)), np.full(len(A), True)
+    else:
+        res0 = _residual(A, spd_inverse(A), A, index)
+        done = res0 <= tol
+    for i in np.flatnonzero(done):
+        out[live[i]] = ConstrainedFit(A[i].copy(), 0, float(res0[i]), [float(res0[i])],
+                                      bool(cond[i]))
+    todo = np.flatnonzero(~done)
+    if todo.size:
+        _, W, history, errors = _ips(A[todo], index, tol, max_iter)
+        for i, t in enumerate(todo):
+            out[live[t]] = errors.get(i) or ConstrainedFit(
+                W[i], len(history[i]), history[i][-1], history[i], bool(cond[t]))
+    return out
 
-    # a compliant input is its own completion; return it unchanged
-    res0 = _residual(A, spd_inverse(A), A, index)
-    if res0 <= tol:
-        return ConstrainedFit(A.copy(), 0, res0, [res0], cond_flag)
 
-    _, W, history = _ips(A, index, tol, max_iter)
-    return ConstrainedFit(W, len(history), history[-1], history, cond_flag)
+def _ips(A, index: GraphIndex, tol, max_iter: int = 10_000, start=None):
+    """Clique sweeps (see :func:`constrain_scatter`) on an (R, p, p) stack
+    until each slice's residual is within its ``tol`` (a scalar or one per
+    slice); a slice stops sweeping once it is.  ``start`` is a pair of
+    stacks, concentrations with exact zeros on the absent edges and their
+    inverses, by default the diagonal of A.
 
+    Returns the stacks K and W = K^{-1}, one residual history per slice,
+    and {slice: exception} for the slices that lost definiteness or ran
+    out of sweeps; their K and W are undefined.
+    """
+    R, p = len(A), index.p
+    tols = np.broadcast_to(np.asarray(tol, dtype=float), (R,))
+    if start is None:
+        d, diag = np.diagonal(A, axis1=1, axis2=2), np.arange(p)
+        start = np.zeros_like(A), np.zeros_like(A)
+        start[0][:, diag, diag] = 1.0 / d
+        start[1][:, diag, diag] = d
+    blocks = [np.array(c, dtype=int) - 1 for c in index.cliques]
+    K_out, W_out = np.empty_like(A), np.empty_like(A)
+    history, errors = [[] for _ in range(R)], {}
 
-def _ips(A, index: GraphIndex, tol: float, max_iter: int = 10_000, start=None):
-    """Clique sweeps (see :func:`constrain_scatter`) until the residual is
-    within ``tol``; returns (K, W = K^{-1}, residual history).  ``start`` is
-    a concentration with exact zeros on the absent edges and its inverse,
-    by default the diagonal of A; its K is updated in place."""
-    K, W = start if start is not None else (np.diag(1.0 / np.diag(A)), np.diag(np.diag(A)))
-    cliques = [np.array(c, dtype=int) - 1 for c in index.cliques]
-    history = []
-    for _ in range(max_iter):
-        for C in cliques:
-            Acc_inv = spd_inverse(A[np.ix_(C, C)])
-            Wcc = W[np.ix_(C, C)]
-            delta = Acc_inv - spd_inverse(Wcc)
-            K[np.ix_(C, C)] += delta
+    # the state of the live slices is (A, tol, K, W, A_CC^-1 per clique)
+    def invert(A, tol, K, W):
+        # the clique marginals of A stay fixed, so each is inverted once
+        return (A, tol, K, W, *(spd_inverse(A[:, C[:, None], C]) for C in blocks))
+
+    def sweep(A, tol, K, W, *Acc_inv):
+        K = K.copy()
+        for C, Ainv in zip(blocks, Acc_inv):
+            Wcc = W[:, C[:, None], C]
+            delta = Ainv - spd_inverse(Wcc)
+            K[:, C[:, None], C] += delta
             # Woodbury update of W = K^{-1}; the (I + delta Wcc) form
             # avoids inverting a possibly tiny delta.
-            WU = W[:, C]
+            WU = W[:, :, C]
             M = np.linalg.solve(np.eye(len(C)) + delta @ Wcc, delta)
-            W = W - WU @ M @ WU.T
+            W = W - WU @ M @ WU.mT
         # refresh the inverse once per sweep to stop Woodbury drift
-        W = spd_inverse(K)
-        history.append(_residual(W, K, A, index))
-        if history[-1] <= tol:
-            return K, W, history
-    raise ConvergenceError(
-        f"constrained completion did not reach tol={tol} in {max_iter} sweeps "
-        f"(last residual {history[-1]:.3e})",
-        residual=history[-1],
-    )
+        return (A, tol, K, spd_inverse(K), *Acc_inv)
+
+    def run(step, live, state):
+        """``step`` on the live slices; the slices it fails on leave."""
+        state, keep, failed = _per_slice(step, *state)
+        errors.update((live[i], exc) for i, exc in failed.items())
+        return live[keep], state
+
+    live, state = run(invert, np.arange(R), (A, tols, *start))
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        live, state = run(sweep, live, state)
+        if not live.size:
+            break
+        A, tol, K, W = state[:4]
+        res = _residual(W, K, A, index)
+        for r, x in zip(live, res):
+            history[r].append(float(x))
+        done = res <= tol
+        if done.any():
+            K_out[live[done]], W_out[live[done]] = K[done], W[done]
+            live, state = live[~done], tuple(x[~done] for x in state)
+    for r in live:
+        errors[r] = ConvergenceError(
+            f"constrained completion did not reach tol={float(tols[r])} in {max_iter} "
+            f"sweeps (last residual {history[r][-1]:.3e})",
+            residual=history[r][-1],
+        )
+    return K_out, W_out, history, errors
 
 
 def _pair(T, rows, cols) -> np.ndarray:

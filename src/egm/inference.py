@@ -19,7 +19,13 @@ from typing import Optional
 import numpy as np
 import scipy.stats
 
-from .covsel import AsymptoticScalars, constrain_scatter, edge_basis_gram, pattern_violation
+from .covsel import (
+    AsymptoticScalars,
+    _complete,
+    constrain_scatter,
+    edge_basis_gram,
+    pattern_violation,
+)
 from .errors import (
     ConvergenceError,
     DefinitenessError,
@@ -28,7 +34,7 @@ from .errors import (
     PreconditionError,
 )
 from .graphs import Graph, GraphIndex, build_index
-from .linops import check_spd, kron, spd_inverse, symmetrization_matrix
+from .linops import check_spd, spd_inverse
 from .mest import EstimatorSpec, graphical_m_estimate, m_estimate, scalars_for
 
 __all__ = [
@@ -96,6 +102,16 @@ def deviance(S_hat, index0: GraphIndex, index1: GraphIndex, n: int,
     exactly zero when the inverse of ``S_hat`` already carries graph 0's
     zero pattern.
     """
+    _check_nesting(index0, index1, sigma1)
+    S_hat = check_spd(S_hat)
+    stat, = _deviance_stack(S_hat[None], index0, index1, n, sigma1, completion_tol)
+    if isinstance(stat, Exception):
+        raise stat
+    df = index0.q - index1.q
+    return DevianceReport(stat, df, sigma1, float(scipy.stats.chi2.sf(stat, df)), n)
+
+
+def _check_nesting(index0: GraphIndex, index1: GraphIndex, sigma1: float) -> None:
     G0, G1 = index0.graph, index1.graph
     if G0.p != G1.p:
         raise NestingError("graphs are on different vertex sets")
@@ -106,12 +122,34 @@ def deviance(S_hat, index0: GraphIndex, index1: GraphIndex, n: int,
         raise NestingError("nesting must be proper: the null graph equals the alternative")
     if sigma1 <= 0:
         raise PreconditionError(f"sigma1 must be > 0, got {sigma1}")
-    S_hat = check_spd(S_hat)
-    ld0 = _logdet(constrain_scatter(S_hat, index0, tol=completion_tol).matrix)
-    ld1 = _logdet(constrain_scatter(S_hat, index1, tol=completion_tol).matrix)
-    stat = max(0.0, n * (ld0 - ld1) / sigma1)
-    df = G0.q - G1.q
-    return DevianceReport(stat, df, sigma1, float(scipy.stats.chi2.sf(stat, df)), n)
+
+
+def _deviance_stack(S, index0: GraphIndex, index1: GraphIndex, n: int,
+                    sigma1: float, completion_tol: float) -> list:
+    """The clamped deviance statistic of each slice of an (R, p, p) stack of
+    scatter estimates, for graphs already checked to be properly nested:
+    one float, or the exception that :func:`deviance` raises, per slice."""
+    out = [None] * len(S)
+    ld = np.zeros((2, len(S)))
+    for k, index in enumerate((index0, index1)):
+        live = [r for r in range(len(S)) if out[r] is None]
+        if not live:
+            break
+        done = []
+        for r, f in zip(live, _complete(S[live], index, completion_tol)):
+            if isinstance(f, Exception):
+                out[r] = f
+            else:
+                done.append((r, f.matrix))
+        if not done:
+            continue
+        sign, val = np.linalg.slogdet(np.array([m for _, m in done]))
+        for (r, _), sg, v in zip(done, sign, val):
+            if sg <= 0:
+                out[r] = DefinitenessError("log-determinant of a non-positive-definite matrix")
+            ld[k, r] = v
+    return [max(0.0, n * (float(ld[0, r]) - float(ld[1, r])) / sigma1) if o is None else o
+            for r, o in enumerate(out)]
 
 
 def resolve_sigma1(spec: EstimatorSpec, p: int, sigma1, family) -> float:
@@ -206,22 +244,17 @@ def partial_correlation(K) -> np.ndarray:
 
 
 def partial_correlation_derivative(A) -> np.ndarray:
-    """Dense p^2 x p^2 derivative of the partial-correlation map at A."""
+    """Dense p^2 x p^2 derivative of the partial-correlation map at A.
+
+    Row (i, j), in vec order, is vec of :func:`_dpi_row_matrix` at (i, j).
+    """
     A = check_spd(A)
     p = A.shape[0]
-    d = np.diag(A)
-    Pi = partial_correlation(A)
-    Mp = symmetrization_matrix(p)
-    Jp = np.zeros(p * p)
-    Jp[np.arange(p) * p + np.arange(p)] = 1.0
-    Ad_inv = np.diag(1.0 / d)
-    Ad_isqrt = np.diag(1.0 / np.sqrt(d))
-    term1 = (Mp @ kron(Pi, Ad_inv)) * Jp[None, :]
-    term2 = kron(Ad_isqrt, Ad_isqrt) @ Mp
-    return -term1 - term2
+    j, i = np.divmod(np.arange(p * p), p)
+    return _dpi_row_matrix(A, i, j).transpose(0, 2, 1).reshape(p * p, p * p)
 
 
-def _dpi_row_matrix(K, i: int, j: int) -> np.ndarray:
+def _dpi_row_matrix(K, i, j) -> np.ndarray:
     """Row (i, j) of the partial-correlation derivative at K, in matrix form.
 
     The row, reshaped to p x p, is
@@ -229,17 +262,20 @@ def _dpi_row_matrix(K, i: int, j: int) -> np.ndarray:
         -(pi_ij / (2 K_ii)) E_ii - (pi_ji / (2 K_jj)) E_jj
         - (E_ij + E_ji) / (2 sqrt(K_ii K_jj)),
 
-    a symmetric matrix built without any p^2 x p^2 intermediate.
+    a symmetric matrix built without any p^2 x p^2 intermediate.  With
+    index arrays i and j the rows come as a stack, one matrix per pair.
     """
     p = K.shape[0]
     d = np.diag(K)
     pi_ij = -K[i, j] / np.sqrt(d[i] * d[j])
-    X = np.zeros((p, p))
-    X[i, i] -= 0.5 * pi_ij / d[i]
-    X[j, j] -= 0.5 * pi_ij / d[j]
     half = 0.5 / np.sqrt(d[i] * d[j])
-    X[i, j] -= half
-    X[j, i] -= half
+    i, j = np.asarray(i), np.asarray(j)
+    X = np.zeros(i.shape + (p, p))
+    at = np.arange(i.size).reshape(i.shape)
+    for rows, cols, value in ((i, i, 0.5 * pi_ij / d[i]), (j, j, 0.5 * pi_ij / d[j]),
+                              (i, j, half), (j, i, half)):
+        # accumulated in this order, as the diagonal rows (i = j) need
+        np.subtract.at(X.reshape(-1, p, p), (at, rows, cols), value)
     return X
 
 

@@ -4,6 +4,11 @@ Everything here works on dense float64 arrays.  The structural matrices
 (Kronecker, commutation, symmetrization, duplication, selection) have up
 to p^4 entries and no solver builds them: they are reference operators
 for the tests and for ``GraphIndex``'s on-demand dense operators.
+
+The checks and :func:`spd_inverse` also take (R, p, p) stacks.  numpy's
+stacked factorizations call the same LAPACK routine per slice as the 2-D
+call, so a slice of a stacked result has the bits of the 2-D result;
+:func:`_per_slice` isolates the slices for which such a call fails.
 """
 
 from __future__ import annotations
@@ -30,16 +35,16 @@ __all__ = [
 ]
 
 
-def check_symmetric(A, tol: float = 0.0) -> np.ndarray:
+def check_symmetric(A, tol=0.0) -> np.ndarray:
     """Return ``A`` as a float array, raising if it is not square symmetric.
 
-    ``tol`` is an absolute entrywise tolerance; the default demands exact
-    symmetry.
+    ``tol`` is an absolute entrywise tolerance (per slice of a stack when
+    it broadcasts so); the default demands exact symmetry.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.abs(A - A.T) <= tol):
+    if not np.all(np.abs(A - A.mT) <= tol):
         raise DimensionError("matrix is not symmetric")
     return A
 
@@ -47,27 +52,58 @@ def check_symmetric(A, tol: float = 0.0) -> np.ndarray:
 def check_spd(A, tol: float = 1e-12) -> np.ndarray:
     """Return ``A`` if symmetric positive definite, else raise.
 
-    Positive definiteness is established by a Cholesky factorization,
-    which fails exactly when the matrix is not numerically SPD.
+    The symmetry tolerance is ``tol`` times max(1, max-abs entry) of each
+    matrix.  Positive definiteness is established by a Cholesky
+    factorization, which fails exactly when the matrix is not numerically
+    SPD.  A stack passes only if every slice does.
     """
-    A = check_symmetric(A, tol=tol * max(1.0, float(np.max(np.abs(A)))))
+    A = np.asarray(A, dtype=float)
+    if A.ndim >= 2:  # otherwise check_symmetric names the bad shape
+        tol = tol * np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1), keepdims=True))
+    A = check_symmetric(A, tol=tol)
     try:
-        np.linalg.cholesky(0.5 * (A + A.T))
+        np.linalg.cholesky(0.5 * (A + A.mT))
     except np.linalg.LinAlgError:
         raise DefinitenessError("matrix is not positive definite") from None
     return A
 
 
 def spd_inverse(A) -> np.ndarray:
-    """Inverse of an SPD matrix via Cholesky, symmetrized on output."""
+    """Inverse of an SPD matrix (or stack) via Cholesky, symmetrized on output."""
     A = np.asarray(A, dtype=float)
     try:
-        L = np.linalg.cholesky(0.5 * (A + A.T))
+        L = np.linalg.cholesky(0.5 * (A + A.mT))
     except np.linalg.LinAlgError:
         raise DefinitenessError("matrix is not positive definite") from None
     inv = np.linalg.inv(L)
-    out = inv.T @ inv
-    return 0.5 * (out + out.T)
+    out = inv.mT @ inv
+    return 0.5 * (out + out.mT)
+
+
+def _per_slice(fn, *stacks):
+    """Apply ``fn`` to stacks with a common leading dimension R.
+
+    ``fn`` returns a tuple of stacks.  When it raises a ``LinAlgError`` or
+    ``ValueError`` (numpy raises for the whole stack if one slice fails),
+    it is rerun on each slice alone.  Returns the outputs of the slices
+    that succeed (None if none does), their slice numbers, and the
+    exception of each failed slice as {slice number: exception}.
+    """
+    R = len(stacks[0])
+    try:
+        return fn(*stacks), np.arange(R), {}
+    except (np.linalg.LinAlgError, ValueError):
+        pass
+    outs, keep, errors = [], [], {}
+    for r in range(R):
+        try:
+            outs.append(fn(*(x[r:r + 1] for x in stacks)))
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            errors[r] = exc
+        else:
+            keep.append(r)
+    merged = tuple(np.concatenate(parts) for parts in zip(*outs)) if outs else None
+    return merged, np.array(keep, dtype=int), errors
 
 
 def vec(A) -> np.ndarray:

@@ -29,7 +29,7 @@ import scipy.integrate
 import scipy.optimize
 import scipy.stats
 
-from .covsel import AsymptoticScalars, _ips, constrain_scatter
+from .covsel import AsymptoticScalars, _complete, _ips, constrain_scatter
 from .errors import (
     ConvergenceError,
     DefinitenessError,
@@ -39,6 +39,7 @@ from .errors import (
     SampleSizeError,
 )
 from .graphs import GraphIndex
+from .linops import _per_slice
 
 __all__ = [
     "EstimatorSpec",
@@ -262,82 +263,153 @@ def _validate_data(X) -> np.ndarray:
 
 
 def _radii(X, mu, S) -> np.ndarray:
-    Xc = X - mu
-    L = np.linalg.cholesky(0.5 * (S + S.T))
-    Y = np.linalg.solve(L, Xc.T)
-    return np.einsum("ij,ij->j", Y, Y)
+    Xc = X - mu[:, None, :]
+    L = np.linalg.cholesky(0.5 * (S + S.mT))
+    Y = np.linalg.solve(L, Xc.mT)
+    return np.einsum("rij,rij->rj", Y, Y)
 
 
 def _reweight(X, mu, S, spec, center=None):
-    """The fixed-point map at (mu, S): the u1-weighted mean and the
-    u2-weighted scatter about ``center``, by default that new mean."""
+    """The fixed-point map at (mu, S), per slice of the stacks X (R, n, p),
+    mu (R, p) and S (R, p, p): the u1-weighted mean and the u2-weighted
+    scatter about ``center``, by default that new mean."""
     R = _radii(X, mu, S)
     w1 = spec.u1(R)
     w2 = spec.u2(R)
-    mu_new = (w1[:, None] * X).sum(axis=0) / w1.sum()
-    Xc = X - (mu_new if center is None else center)
-    return mu_new, (w2[:, None] * Xc).T @ Xc / X.shape[0]
+    mu_new = (w1[..., None] * X).sum(axis=1) / w1.sum(axis=1)[:, None]
+    Xc = X - (mu_new if center is None else center)[:, None, :]
+    return mu_new, (w2[..., None] * Xc).mT @ Xc / X.shape[1]
 
 
-def _residual(X, mu, S, spec, index: Optional[GraphIndex] = None) -> float:
-    """Max-abs residual of the estimating equations; with ``index`` the
-    scatter equation holds on edges and the diagonal only and the inverse
-    must vanish on the absent edges."""
+def _residual(X, mu, S, spec, index: Optional[GraphIndex] = None) -> np.ndarray:
+    """Max-abs residual of the estimating equations, per slice; with
+    ``index`` the scatter equation holds on edges and the diagonal only and
+    the inverse must vanish on the absent edges."""
     mu_fix, W = _reweight(X, mu, S, spec, center=mu)
-    scale = max(1.0, float(np.max(np.abs(S))))
-    gap = np.abs(S - W) if index is None else np.abs((S - W)[index.k_mask])
-    res = max(float(np.max(np.abs(mu_fix - mu))), float(np.max(gap)) / scale)
+    scale = np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
+    gap = np.abs(S - W).reshape(len(S), -1) if index is None else np.abs((S - W)[:, index.k_mask])
+    res = np.maximum(np.max(np.abs(mu_fix - mu), axis=1), np.max(gap, axis=1) / scale)
     if index is not None:
-        res = max(res, float(np.max(np.abs(np.linalg.inv(S)[index.d_mask]))))
+        res = np.maximum(res, np.max(np.abs(np.linalg.inv(S)[:, index.d_mask]), axis=1))
     return res
 
 
 def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
-           index: Optional[GraphIndex] = None) -> FitResult:
-    """Fixed-point iteration of the M-estimating equations, constrained
-    to the graph of ``index`` when that graph has an absent edge.
+           index: Optional[GraphIndex] = None) -> list:
+    """Fixed-point iteration of the M-estimating equations on each slice of
+    an (R, n, p) stack of validated data sets, constrained to the graph of
+    ``index`` when that graph has an absent edge.
 
     Each step reweights location and scatter at the current estimate;
     under a graph it then completes the weighted scatter by IPS, started
     from the previous step's concentration, to an inner tolerance that
-    follows the outer progress down to one hundredth of ``tol``.
+    follows the outer progress down to one hundredth of ``tol``.  A slice
+    leaves the stack once it converges or fails, so it takes exactly the
+    steps it would take alone.  Returns one FitResult, or the exception
+    that the fit raises, per slice.
     """
-    X = _validate_data(X)
-    n, p = X.shape
+    R, n, p = X.shape
     what = "M-estimation" if index is None else "graphical M-estimation"
-    if index is not None and p != index.p:
-        raise DimensionError(f"data has {p} columns but the graph has p={index.p}")
     if index is not None and index.q == 0:
         index = None  # a complete graph constrains nothing
-    it = 0
-    try:
-        mu = X.mean(axis=0)
-        Xc = X - mu
-        S = Xc.T @ Xc / n
+    out = [None] * R
+    live, it = np.arange(R), 0  # live: the data set of each slice of the stacks
+
+    def fail(failed):
+        """Record {slice: exception} as the outcome of those fits."""
+        for i, exc in failed.items():
+            if isinstance(exc, (np.linalg.LinAlgError, DefinitenessError)):
+                err = ConvergenceError(
+                    f"{what} lost positive definiteness at iteration {it}: {exc}")
+                err.__cause__ = exc
+                exc = err
+            out[live[i]] = exc
+
+    def retire(gone, state):
+        """Drop the slices numbered in ``gone``; the stacks are copied only then."""
+        nonlocal live
+        if not len(gone):
+            return state
+        keep = np.setdiff1d(np.arange(len(live)), list(gone))
+        live = live[keep]
+        return tuple(x[keep] for x in state)
+
+    def run(step, state):
+        """``step`` on the stacks; the slices it fails on leave."""
+        nonlocal live
+        state, keep, failed = _per_slice(step, *state)
+        fail(failed)
+        live = live[keep]
+        return state
+
+    def residuals(sel, X, mu, S):
+        """Residuals of the slices ``sel``; those it fails on leave."""
+        sub = (X, mu, S) if len(sel) == len(X) else (X[sel], mu[sel], S[sel])
+        res, keep, failed = _per_slice(lambda *s: (_residual(*s, spec, index),), *sub)
+        fail({sel[i]: exc for i, exc in failed.items()})
+        return sel[keep], res[0] if keep.size else np.zeros(0)
+
+    def reweight(X, mu, S, *rest):
+        return (X, mu, S, *rest, *_reweight(X, mu, S, spec))
+
+    mu = X.mean(axis=1)
+    Xc = X - mu[:, None, :]
+    S = Xc.mT @ Xc / n
+    if index is not None:
+        fits = _complete(S, index, 1e-2 * tol)
+        bad = {i: f for i, f in enumerate(fits) if isinstance(f, Exception)}
+        fail(bad)
+        S = np.array([S[i] if i in bad else f.matrix for i, f in enumerate(fits)])
+        X, mu, S = retire(list(bad), (X, mu, S))
+    state = (X, mu, S, np.full(len(X), np.inf))
+    for it in range(1, max_iter + 1):
+        if not live.size:
+            break
+        state = run(reweight, state)
+        if not live.size:
+            break
+        X, mu, S, change, *start, mu_new, S_new = state
         if index is not None:
-            S = constrain_scatter(S, index, tol=1e-2 * tol).matrix
-        start, change = None, np.inf
-        for it in range(1, max_iter + 1):
-            mu_new, S_new = _reweight(X, mu, S, spec)
-            if index is not None:
-                inner_tol = min(max(1e-2 * change, 1e-2 * tol), 1e-2)
-                K, S_new, _ = _ips(S_new, index, inner_tol, start=start)
-                start = K, S_new
-            scale = max(1.0, float(np.max(np.abs(S))))
-            change = max(float(np.max(np.abs(mu_new - mu))),
-                         float(np.max(np.abs(S_new - S))) / scale)
-            mu, S = mu_new, S_new
-            if change <= tol:
-                residual = _residual(X, mu, S, spec, index)
-                if residual <= tol:
-                    return FitResult(mu, S, None, it, True, residual)
-        residual = _residual(X, mu, S, spec, index)
-    except (np.linalg.LinAlgError, DefinitenessError) as exc:
-        raise ConvergenceError(
-            f"{what} lost positive definiteness at iteration {it}: {exc}") from exc
-    raise ConvergenceError(
-        f"{what} did not converge in {max_iter} iterations "
-        f"(residual {residual:.3e})", residual=residual)
+            inner_tol = np.minimum(np.maximum(1e-2 * change, 1e-2 * tol), 1e-2)
+            K, S_new, _, failed = _ips(S_new, index, inner_tol,
+                                       start=(start[0], S) if start else None)
+            fail(failed)
+            X, mu, S, mu_new, S_new, K = retire(list(failed), (X, mu, S, mu_new, S_new, K))
+            start = [K]
+            if not live.size:
+                break
+        scale = np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
+        change = np.maximum(np.max(np.abs(mu_new - mu), axis=1),
+                            np.max(np.abs(S_new - S), axis=(1, 2)) / scale)
+        mu, S = mu_new, S_new
+        state = (X, mu, S, change, *start)
+        conv = np.flatnonzero(change <= tol)
+        if conv.size:
+            sel, res = residuals(conv, X, mu, S)
+            ok = res <= tol
+            for i, r in zip(sel[ok], res[ok]):
+                out[live[i]] = FitResult(mu[i].copy(), S[i].copy(), None, it, True, float(r))
+            state = retire(np.setdiff1d(conv, sel[~ok]), state)
+    if live.size:
+        sel, res = residuals(np.arange(len(live)), *state[:3])
+        for i, r in zip(sel, res):
+            out[live[i]] = ConvergenceError(
+                f"{what} did not converge in {max_iter} iterations "
+                f"(residual {r:.3e})", residual=float(r))
+    return out
+
+
+def _fit(X, spec: EstimatorSpec, tol: float, max_iter: int,
+         index: Optional[GraphIndex] = None) -> FitResult:
+    """One fit: the public estimators' checks, then :func:`_solve` on a
+    stack of one."""
+    X = _validate_data(X)
+    if index is not None and X.shape[1] != index.p:
+        raise DimensionError(f"data has {X.shape[1]} columns but the graph has p={index.p}")
+    fit, = _solve(X[None], spec, tol, max_iter, index)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def m_estimate(X, spec: EstimatorSpec, tol: float = 1e-9,
@@ -364,7 +436,7 @@ def m_estimate(X, spec: EstimatorSpec, tol: float = 1e-9,
     the 1/n-denominator sample covariance.  An exhausted budget, or an
     iterate that loses positive definiteness, raises ConvergenceError.
     """
-    return _solve(X, spec, tol, max_iter)
+    return _fit(X, spec, tol, max_iter)
 
 
 def graphical_m_estimate(X, index: GraphIndex, spec: EstimatorSpec,
@@ -377,7 +449,7 @@ def graphical_m_estimate(X, index: GraphIndex, spec: EstimatorSpec,
     need about one IPS sweep each.  A complete graph gives exactly the
     :func:`m_estimate` result.
     """
-    return _solve(X, spec, tol, max_iter, index)
+    return _fit(X, spec, tol, max_iter, index)
 
 
 def plug_in_estimate(X, index: GraphIndex, spec: EstimatorSpec,

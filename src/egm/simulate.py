@@ -1,11 +1,17 @@
 """Elliptical sampling and seeded Monte Carlo studies.
 
 Sampling is reproducible down to the bit: replicate r of a study draws
-from a fresh generator seeded by the tuple (study seed, r), so studies
-can be rerun or parallelized without changing results.  The shape
+from a fresh generator seeded by the tuple (study seed, r).  The shape
 square root uses the symmetric eigendecomposition, which makes a draw
 from (mu, S) exactly the affine transform of the standard draw with the
 same seed.
+
+The studies fit their replicates in chunks, each chunk an (R, n, p)
+stack that one solver call advances together while every replicate
+stops exactly when it would stop alone.  A replicate's result therefore
+depends on neither the chunk size nor the other replicates in its chunk:
+it equals, bit for bit, the public serial calls on ``sample(model, n,
+[seed, r])``.
 """
 
 from __future__ import annotations
@@ -14,17 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.stats
 
-from .covsel import pattern_violation
+from .covsel import _complete, pattern_violation
 from .errors import ConvergenceError, DimensionError, PreconditionError
 from .graphs import GraphIndex
-from .inference import deviance
+from .inference import _check_nesting, _deviance_stack
 from .linops import check_spd
 from .mest import (
     EstimatorSpec,
+    FitResult,
     RadialLaw,
-    graphical_m_estimate,
-    m_estimate,
-    plug_in_estimate,
+    _solve,
+    _validate_data,
     radial_for_family,
     scalars_for,
 )
@@ -40,6 +46,14 @@ __all__ = [
 
 #: studies abort when more than this fraction of replicates fails
 FAILURE_CAP = 0.02
+
+# replicates fitted together as one stack; results do not depend on it
+_CHUNK = 16
+
+# the defaults of the serial calls a replicate reproduces: the estimators'
+# iteration budget and the completion tolerance of plug-in and deviance
+_MAX_ITER = 500
+_COMPLETION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -118,6 +132,11 @@ def sample(model: EllipticalModel, n: int, seed) -> np.ndarray:
     studies to derive one stream per replicate).  Gaussian rows are
     mu + Z S^{1/2}; t rows divide Z by sqrt(chi2_nu / nu) first.
     """
+    return _draw(model, n, seed, shape_sqrt(model.S))
+
+
+def _draw(model: EllipticalModel, n: int, seed, root) -> np.ndarray:
+    """:func:`sample` with the shape square root ``root`` computed once."""
     if n < 1:
         raise PreconditionError(f"sample size must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
@@ -126,7 +145,31 @@ def sample(model: EllipticalModel, n: int, seed) -> np.ndarray:
         nu = float(model.family[2:])
         w = rng.chisquare(nu, n)
         Z = Z / np.sqrt(w / nu)[:, None]
-    return model.mu + Z @ shape_sqrt(model.S)
+    return model.mu + Z @ root
+
+
+def _chunks(replicates: int) -> list:
+    """The replicate numbers 0..replicates-1 in runs of at most _CHUNK."""
+    if replicates < 1:
+        raise PreconditionError(f"a study needs at least one replicate, got {replicates}")
+    return [range(lo, min(lo + _CHUNK, replicates)) for lo in range(0, replicates, _CHUNK)]
+
+
+def _data(model: EllipticalModel, n: int, seed: int, rs, root) -> np.ndarray:
+    """The (R, n, p) stack of the replicates ``rs``, each checked as the
+    estimators check their data."""
+    return np.array([_validate_data(_draw(model, n, [seed, r], root)) for r in rs])
+
+
+def _record(r: int, outcome, failures: list, label: str = "") -> bool:
+    """True if the outcome is a result; a failed fit goes to ``failures``
+    and any other exception is raised, as in a serial loop over replicates."""
+    if isinstance(outcome, (ConvergenceError, np.linalg.LinAlgError)):
+        failures.append((r, f"{label}{outcome}"))
+        return False
+    if isinstance(outcome, Exception):
+        raise outcome
+    return True
 
 
 def _check_failure_cap(failures: list, total: int) -> None:
@@ -134,6 +177,22 @@ def _check_failure_cap(failures: list, total: int) -> None:
         raise ConvergenceError(
             f"{len(failures)} of {total} replicates failed, above the "
             f"{FAILURE_CAP:.0%} cap; first failure: {failures[0][1]}")
+
+
+def _both_fits(X, index: GraphIndex, spec: EstimatorSpec, tol: float) -> list:
+    """plug_in_estimate, then graphical_m_estimate, on each slice of X:
+    per slice the pair of (mu, scatter) estimates, or the first exception."""
+    out = _solve(X, spec, tol, _MAX_ITER)
+    ok = [i for i, f in enumerate(out) if isinstance(f, FitResult)]
+    if ok:
+        completed = _complete(np.array([out[i].scatter for i in ok]), index, _COMPLETION_TOL)
+        for i, c in zip(ok, completed):
+            out[i] = c if isinstance(c, Exception) else (out[i].mu, c.matrix)
+    ok = [i for i, o in enumerate(out) if isinstance(o, tuple)]
+    if ok:
+        for i, f in zip(ok, _solve(X[ok], spec, tol, _MAX_ITER, index)):
+            out[i] = f if isinstance(f, Exception) else (out[i], (f.mu, f.scatter))
+    return out
 
 
 def equivalence_study(index: GraphIndex, model: EllipticalModel,
@@ -145,30 +204,34 @@ def equivalence_study(index: GraphIndex, model: EllipticalModel,
     sqrt(n) * (|mu_P - mu_M| + |vec(S_P - S_M)|); the scatter-only part
     is reported separately.  A decreasing median across the n grid is
     the asymptotic-equivalence signature.  The model's inverse shape
-    must carry the graph's zero pattern.
+    must carry the graph's zero pattern, and the n of the grid must be
+    distinct.  Replicate r at n fits the first n rows of
+    ``sample(model, max(n_grid), [seed, r])``.
     """
+    chunks = _chunks(replicates)
+    n_grid = sorted(int(n) for n in n_grid)
+    if not n_grid or len(set(n_grid)) < len(n_grid):
+        raise PreconditionError(f"the n grid must be non-empty and distinct, got {n_grid}")
     if pattern_violation(model.S, index) > 1e-8:
         raise PreconditionError(
             "model shape violates the graph: inverse has mass on absent edges")
-    n_grid = sorted(int(n) for n in n_grid)
-    n_max = n_grid[-1]
+    root = shape_sqrt(model.S)
     deltas = {str(n): [] for n in n_grid}
     scatter_deltas = {str(n): [] for n in n_grid}
     failures = []
-    for r in range(replicates):
-        X_full = sample(model, n_max, seed=[seed, r])
-        for n in n_grid:
-            X = X_full[:n]
-            try:
-                fit_p = plug_in_estimate(X, index, spec, tol=tol)
-                fit_m = graphical_m_estimate(X, index, spec, tol=tol)
-            except (ConvergenceError, np.linalg.LinAlgError) as exc:
-                failures.append((r, f"n={n}: {exc}"))
-                continue
-            d_mu = float(np.linalg.norm(fit_p.mu - fit_m.mu))
-            d_S = float(np.linalg.norm(fit_p.scatter - fit_m.scatter, ord="fro"))
-            deltas[str(n)].append(np.sqrt(n) * (d_mu + d_S))
-            scatter_deltas[str(n)].append(np.sqrt(n) * d_S)
+    for rs in chunks:
+        X_full = _data(model, n_grid[-1], seed, rs, root)
+        by_n = [_both_fits(np.array([_validate_data(x[:n]) for x in X_full]), index, spec, tol)
+                for n in n_grid]
+        for i, r in enumerate(rs):
+            for n, fits in zip(n_grid, by_n):
+                if not _record(r, fits[i], failures, f"n={n}: "):
+                    continue
+                (mu_p, S_p), (mu_m, S_m) = fits[i]
+                d_mu = float(np.linalg.norm(mu_p - mu_m))
+                d_S = float(np.linalg.norm(S_p - S_m, ord="fro"))
+                deltas[str(n)].append(np.sqrt(n) * (d_mu + d_S))
+                scatter_deltas[str(n)].append(np.sqrt(n) * d_S)
     _check_failure_cap(failures, replicates * len(n_grid))
     summary = {
         "median_delta": {k: float(np.median(v)) for k, v in deltas.items() if v},
@@ -188,23 +251,28 @@ def deviance_null_study(index0: GraphIndex, index1: GraphIndex,
     The model shape must satisfy the null graph.  sigma1 comes from the
     scalar routines for (spec, model family); the summary reports
     empirical quantiles of the statistic next to the chi-square
-    reference at 0.5, 0.9, 0.95 and 0.99.
+    reference at 0.5, 0.9, 0.95 and 0.99.  Replicate r is
+    :func:`egm.mest.m_estimate` and :func:`egm.inference.deviance` on
+    ``sample(model, n, [seed, r])``.
     """
+    chunks = _chunks(replicates)
     if pattern_violation(model.S, index0) > 1e-8:
         raise PreconditionError(
             "model shape violates the null graph: inverse has mass on absent edges")
     scalars = scalars_for(spec, model.family, model.p)
+    _check_nesting(index0, index1, scalars.sigma1)
+    root = shape_sqrt(model.S)
     stats = []
     failures = []
-    for r in range(replicates):
-        X = sample(model, n, seed=[seed, r])
-        try:
-            fit = m_estimate(X, spec, tol=tol)
-            rep = deviance(fit.scatter, index0, index1, n, scalars.sigma1)
-        except (ConvergenceError, np.linalg.LinAlgError) as exc:
-            failures.append((r, str(exc)))
-            continue
-        stats.append(rep.statistic)
+    for rs in chunks:
+        outcome = _solve(_data(model, n, seed, rs, root), spec, tol, _MAX_ITER)
+        ok = [i for i, f in enumerate(outcome) if isinstance(f, FitResult)]
+        if ok:
+            S = np.array([outcome[i].scatter for i in ok])
+            for i, stat in zip(ok, _deviance_stack(S, index0, index1, n, scalars.sigma1,
+                                                   _COMPLETION_TOL)):
+                outcome[i] = stat
+        stats += [o for r, o in zip(rs, outcome) if _record(r, o, failures)]
     _check_failure_cap(failures, replicates)
     df = index0.q - index1.q
     probs = (0.5, 0.9, 0.95, 0.99)

@@ -368,6 +368,27 @@ class TestStudy:
         assert rc == 2
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, replicates", [
+        ("deviance-null", "0"), ("deviance-null", "-3"),
+        ("equivalence", "0"), ("equivalence", "-3")])
+    def test_bad_replicate_count_exit_1(self, tmp_path, capsys, kind, replicates):
+        shape, g0, g1 = self.make_cycle_fixture(tmp_path)
+        rc = cli.main(["study", "--kind", kind, "--graph", str(g0), "--graph1", str(g1),
+                       "--family", "gaussian", "--estimator", "gaussian",
+                       "--shape-csv", str(shape), "--n", "100",
+                       "--replicates", replicates, "--seed", "1"])
+        assert rc == 1
+        assert "at least one replicate" in capsys.readouterr().err
+
+    def test_repeated_n_exit_1(self, tmp_path, capsys):
+        shape, g0, _ = self.make_cycle_fixture(tmp_path)
+        rc = cli.main(["study", "--kind", "equivalence", "--graph", str(g0),
+                       "--family", "gaussian", "--estimator", "gaussian",
+                       "--shape-csv", str(shape), "--n-grid", "100", "100",
+                       "--replicates", "3", "--seed", "1"])
+        assert rc == 1
+        assert "distinct" in capsys.readouterr().err
+
     def test_study_misspecified_shape_exit_1(self, tmp_path, capsys):
         # a dense shape matrix violates the cycle pattern
         _, g0, _ = self.make_cycle_fixture(tmp_path)

@@ -5,6 +5,8 @@ import pytest
 
 from egm.covsel import (
     AsymptoticScalars,
+    _complete,
+    _ips,
     concentration_acov,
     constrain_jacobian,
     constrain_scatter,
@@ -144,6 +146,51 @@ class TestConstrainScatter:
         with pytest.raises(ConvergenceError) as exc:
             constrain_scatter(A, build_index(Graph.cycle(6)), tol=1e-15, max_iter=1)
         assert exc.value.residual is not None and exc.value.residual > 1e-15
+
+
+class TestStackedCompletion:
+    """The IPS kernel completes a stack slice by slice, bit for bit as alone."""
+
+    GRAPH = build_index(Graph.cycle(6).with_edge(1, 4))
+
+    def inputs(self, local):
+        A = [rand_spd(6, local) for _ in range(4)]
+        A.append(constrain_scatter(A[0], self.GRAPH, tol=1e-13).matrix)  # compliant
+        return np.array(A)
+
+    def test_stack_equals_single_calls(self):
+        A = self.inputs(np.random.default_rng(41))
+        for fit, a in zip(_complete(A, self.GRAPH, 1e-10), A):
+            alone = constrain_scatter(a, self.GRAPH)
+            assert np.array_equal(fit.matrix, alone.matrix)
+            assert fit.iterations == alone.iterations
+            assert fit.residual_history == alone.residual_history
+        assert fit.iterations == 0
+
+    def test_per_slice_tolerance_and_start(self):
+        local = np.random.default_rng(42)
+        A = self.inputs(local)[:4]
+        d = np.array([np.diag(rand_spd(6, local)) for _ in A])
+        K0, W0 = np.array([np.diag(1.0 / x) for x in d]), np.array([np.diag(x) for x in d])
+        tols = np.array([1e-4, 1e-7, 1e-10, 1e-13])
+        K, W, history, errors = _ips(A, self.GRAPH, tols, start=(K0, W0))
+        assert not errors
+        for r in range(len(A)):
+            K1, W1, h1, e1 = _ips(A[r:r + 1], self.GRAPH, tols[r], start=(K0[r:r + 1], W0[r:r + 1]))
+            assert np.array_equal(K[r], K1[0]) and np.array_equal(W[r], W1[0])
+            assert history[r] == h1[0]
+        assert len(history[0]) < len(history[3])
+
+    def test_sweep_budget_is_per_slice(self):
+        A = self.inputs(np.random.default_rng(43))[:4]
+        tols = np.array([1e-2, 1e-13, 1e-2, 1e-13])
+        _, _, history, errors = _ips(A, self.GRAPH, tols, max_iter=3)
+        assert sorted(errors) == [1, 3]
+        for r in (1, 3):
+            with pytest.raises(ConvergenceError) as exc:
+                constrain_scatter(A[r], self.GRAPH, tol=1e-13, max_iter=3)
+            assert str(errors[r]) == str(exc.value)
+            assert errors[r].residual == exc.value.residual == history[r][-1]
 
 
 class TestConstrainJacobian:

@@ -14,7 +14,7 @@ from egm.inference import (
     partial_correlation_derivative,
     resolve_sigma1,
 )
-from egm.linops import commutation_matrix, mat, spd_inverse, vec
+from egm.linops import commutation_matrix, kron, mat, spd_inverse, symmetrization_matrix, vec
 from egm.mest import make_spec
 from egm.simulate import EllipticalModel, sample
 
@@ -226,6 +226,19 @@ class TestPartialCorrelationDerivative:
         J = partial_correlation_derivative(A)
         Kp = commutation_matrix(4)
         assert np.max(np.abs(J @ Kp - J)) <= 1e-12
+
+    def test_matches_kronecker_reference(self):
+        # -(M_p (Pi x A_D^-1)) restricted to diagonal columns - (A_D^-1/2 x A_D^-1/2) M_p
+        local = np.random.default_rng(17)
+        for p in range(3, 9):
+            A = rand_spd(p, local)
+            d = np.diag(A)
+            Mp = symmetrization_matrix(p)
+            on_diag = np.zeros(p * p)
+            on_diag[np.arange(p) * (p + 1)] = 1.0
+            ref = (-(Mp @ kron(partial_correlation(A), np.diag(1.0 / d))) * on_diag
+                   - kron(np.diag(d ** -0.5), np.diag(d ** -0.5)) @ Mp)
+            assert np.max(np.abs(partial_correlation_derivative(A) - ref)) <= 1e-15
 
     def test_closed_form_row_matches_dense(self):
         from egm.inference import _dpi_row_matrix

@@ -27,6 +27,7 @@ from egm.mest import (
     sample_cov_scalars,
     scalars_for,
 )
+from egm.mest import _solve
 from egm.simulate import EllipticalModel, sample
 
 from _oracles import hg_optimization_oracle
@@ -444,3 +445,39 @@ class TestScalars:
         s = scalars_for(make_spec("gaussian", 3), "t:10", 3)
         assert np.isclose(s.sigma1, 4.0 / 3.0, atol=1e-12)
         assert np.isclose(s.sigma2, 1.0 / 3.0, atol=1e-12)
+
+
+class TestStackedSolver:
+    """``mest._solve`` fits each slice of a stack as the public estimators
+    fit it alone; the slices that fail leave and the others go on."""
+
+    @staticmethod
+    def stack(outlier):
+        # slice 1 loses definiteness; slice 2 (t:1 rows) needs more than 40 steps
+        return [sample(EllipticalModel(np.zeros(4), np.eye(4), "gaussian"), 100, 0),
+                gross_outlier(outlier),
+                sample(EllipticalModel(np.zeros(4), np.eye(4), "t:1"), 100, 1),
+                sample(EllipticalModel(np.zeros(4), np.eye(4), "t:5"), 100, 1)]
+
+    @pytest.mark.filterwarnings("ignore:input matrix has condition number")
+    @pytest.mark.parametrize("graph, outlier", [(False, 1e10), (True, 1e8)])
+    def test_failures_are_isolated(self, graph, outlier):
+        index = build_index(Graph.cycle(4)) if graph else None
+        spec = make_spec("t:5", 4)
+        data = self.stack(outlier)
+        stacked = _solve(np.array(data), spec, 1e-9, 40, index)
+        failed = []
+        for i, (X, out) in enumerate(zip(data, stacked)):
+            try:
+                fit = (graphical_m_estimate(X, index, spec, max_iter=40) if graph
+                       else m_estimate(X, spec, max_iter=40))
+            except ConvergenceError as exc:
+                failed.append(i)
+                assert type(out) is ConvergenceError and str(out) == str(exc)
+                assert type(out.__cause__) is type(exc.__cause__)
+                assert out.residual == exc.residual
+                continue
+            assert np.array_equal(out.mu, fit.mu) and np.array_equal(out.scatter, fit.scatter)
+            assert (out.iterations, out.residual) == (fit.iterations, fit.residual)
+        assert failed == [1, 2]
+        assert "definiteness" in str(stacked[1]) and "did not converge" in str(stacked[2])

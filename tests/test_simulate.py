@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from egm import covsel, simulate
 from egm.errors import ConvergenceError, DimensionError, PreconditionError
 from egm.graphs import Graph, build_index
-from egm.inference import chordless_cycle_shape
-from egm.mest import make_spec
+from egm.inference import chordless_cycle_shape, deviance
+from egm.mest import graphical_m_estimate, m_estimate, make_spec, plug_in_estimate
 from egm.simulate import (
     EllipticalModel,
     StudyReport,
@@ -175,3 +176,117 @@ class TestDevianceNullStudy:
         i1 = build_index(Graph.complete(4))
         rep = deviance_null_study(i0, i1, model, make_spec("gaussian", 4), 50, 30, seed=4)
         assert all(s >= 0.0 for s in rep.metrics["deviance"]["50"])
+
+
+def _cycle_models(family):
+    K5, S5 = chordless_cycle_shape(5, -0.3)
+    K4, S4 = chordless_cycle_shape(4, -0.25)
+    return EllipticalModel(np.zeros(5), S5, family), EllipticalModel(np.zeros(4), S4, family)
+
+
+I5 = build_index(Graph.cycle(5))
+I5_CHORD = build_index(Graph.cycle(5).with_edge(1, 3))
+I4 = build_index(Graph.cycle(4))
+
+
+class TestStudySizes:
+    @pytest.mark.parametrize("replicates", [0, -3])
+    def test_replicates_below_one_rejected(self, replicates):
+        m5, m4 = _cycle_models("gaussian")
+        with pytest.raises(PreconditionError, match="at least one replicate"):
+            deviance_null_study(I5, I5_CHORD, m5, make_spec("gaussian", 5), 100, replicates, seed=1)
+        with pytest.raises(PreconditionError, match="at least one replicate"):
+            equivalence_study(I4, m4, make_spec("gaussian", 4), [100], replicates, seed=1)
+
+    def test_repeated_n_rejected(self):
+        _, m4 = _cycle_models("gaussian")
+        with pytest.raises(PreconditionError, match="distinct"):
+            equivalence_study(I4, m4, make_spec("gaussian", 4), [100, 100], 3, seed=1)
+
+
+# huber:1.0 at these sizes fails on some replicates and converges on others
+NULL_ARGS = dict(n=12, replicates=20, seed=7)
+EQUIV_GRID, EQUIV_R = [8, 30], 10
+
+
+def _null_study(spec_text="huber:1.0"):
+    m5, _ = _cycle_models("t:5")
+    return deviance_null_study(I5, I5_CHORD, m5, make_spec(spec_text, 5), **NULL_ARGS)
+
+
+def _equiv_study(spec_text="huber:1.0"):
+    _, m4 = _cycle_models("t:5")
+    return equivalence_study(I4, m4, make_spec(spec_text, 4), EQUIV_GRID, EQUIV_R, seed=7)
+
+
+class TestChunkedStudies:
+    @pytest.fixture(autouse=True)
+    def no_cap(self, monkeypatch):
+        # keep the reports of studies whose failures exceed the cap
+        monkeypatch.setattr(simulate, "FAILURE_CAP", 1.0)
+
+    @pytest.mark.parametrize("study", [_null_study, _equiv_study])
+    def test_independent_of_chunk_size(self, study, monkeypatch):
+        reports = []
+        for chunk in (1, simulate._CHUNK, 64):
+            monkeypatch.setattr(simulate, "_CHUNK", chunk)
+            reports.append(study().to_dict())
+        assert reports[0]["failures"] > 0
+        assert reports[0]["metrics"] == reports[1]["metrics"] == reports[2]["metrics"]
+        for key in ("failures", "failure_log", "summary"):
+            assert reports[0][key] == reports[1][key] == reports[2][key]
+
+    @pytest.mark.parametrize("spec_text", ["huber:1.0", "t:5"])
+    def test_null_replicates_equal_serial_calls(self, spec_text):
+        rep = _null_study(spec_text)
+        m5, _ = _cycle_models("t:5")
+        spec = make_spec(spec_text, 5)
+        sigma1 = rep.summary["sigma1"]
+        stats, log = [], []
+        for r in range(NULL_ARGS["replicates"]):
+            X = sample(m5, NULL_ARGS["n"], [NULL_ARGS["seed"], r])
+            try:
+                fit = m_estimate(X, spec)
+            except ConvergenceError as exc:
+                log.append((r, str(exc)))
+                continue
+            stats.append(deviance(fit.scatter, I5, I5_CHORD, NULL_ARGS["n"], sigma1).statistic)
+        assert rep.metrics["deviance"][str(NULL_ARGS["n"])] == stats
+        assert rep.failure_log == log
+
+    @pytest.mark.parametrize("spec_text", ["huber:1.0", "t:5"])
+    def test_equivalence_replicates_equal_serial_calls(self, spec_text):
+        rep = _equiv_study(spec_text)
+        _, m4 = _cycle_models("t:5")
+        spec = make_spec(spec_text, 4)
+        deltas = {str(n): [] for n in EQUIV_GRID}
+        scatter_deltas = {str(n): [] for n in EQUIV_GRID}
+        log = []
+        for r in range(EQUIV_R):
+            X_full = sample(m4, max(EQUIV_GRID), [7, r])
+            for n in EQUIV_GRID:
+                try:
+                    fit_p = plug_in_estimate(X_full[:n], I4, spec)
+                    fit_m = graphical_m_estimate(X_full[:n], I4, spec)
+                except ConvergenceError as exc:
+                    log.append((r, f"n={n}: {exc}"))
+                    continue
+                d_mu = float(np.linalg.norm(fit_p.mu - fit_m.mu))
+                d_S = float(np.linalg.norm(fit_p.scatter - fit_m.scatter, ord="fro"))
+                deltas[str(n)].append(np.sqrt(n) * (d_mu + d_S))
+                scatter_deltas[str(n)].append(np.sqrt(n) * d_S)
+        assert rep.metrics == {"delta": deltas, "scatter_delta": scatter_deltas}
+        assert rep.failure_log == log
+
+    def test_null_study_completes_chunks_not_replicates(self, monkeypatch):
+        calls = []
+        ips = covsel._ips
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return ips(*args, **kwargs)
+
+        monkeypatch.setattr(covsel, "_ips", counted)
+        m5, _ = _cycle_models("gaussian")
+        deviance_null_study(I5, I5_CHORD, m5, make_spec("gaussian", 5), 200, 64, seed=3)
+        assert len(calls) <= 2 * -(-64 // simulate._CHUNK)
