@@ -7,7 +7,10 @@ iterative proportional scaling on the concentration matrix, which
 converges for arbitrary (also non-decomposable) graphs.  It runs on
 (R, p, p) stacks, so M-estimation and the studies complete many matrices
 per LAPACK call; each slice stops sweeping when it would stop alone, and
-a single completion is a stack of one.
+a single completion is a stack of one.  A slice that runs out of sweeps
+gets its own ConvergenceError while the others go on; any other failure,
+such as a non-SPD input or a lost definiteness, raises for the whole
+stack, with the error the failing slice raises alone.
 
 The analytic derivative of that map and the asymptotic covariances built
 from it are dense p^2 x p^2 (resp. (m-q) x (m-q)) matrices, assembled from
@@ -22,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import ConvergenceError, DefinitenessError, PreconditionError
+from .errors import ConvergenceError, DimensionError, PreconditionError, _results
 from .graphs import GraphIndex
-from .linops import _per_slice, check_spd, spd_inverse, vec
+from .linops import check_spd, spd_inverse, vec
 
 __all__ = [
     "AsymptoticScalars",
@@ -128,26 +131,18 @@ def constrain_scatter(A, index: GraphIndex, tol: float = 1e-10,
     positions throughout, so only the entry-match part of the residual
     is ever nonzero.
     """
-    fit, = _complete(check_spd(A)[None], index, tol, max_iter)
-    if isinstance(fit, Exception):
-        raise fit
+    fit, = _results(_complete(check_spd(A)[None], index, tol, max_iter))
     return fit
 
 
 def _complete(A, index: GraphIndex, tol: float, max_iter: int = 10_000) -> list:
     """:func:`constrain_scatter` on each slice of an (R, p, p) stack, with its
-    checks, warning and early exits; one ConstrainedFit, or the exception
-    that constrain_scatter raises, per slice.  One IPS call serves the
-    whole stack."""
+    checks, warning and early exits; one ConstrainedFit, or the
+    ConvergenceError of a slice that runs out of sweeps, per slice.  One IPS
+    call serves the whole stack."""
     if A.shape[1:] != (index.p, index.p):
         raise PreconditionError(f"matrix is {A.shape[1:]} but the graph has p={index.p}")
-    out = [None] * len(A)
-    checked, live, errors = _per_slice(lambda a: (check_spd(a),), A)
-    for r, exc in errors.items():
-        out[r] = exc
-    if not live.size:
-        return out
-    A, = checked
+    A = check_spd(A)
     cond = np.linalg.cond(A) > COND_WARN
     for _ in range(np.count_nonzero(cond)):
         warnings.warn("input matrix has condition number above 1e12", RuntimeWarning)
@@ -157,14 +152,13 @@ def _complete(A, index: GraphIndex, tol: float, max_iter: int = 10_000) -> list:
     else:
         res0 = _residual(A, spd_inverse(A), A, index)
         done = res0 <= tol
-    for i in np.flatnonzero(done):
-        out[live[i]] = ConstrainedFit(A[i].copy(), 0, float(res0[i]), [float(res0[i])],
-                                      bool(cond[i]))
+    out = [ConstrainedFit(A[i].copy(), 0, float(res0[i]), [float(res0[i])], bool(cond[i]))
+           if done[i] else None for i in range(len(A))]
     todo = np.flatnonzero(~done)
     if todo.size:
         _, W, history, errors = _ips(A[todo], index, tol, max_iter)
         for i, t in enumerate(todo):
-            out[live[t]] = errors.get(i) or ConstrainedFit(
+            out[t] = errors.get(i) or ConstrainedFit(
                 W[i], len(history[i]), history[i][-1], history[i], bool(cond[t]))
     return out
 
@@ -177,8 +171,8 @@ def _ips(A, index: GraphIndex, tol, max_iter: int = 10_000, start=None):
     inverses, by default the diagonal of A.
 
     Returns the stacks K and W = K^{-1}, one residual history per slice,
-    and {slice: exception} for the slices that lost definiteness or ran
-    out of sweeps; their K and W are undefined.
+    and {slice: ConvergenceError} for the slices that ran out of sweeps,
+    whose K and W are the last sweep's.  A lost definiteness raises.
     """
     R, p = len(A), index.p
     tols = np.broadcast_to(np.asarray(tol, dtype=float), (R,))
@@ -187,18 +181,16 @@ def _ips(A, index: GraphIndex, tol, max_iter: int = 10_000, start=None):
         start = np.zeros_like(A), np.zeros_like(A)
         start[0][:, diag, diag] = 1.0 / d
         start[1][:, diag, diag] = d
+    K, W = start[0].copy(), start[1]
     blocks = [np.array(c, dtype=int) - 1 for c in index.cliques]
+    # the clique marginals of A stay fixed, so each is inverted once
+    A_inv = [spd_inverse(A[:, C[:, None], C]) for C in blocks]
     K_out, W_out = np.empty_like(A), np.empty_like(A)
-    history, errors = [[] for _ in range(R)], {}
-
-    # the state of the live slices is (A, tol, K, W, A_CC^-1 per clique)
-    def invert(A, tol, K, W):
-        # the clique marginals of A stay fixed, so each is inverted once
-        return (A, tol, K, W, *(spd_inverse(A[:, C[:, None], C]) for C in blocks))
-
-    def sweep(A, tol, K, W, *Acc_inv):
-        K = K.copy()
-        for C, Ainv in zip(blocks, Acc_inv):
+    history, live, tol = [[] for _ in range(R)], np.arange(R), tols
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        for C, Ainv in zip(blocks, A_inv):
             Wcc = W[:, C[:, None], C]
             delta = Ainv - spd_inverse(Wcc)
             K[:, C[:, None], C] += delta
@@ -208,35 +200,19 @@ def _ips(A, index: GraphIndex, tol, max_iter: int = 10_000, start=None):
             M = np.linalg.solve(np.eye(len(C)) + delta @ Wcc, delta)
             W = W - WU @ M @ WU.mT
         # refresh the inverse once per sweep to stop Woodbury drift
-        return (A, tol, K, spd_inverse(K), *Acc_inv)
-
-    def run(step, live, state):
-        """``step`` on the live slices; the slices it fails on leave."""
-        state, keep, failed = _per_slice(step, *state)
-        errors.update((live[i], exc) for i, exc in failed.items())
-        return live[keep], state
-
-    live, state = run(invert, np.arange(R), (A, tols, *start))
-    for _ in range(max_iter):
-        if not live.size:
-            break
-        live, state = run(sweep, live, state)
-        if not live.size:
-            break
-        A, tol, K, W = state[:4]
+        W = spd_inverse(K)
         res = _residual(W, K, A, index)
         for r, x in zip(live, res):
             history[r].append(float(x))
         done = res <= tol
         if done.any():
             K_out[live[done]], W_out[live[done]] = K[done], W[done]
-            live, state = live[~done], tuple(x[~done] for x in state)
-    for r in live:
-        errors[r] = ConvergenceError(
-            f"constrained completion did not reach tol={float(tols[r])} in {max_iter} "
-            f"sweeps (last residual {history[r][-1]:.3e})",
-            residual=history[r][-1],
-        )
+            live, A, tol, K, W = live[~done], A[~done], tol[~done], K[~done], W[~done]
+            A_inv = [x[~done] for x in A_inv]
+    K_out[live], W_out[live] = K, W
+    errors = {r: ConvergenceError(
+        f"constrained completion did not reach tol={float(tols[r])} in {max_iter} "
+        f"sweeps (last residual {history[r][-1]:.3e})", residual=history[r][-1]) for r in live}
     return K_out, W_out, history, errors
 
 
@@ -310,6 +286,9 @@ def scatter_acov(V, scalars: AsymptoticScalars) -> np.ndarray:
 
 def pattern_violation(V, index: GraphIndex) -> float:
     """Max-abs entry of V^{-1} on absent-edge positions."""
+    V = np.asarray(V, dtype=float)
+    if V.shape != (index.p, index.p):
+        raise DimensionError(f"graph has p={index.p} but V is {'x'.join(map(str, V.shape))}")
     U = spd_inverse(V)
     return float(np.max(np.abs(U[index.d_mask]))) if index.d_mask.any() else 0.0
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule that turns a
+stacked call's per-slice failures into a raise."""
 
 
 class DimensionError(ValueError):
@@ -37,3 +38,12 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+def _results(outcomes: list) -> list:
+    """The per-slice outcomes of a stacked kernel call, each a result or an
+    exception: raises the first exception, else returns the results."""
+    for x in outcomes:
+        if isinstance(x, Exception):
+            raise x
+    return outcomes

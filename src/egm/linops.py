@@ -7,8 +7,9 @@ for the tests and for ``GraphIndex``'s on-demand dense operators.
 
 The checks and :func:`spd_inverse` also take (R, p, p) stacks.  numpy's
 stacked factorizations call the same LAPACK routine per slice as the 2-D
-call, so a slice of a stacked result has the bits of the 2-D result;
-:func:`_per_slice` isolates the slices for which such a call fails.
+call, so a slice of a stacked result has the bits of the 2-D result.  A
+stack fails as a whole: if one slice fails a check or a factorization,
+the call raises the error that slice raises alone.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefinitenessError, DimensionError
+from .errors import DefinitenessError, DimensionError, PreconditionError
 
 __all__ = [
     "PositionSet",
@@ -36,7 +37,8 @@ __all__ = [
 
 
 def check_symmetric(A, tol=0.0) -> np.ndarray:
-    """Return ``A`` as a float array, raising if it is not square symmetric.
+    """Return ``A`` as a float array, raising if it is not square symmetric
+    or has a non-finite entry.
 
     ``tol`` is an absolute entrywise tolerance (per slice of a stack when
     it broadcasts so); the default demands exact symmetry.
@@ -44,6 +46,10 @@ def check_symmetric(A, tol=0.0) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {A.shape}")
+    bad = np.argwhere(~np.isfinite(A))
+    if bad.size:
+        i, j = bad[0][-2:] + 1
+        raise PreconditionError(f"matrix has a non-finite value at row {i}, column {j}")
     if not np.all(np.abs(A - A.mT) <= tol):
         raise DimensionError("matrix is not symmetric")
     return A
@@ -78,32 +84,6 @@ def spd_inverse(A) -> np.ndarray:
     inv = np.linalg.inv(L)
     out = inv.mT @ inv
     return 0.5 * (out + out.mT)
-
-
-def _per_slice(fn, *stacks):
-    """Apply ``fn`` to stacks with a common leading dimension R.
-
-    ``fn`` returns a tuple of stacks.  When it raises a ``LinAlgError`` or
-    ``ValueError`` (numpy raises for the whole stack if one slice fails),
-    it is rerun on each slice alone.  Returns the outputs of the slices
-    that succeed (None if none does), their slice numbers, and the
-    exception of each failed slice as {slice number: exception}.
-    """
-    R = len(stacks[0])
-    try:
-        return fn(*stacks), np.arange(R), {}
-    except (np.linalg.LinAlgError, ValueError):
-        pass
-    outs, keep, errors = [], [], {}
-    for r in range(R):
-        try:
-            outs.append(fn(*(x[r:r + 1] for x in stacks)))
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            errors[r] = exc
-        else:
-            keep.append(r)
-    merged = tuple(np.concatenate(parts) for parts in zip(*outs)) if outs else None
-    return merged, np.array(keep, dtype=int), errors
 
 
 def vec(A) -> np.ndarray:

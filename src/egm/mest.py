@@ -37,9 +37,9 @@ from .errors import (
     DimensionError,
     PreconditionError,
     SampleSizeError,
+    _results,
 )
 from .graphs import GraphIndex
-from .linops import _per_slice
 
 __all__ = [
     "EstimatorSpec",
@@ -304,98 +304,62 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
     under a graph it then completes the weighted scatter by IPS, started
     from the previous step's concentration, to an inner tolerance that
     follows the outer progress down to one hundredth of ``tol``.  A slice
-    leaves the stack once it converges or fails, so it takes exactly the
-    steps it would take alone.  Returns one FitResult, or the exception
-    that the fit raises, per slice.
+    leaves the stack once it converges or runs out of budget (``max_iter``
+    steps, or the sweeps of a completion), so it takes exactly the steps it
+    would take alone.  Returns one FitResult, or the ConvergenceError of an
+    exhausted budget, per slice.  Any other failure raises for the whole
+    stack; a lost definiteness raises ConvergenceError naming the step.
     """
     R, n, p = X.shape
     what = "M-estimation" if index is None else "graphical M-estimation"
     if index is not None and index.q == 0:
         index = None  # a complete graph constrains nothing
-    out = [None] * R
-    live, it = np.arange(R), 0  # live: the data set of each slice of the stacks
-
-    def fail(failed):
-        """Record {slice: exception} as the outcome of those fits."""
-        for i, exc in failed.items():
-            if isinstance(exc, (np.linalg.LinAlgError, DefinitenessError)):
-                err = ConvergenceError(
-                    f"{what} lost positive definiteness at iteration {it}: {exc}")
-                err.__cause__ = exc
-                exc = err
-            out[live[i]] = exc
-
-    def retire(gone, state):
-        """Drop the slices numbered in ``gone``; the stacks are copied only then."""
-        nonlocal live
-        if not len(gone):
-            return state
-        keep = np.setdiff1d(np.arange(len(live)), list(gone))
-        live = live[keep]
-        return tuple(x[keep] for x in state)
-
-    def run(step, state):
-        """``step`` on the stacks; the slices it fails on leave."""
-        nonlocal live
-        state, keep, failed = _per_slice(step, *state)
-        fail(failed)
-        live = live[keep]
-        return state
-
-    def residuals(sel, X, mu, S):
-        """Residuals of the slices ``sel``; those it fails on leave."""
-        sub = (X, mu, S) if len(sel) == len(X) else (X[sel], mu[sel], S[sel])
-        res, keep, failed = _per_slice(lambda *s: (_residual(*s, spec, index),), *sub)
-        fail({sel[i]: exc for i, exc in failed.items()})
-        return sel[keep], res[0] if keep.size else np.zeros(0)
-
-    def reweight(X, mu, S, *rest):
-        return (X, mu, S, *rest, *_reweight(X, mu, S, spec))
-
-    mu = X.mean(axis=1)
-    Xc = X - mu[:, None, :]
-    S = Xc.mT @ Xc / n
-    if index is not None:
-        fits = _complete(S, index, 1e-2 * tol)
-        bad = {i: f for i, f in enumerate(fits) if isinstance(f, Exception)}
-        fail(bad)
-        S = np.array([S[i] if i in bad else f.matrix for i, f in enumerate(fits)])
-        X, mu, S = retire(list(bad), (X, mu, S))
-    state = (X, mu, S, np.full(len(X), np.inf))
-    for it in range(1, max_iter + 1):
-        if not live.size:
-            break
-        state = run(reweight, state)
-        if not live.size:
-            break
-        X, mu, S, change, *start, mu_new, S_new = state
+    out, it = [None] * R, 0
+    try:
+        mu = X.mean(axis=1)
+        Xc = X - mu[:, None, :]
+        S = Xc.mT @ Xc / n
+        K, change = None, np.full(R, np.inf)
         if index is not None:
-            inner_tol = np.minimum(np.maximum(1e-2 * change, 1e-2 * tol), 1e-2)
-            K, S_new, _, failed = _ips(S_new, index, inner_tol,
-                                       start=(start[0], S) if start else None)
-            fail(failed)
-            X, mu, S, mu_new, S_new, K = retire(list(failed), (X, mu, S, mu_new, S_new, K))
-            start = [K]
-            if not live.size:
+            fits = _complete(S, index, 1e-2 * tol)
+            out = [f if isinstance(f, ConvergenceError) else None for f in fits]
+            S = np.array([f.matrix if o is None else s for s, f, o in zip(S, fits, out)])
+        live = np.arange(R)  # the data set of each slice of the stacks
+        while True:
+            # the slices with an outcome leave; the stacks are copied only then
+            keep = np.array([out[r] is None for r in live], dtype=bool)
+            if not keep.all():
+                live, X, mu, S, change = live[keep], X[keep], mu[keep], S[keep], change[keep]
+                K = None if K is None else K[keep]
+            if not live.size or it == max_iter:
                 break
-        scale = np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
-        change = np.maximum(np.max(np.abs(mu_new - mu), axis=1),
-                            np.max(np.abs(S_new - S), axis=(1, 2)) / scale)
-        mu, S = mu_new, S_new
-        state = (X, mu, S, change, *start)
-        conv = np.flatnonzero(change <= tol)
-        if conv.size:
-            sel, res = residuals(conv, X, mu, S)
-            ok = res <= tol
-            for i, r in zip(sel[ok], res[ok]):
-                out[live[i]] = FitResult(mu[i].copy(), S[i].copy(), None, it, True, float(r))
-            state = retire(np.setdiff1d(conv, sel[~ok]), state)
-    if live.size:
-        sel, res = residuals(np.arange(len(live)), *state[:3])
-        for i, r in zip(sel, res):
-            out[live[i]] = ConvergenceError(
-                f"{what} did not converge in {max_iter} iterations "
-                f"(residual {r:.3e})", residual=float(r))
+            it += 1
+            mu_new, S_new = _reweight(X, mu, S, spec)
+            if index is not None:
+                inner_tol = np.minimum(np.maximum(1e-2 * change, 1e-2 * tol), 1e-2)
+                K, S_new, _, failed = _ips(S_new, index, inner_tol,
+                                           start=None if K is None else (K, S))
+                for i, exc in failed.items():
+                    out[live[i]] = exc
+            scale = np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
+            change = np.maximum(np.max(np.abs(mu_new - mu), axis=1),
+                                np.max(np.abs(S_new - S), axis=(1, 2)) / scale)
+            mu, S = mu_new, S_new
+            conv = [i for i in np.flatnonzero(change <= tol) if out[live[i]] is None]
+            if conv:
+                # the data are copied only when some slices have not converged
+                sub = (X, mu, S) if len(conv) == len(X) else (X[conv], mu[conv], S[conv])
+                for i, r in zip(conv, _residual(*sub, spec, index)):
+                    if r <= tol:
+                        out[live[i]] = FitResult(mu[i].copy(), S[i].copy(), None, it, True,
+                                                 float(r))
+        if live.size:
+            for r, res in zip(live, _residual(X, mu, S, spec, index)):
+                out[r] = ConvergenceError(f"{what} did not converge in {max_iter} iterations "
+                                          f"(residual {res:.3e})", residual=float(res))
+    except (np.linalg.LinAlgError, DefinitenessError) as exc:
+        raise ConvergenceError(
+            f"{what} lost positive definiteness at iteration {it}: {exc}") from exc
     return out
 
 
@@ -406,9 +370,7 @@ def _fit(X, spec: EstimatorSpec, tol: float, max_iter: int,
     X = _validate_data(X)
     if index is not None and X.shape[1] != index.p:
         raise DimensionError(f"data has {X.shape[1]} columns but the graph has p={index.p}")
-    fit, = _solve(X[None], spec, tol, max_iter, index)
-    if isinstance(fit, Exception):
-        raise fit
+    fit, = _results(_solve(X[None], spec, tol, max_iter, index))
     return fit
 
 

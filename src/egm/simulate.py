@@ -8,10 +8,13 @@ same seed.
 
 The studies fit their replicates in chunks, each chunk an (R, n, p)
 stack that one solver call advances together while every replicate
-stops exactly when it would stop alone.  A replicate's result therefore
+stops exactly when it would stop alone.  A replicate that runs out of
+iterations or sweeps fails on its own; any other failure raises for the
+whole stack, and then the chunk reruns replicate by replicate, each a
+stack of one, which is the serial call.  A replicate's result therefore
 depends on neither the chunk size nor the other replicates in its chunk:
 it equals, bit for bit, the public serial calls on ``sample(model, n,
-[seed, r])``.
+[seed, r])``, and so does the reason it failed.
 """
 
 from __future__ import annotations
@@ -21,7 +24,13 @@ import numpy as np
 import scipy.stats
 
 from .covsel import _complete, pattern_violation
-from .errors import ConvergenceError, DimensionError, PreconditionError
+from .errors import (
+    ConvergenceError,
+    DefinitenessError,
+    DimensionError,
+    PreconditionError,
+    _results,
+)
 from .graphs import GraphIndex
 from .inference import _check_nesting, _deviance_stack
 from .linops import check_spd
@@ -49,6 +58,11 @@ FAILURE_CAP = 0.02
 
 # replicates fitted together as one stack; results do not depend on it
 _CHUNK = 16
+
+# what the kernel can raise for one replicate's data; anything else is a
+# bug and propagates
+_REPLICATE_ERRORS = (ConvergenceError, np.linalg.LinAlgError, DefinitenessError,
+                     DimensionError, PreconditionError)
 
 # the defaults of the serial calls a replicate reproduces: the estimators'
 # iteration budget and the completion tolerance of plug-in and deviance
@@ -161,14 +175,30 @@ def _data(model: EllipticalModel, n: int, seed: int, rs, root) -> np.ndarray:
     return np.array([_validate_data(_draw(model, n, [seed, r], root)) for r in rs])
 
 
+def _run_chunk(kernel, X) -> list:
+    """``kernel`` on the (R, n, p) stack X of a chunk: one outcome, a result or
+    an exception, per replicate.  If the stacked call raises, each replicate
+    reruns alone as a stack of one, and its outcome is what that raises."""
+    try:
+        return kernel(X)
+    except _REPLICATE_ERRORS:
+        pass
+    out = []
+    for x in X:
+        try:
+            out += kernel(x[None])
+        except _REPLICATE_ERRORS as exc:
+            out.append(exc)
+    return out
+
+
 def _record(r: int, outcome, failures: list, label: str = "") -> bool:
     """True if the outcome is a result; a failed fit goes to ``failures``
     and any other exception is raised, as in a serial loop over replicates."""
     if isinstance(outcome, (ConvergenceError, np.linalg.LinAlgError)):
         failures.append((r, f"{label}{outcome}"))
         return False
-    if isinstance(outcome, Exception):
-        raise outcome
+    _results([outcome])
     return True
 
 
@@ -181,7 +211,8 @@ def _check_failure_cap(failures: list, total: int) -> None:
 
 def _both_fits(X, index: GraphIndex, spec: EstimatorSpec, tol: float) -> list:
     """plug_in_estimate, then graphical_m_estimate, on each slice of X:
-    per slice the pair of (mu, scatter) estimates, or the first exception."""
+    per slice the pair of (mu, scatter) estimates, or the ConvergenceError
+    of the first fit that runs out of budget."""
     out = _solve(X, spec, tol, _MAX_ITER)
     ok = [i for i, f in enumerate(out) if isinstance(f, FitResult)]
     if ok:
@@ -221,7 +252,8 @@ def equivalence_study(index: GraphIndex, model: EllipticalModel,
     failures = []
     for rs in chunks:
         X_full = _data(model, n_grid[-1], seed, rs, root)
-        by_n = [_both_fits(np.array([_validate_data(x[:n]) for x in X_full]), index, spec, tol)
+        by_n = [_run_chunk(lambda X: _both_fits(X, index, spec, tol),
+                           np.array([_validate_data(x[:n]) for x in X_full]))
                 for n in n_grid]
         for i, r in enumerate(rs):
             for n, fits in zip(n_grid, by_n):
@@ -264,14 +296,19 @@ def deviance_null_study(index0: GraphIndex, index1: GraphIndex,
     root = shape_sqrt(model.S)
     stats = []
     failures = []
-    for rs in chunks:
-        outcome = _solve(_data(model, n, seed, rs, root), spec, tol, _MAX_ITER)
-        ok = [i for i, f in enumerate(outcome) if isinstance(f, FitResult)]
+
+    def fit_and_test(X):
+        out = _solve(X, spec, tol, _MAX_ITER)
+        ok = [i for i, f in enumerate(out) if isinstance(f, FitResult)]
         if ok:
-            S = np.array([outcome[i].scatter for i in ok])
+            S = np.array([out[i].scatter for i in ok])
             for i, stat in zip(ok, _deviance_stack(S, index0, index1, n, scalars.sigma1,
                                                    _COMPLETION_TOL)):
-                outcome[i] = stat
+                out[i] = stat
+        return out
+
+    for rs in chunks:
+        outcome = _run_chunk(fit_and_test, _data(model, n, seed, rs, root))
         stats += [o for r, o in zip(rs, outcome) if _record(r, o, failures)]
     _check_failure_cap(failures, replicates)
     df = index0.q - index1.q

@@ -15,7 +15,7 @@ from egm.covsel import (
     pattern_violation,
     scatter_acov,
 )
-from egm.errors import ConvergenceError, DefinitenessError, PreconditionError
+from egm.errors import ConvergenceError, DefinitenessError, DimensionError, PreconditionError
 from egm.graphs import Graph, build_index
 from egm.inference import are_chordless_cycle, backward_elimination, chordless_cycle_shape, deviance
 from egm.linops import (
@@ -191,6 +191,30 @@ class TestStackedCompletion:
                 constrain_scatter(A[r], self.GRAPH, tol=1e-13, max_iter=3)
             assert str(errors[r]) == str(exc.value)
             assert errors[r].residual == exc.value.residual == history[r][-1]
+
+
+class TestInputChecks:
+    UNIT = AsymptoticScalars(1.0, 0.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda V, idx: pattern_violation(V, idx),
+        lambda V, idx: constrained_scatter_acov(V, idx, TestInputChecks.UNIT),
+        lambda V, idx: concentration_acov(V, idx, TestInputChecks.UNIT),
+    ])
+    def test_dimension_mismatch_is_typed(self, call):
+        with pytest.raises(DimensionError, match="graph has p=5 but V is 4x4"):
+            call(EQUICORR4, build_index(Graph.cycle(5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda V: constrain_scatter(V, CYCLE4),
+        lambda V: constrained_scatter_acov(V, CYCLE4, TestInputChecks.UNIT),
+    ])
+    def test_non_finite_entry_named(self, call, bad):
+        V = EQUICORR4.copy()
+        V[2, 1] = bad
+        with pytest.raises(PreconditionError, match="non-finite value at row 3, column 2"):
+            call(V)
 
 
 class TestConstrainJacobian:

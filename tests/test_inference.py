@@ -35,6 +35,12 @@ class TestDeviance:
         assert rep.df == idx0.q
         assert rep.p_value == 1.0
 
+    def test_non_finite_estimate_named(self):
+        S = np.eye(4)
+        S[0, 3] = S[3, 0] = np.nan
+        with pytest.raises(PreconditionError, match="non-finite value at row 1, column 4"):
+            deviance(S, build_index(Graph.cycle(4)), build_index(Graph.complete(4)), 50)
+
     def test_equal_graphs_rejected(self):
         idx = build_index(Graph.cycle(4))
         with pytest.raises(NestingError):

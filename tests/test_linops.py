@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from egm.errors import DimensionError
+from egm.errors import DimensionError, PreconditionError
 from egm.linops import (
     PositionSet,
+    check_spd,
     commutation_matrix,
     duplication_matrix,
     kron,
@@ -44,6 +45,16 @@ class TestVecMat:
     def test_mat_length_mismatch(self):
         with pytest.raises(DimensionError):
             mat(np.zeros(5), 2)
+
+
+class TestChecks:
+    def test_non_finite_entry_named_per_slice(self):
+        A = np.array([np.eye(3), np.eye(3)])
+        A[1, 0, 2] = np.inf
+        with pytest.raises(PreconditionError, match="non-finite value at row 1, column 3"):
+            check_spd(A)
+        with pytest.raises(PreconditionError, match="row 1, column 3"):
+            check_spd(A[1])
 
 
 class TestKron:

@@ -28,7 +28,7 @@ from egm.mest import (
     scalars_for,
 )
 from egm.mest import _solve
-from egm.simulate import EllipticalModel, sample
+from egm.simulate import EllipticalModel, _run_chunk, sample
 
 from _oracles import hg_optimization_oracle
 
@@ -465,7 +465,7 @@ class TestStackedSolver:
         index = build_index(Graph.cycle(4)) if graph else None
         spec = make_spec("t:5", 4)
         data = self.stack(outlier)
-        stacked = _solve(np.array(data), spec, 1e-9, 40, index)
+        stacked = _run_chunk(lambda X: _solve(X, spec, 1e-9, 40, index), np.array(data))
         failed = []
         for i, (X, out) in enumerate(zip(data, stacked)):
             try:

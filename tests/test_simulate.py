@@ -29,6 +29,13 @@ class TestEllipticalModel:
         with pytest.raises(DimensionError):
             EllipticalModel(np.zeros(2), S3, "gaussian")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_names_non_finite_shape_entry(self, bad):
+        S = S3.copy()
+        S[1, 2] = S[2, 1] = bad
+        with pytest.raises(PreconditionError, match="non-finite value at row 2, column 3"):
+            EllipticalModel(MU3, S, "gaussian")
+
     def test_validates_family(self):
         with pytest.raises(PreconditionError):
             EllipticalModel(MU3, S3, "laplace")
@@ -190,6 +197,13 @@ I4 = build_index(Graph.cycle(4))
 
 
 class TestStudySizes:
+    def test_dimension_mismatch_is_typed(self):
+        _, m4 = _cycle_models("gaussian")
+        with pytest.raises(DimensionError, match="graph has p=5 but V is 4x4"):
+            deviance_null_study(I5, I5_CHORD, m4, make_spec("gaussian", 4), 100, 3, seed=1)
+        with pytest.raises(DimensionError, match="graph has p=5 but V is 4x4"):
+            equivalence_study(I5, m4, make_spec("gaussian", 4), [100], 3, seed=1)
+
     @pytest.mark.parametrize("replicates", [0, -3])
     def test_replicates_below_one_rejected(self, replicates):
         m5, m4 = _cycle_models("gaussian")
@@ -290,3 +304,91 @@ class TestChunkedStudies:
         m5, _ = _cycle_models("gaussian")
         deviance_null_study(I5, I5_CHORD, m5, make_spec("gaussian", 5), 200, 64, seed=3)
         assert len(calls) <= 2 * -(-64 // simulate._CHUNK)
+
+
+class TestChunkFallback:
+    """A chunk reruns replicate by replicate only when its stacked run raises,
+    and then every replicate still gets its serial outcome."""
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = []
+        solve = simulate._solve
+
+        def counted(X, *args, **kwargs):
+            calls.append(len(X))
+            return solve(X, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_solve", counted)
+        return calls
+
+    @pytest.fixture
+    def outlier_at_3(self, monkeypatch):
+        # replicate 3's first row is scaled by 1e10: its t fit loses definiteness
+        draw = simulate._draw
+
+        def draw_with_outlier(model, n, seed, root):
+            X = draw(model, n, seed, root)
+            if seed[1] == 3:
+                X[0] *= 1e10
+            return X
+
+        monkeypatch.setattr(simulate, "_draw", draw_with_outlier)
+
+    def test_failure_free_studies_rerun_nothing(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        chunks = -(-64 // simulate._CHUNK)
+        m5, m4 = _cycle_models("t:5")
+        rep = deviance_null_study(I5, I5_CHORD, m5, make_spec("t:5", 5), 100, 64, seed=3)
+        assert rep.failures == 0 and len(calls) == chunks
+        calls.clear()
+        rep = equivalence_study(I4, m4, make_spec("t:5", 4), [30, 60], 64, seed=3)
+        assert rep.failures == 0 and len(calls) == 2 * 2 * chunks
+
+    @pytest.mark.filterwarnings("ignore:input matrix has condition number")
+    def test_injected_failure_in_null_study(self, outlier_at_3, monkeypatch):
+        m5, _ = _cycle_models("t:5")
+        spec = make_spec("t:5", 5)
+        reports = []
+        for chunk in (1, 16, 64):
+            monkeypatch.setattr(simulate, "_CHUNK", chunk)
+            reports.append(deviance_null_study(I5, I5_CHORD, m5, spec, 100, 64, seed=3))
+        stats, log = [], []
+        for r in range(64):
+            X = sample(m5, 100, [3, r])
+            try:
+                fit = m_estimate(X, spec)
+            except ConvergenceError as exc:
+                log.append((r, str(exc)))
+                continue
+            stats.append(deviance(fit.scatter, I5, I5_CHORD, 100,
+                                  reports[0].summary["sigma1"]).statistic)
+        assert [r for r, _ in log] == [3] and "lost positive definiteness" in log[0][1]
+        for rep in reports:
+            assert rep.failure_log == log
+            assert rep.metrics["deviance"]["100"] == stats
+
+    @pytest.mark.filterwarnings("ignore:input matrix has condition number")
+    def test_injected_failure_in_equivalence_study(self, outlier_at_3, monkeypatch):
+        _, m4 = _cycle_models("t:5")
+        spec = make_spec("t:5", 4)
+        reports = []
+        for chunk in (1, 16, 64):
+            monkeypatch.setattr(simulate, "_CHUNK", chunk)
+            reports.append(equivalence_study(I4, m4, spec, [40], 64, seed=3))
+        deltas, log = [], []
+        for r in range(64):
+            X = sample(m4, 40, [3, r])
+            try:
+                fit_p = plug_in_estimate(X, I4, spec)
+                fit_m = graphical_m_estimate(X, I4, spec)
+            except ConvergenceError as exc:
+                log.append((r, f"n=40: {exc}"))
+                continue
+            d_mu = float(np.linalg.norm(fit_p.mu - fit_m.mu))
+            d_S = float(np.linalg.norm(fit_p.scatter - fit_m.scatter, ord="fro"))
+            deltas.append(np.sqrt(40) * (d_mu + d_S))
+        assert [r for r, _ in log] == [3] and "lost positive definiteness" in log[0][1]
+        for rep in reports:
+            assert rep.failure_log == log
+            assert rep.metrics["delta"] == {"40": deltas}
