@@ -174,6 +174,8 @@ def _ips(A, index: GraphIndex, tol, max_iter: int = 10_000, start=None):
     and {slice: ConvergenceError} for the slices that ran out of sweeps,
     whose K and W are the last sweep's.  A lost definiteness raises.
     """
+    if max_iter < 1:
+        raise PreconditionError(f"completion needs a budget of at least one sweep, got {max_iter}")
     R, p = len(A), index.p
     tols = np.broadcast_to(np.asarray(tol, dtype=float), (R,))
     if start is None:

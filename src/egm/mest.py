@@ -264,8 +264,8 @@ def _validate_data(X) -> np.ndarray:
 
 def _radii(X, mu, S) -> np.ndarray:
     Xc = X - mu[:, None, :]
-    L = np.linalg.cholesky(0.5 * (S + S.mT))
-    Y = np.linalg.solve(L, Xc.mT)
+    # inverting the p x p factor once beats a general solve for n columns
+    Y = np.linalg.inv(np.linalg.cholesky(0.5 * (S + S.mT))) @ Xc.mT
     return np.einsum("rij,rij->rj", Y, Y)
 
 
@@ -294,21 +294,49 @@ def _residual(X, mu, S, spec, index: Optional[GraphIndex] = None) -> np.ndarray:
     return res
 
 
+def _extrapolate(theta0, theta1, theta2):
+    """SQUAREM step (Varadhan & Roland 2008, scheme SqS3) from three
+    successive fixed-point iterates (mu, S), per slice of the stacks: with
+    r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0, the point
+    theta0 - 2 a r + a^2 v at a = -max(|r|/|v|, 1).  A slice whose
+    extrapolated S has no finite Cholesky factor takes theta2 itself."""
+    (m0, S0), (m1, S1), (m2, S2) = theta0, theta1, theta2
+    r, v = (m1 - m0, S1 - S0), (m2 - 2.0 * m1 + m0, S2 - 2.0 * S1 + S0)
+    rr, vv = ((x * x).sum(axis=1) + (y * y).sum(axis=(1, 2)) for x, y in (r, v))
+    a = -np.sqrt(np.maximum(1.0, np.divide(rr, vv, out=np.ones_like(rr), where=vv > 0)))
+    mu = m0 - 2.0 * a[:, None] * r[0] + (a * a)[:, None] * v[0]
+    S = S0 - 2.0 * a[:, None, None] * r[1] + (a * a)[:, None, None] * v[1]
+    ok = _has_cholesky(S)
+    return np.where(ok[:, None], mu, m2), np.where(ok[:, None, None], S, S2)
+
+
+def _has_cholesky(S) -> np.ndarray:
+    """Per slice of a stack: does it have a finite Cholesky factor?"""
+    try:
+        return np.isfinite(np.linalg.cholesky(S)).all(axis=(1, 2))
+    except np.linalg.LinAlgError:  # raised for the whole stack, so split it
+        return np.array([len(S) > 1 and _has_cholesky(s[None])[0] for s in S])
+
+
 def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
            index: Optional[GraphIndex] = None) -> list:
-    """Fixed-point iteration of the M-estimating equations on each slice of
-    an (R, n, p) stack of validated data sets, constrained to the graph of
-    ``index`` when that graph has an absent edge.
+    """Fixed-point iteration of the M-estimating equations, accelerated by
+    SQUAREM, on each slice of an (R, n, p) stack of validated data sets,
+    constrained to the graph of ``index`` when that graph has an absent edge.
 
-    Each step reweights location and scatter at the current estimate;
-    under a graph it then completes the weighted scatter by IPS, started
-    from the previous step's concentration, to an inner tolerance that
-    follows the outer progress down to one hundredth of ``tol``.  A slice
-    leaves the stack once it converges or runs out of budget (``max_iter``
-    steps, or the sweeps of a completion), so it takes exactly the steps it
-    would take alone.  Returns one FitResult, or the ConvergenceError of an
-    exhausted budget, per slice.  Any other failure raises for the whole
-    stack; a lost definiteness raises ConvergenceError naming the step.
+    The map reweights location and scatter at its input; under a graph it
+    then completes the weighted scatter by IPS, started from the previous
+    completion, to an inner tolerance that follows the outer progress down
+    to one hundredth of ``tol``.  After every second map evaluation the
+    iterate is extrapolated (:func:`_extrapolate`).  Each map output is
+    tested for convergence, its change from the previous output and then
+    its residual, so an estimate is always a map output.  A slice leaves
+    the stack once it converges or runs out of budget (``max_iter`` map
+    evaluations, or the sweeps of a completion), so it takes exactly the
+    evaluations it would take alone.  Returns one FitResult, or the
+    ConvergenceError of an exhausted budget, per slice.  Any other failure
+    raises for the whole stack; a lost definiteness raises ConvergenceError
+    naming the evaluation.
     """
     R, n, p = X.shape
     what = "M-estimation" if index is None else "graphical M-estimation"
@@ -319,26 +347,30 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
         mu = X.mean(axis=1)
         Xc = X - mu[:, None, :]
         S = Xc.mT @ Xc / n
-        K, change = None, np.full(R, np.inf)
+        K, W, change = None, None, np.full(R, np.inf)
         if index is not None:
             fits = _complete(S, index, 1e-2 * tol)
             out = [f if isinstance(f, ConvergenceError) else None for f in fits]
             S = np.array([f.matrix if o is None else s for s, f, o in zip(S, fits, out)])
         live = np.arange(R)  # the data set of each slice of the stacks
+        path = []  # the inputs (mu, S) of this cycle's map evaluations
         while True:
             # the slices with an outcome leave; the stacks are copied only then
             keep = np.array([out[r] is None for r in live], dtype=bool)
             if not keep.all():
                 live, X, mu, S, change = live[keep], X[keep], mu[keep], S[keep], change[keep]
-                K = None if K is None else K[keep]
+                K, W = (None, None) if K is None else (K[keep], W[keep])
+                path = [(m[keep], s[keep]) for m, s in path]
             if not live.size or it == max_iter:
                 break
+            path = [_extrapolate(*path, (mu, S))] if len(path) == 2 else path + [(mu, S)]
             it += 1
-            mu_new, S_new = _reweight(X, mu, S, spec)
+            mu_new, S_new = _reweight(X, *path[-1], spec)
             if index is not None:
                 inner_tol = np.minimum(np.maximum(1e-2 * change, 1e-2 * tol), 1e-2)
-                K, S_new, _, failed = _ips(S_new, index, inner_tol,
-                                           start=None if K is None else (K, S))
+                # warm start from the last completion: an extrapolated S is no K^-1
+                K, W, _, failed = _ips(S_new, index, inner_tol, start=None if K is None else (K, W))
+                S_new = W
                 for i, exc in failed.items():
                     out[live[i]] = exc
             scale = np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
@@ -388,15 +420,17 @@ def m_estimate(X, spec: EstimatorSpec, tol: float = 1e-9,
         Bound on both the relative parameter change and the equation
         residual when plugging the estimate back in.
     max_iter : int
-        Fixed-point iteration budget.
+        Budget of fixed-point map evaluations.
 
     Notes
     -----
-    Plain alternating fixed-point iteration: reweighted mean for the
-    location, reweighted scatter for the shape, radii refreshed each
-    pass.  Gaussian weights converge in one step to the sample mean and
-    the 1/n-denominator sample covariance.  An exhausted budget, or an
-    iterate that loses positive definiteness, raises ConvergenceError.
+    Fixed-point iteration, accelerated by SQUAREM: the map takes the
+    reweighted mean and the reweighted scatter at the current radii, and
+    every second map output is extrapolated along the last two steps
+    unless that loses positive definiteness.  Gaussian weights converge at
+    the first evaluation to the sample mean and the 1/n-denominator sample
+    covariance.  An exhausted budget, or an iterate that loses positive
+    definiteness, raises ConvergenceError.
     """
     return _fit(X, spec, tol, max_iter)
 
@@ -405,9 +439,10 @@ def graphical_m_estimate(X, index: GraphIndex, spec: EstimatorSpec,
                          tol: float = 1e-9, max_iter: int = 500) -> FitResult:
     """Solve the graph-constrained M-estimating equations.
 
-    The fixed-point iteration of :func:`m_estimate` with every reweighted
-    scatter replaced by its graph-constrained completion.  The completion
-    is warm-started from the previous step's concentration, so late steps
+    The accelerated fixed-point iteration of :func:`m_estimate` with
+    every reweighted scatter replaced by its graph-constrained completion;
+    ``max_iter`` counts map evaluations.  The completion is warm-started
+    from the previous completion's concentration, so late evaluations
     need about one IPS sweep each.  A complete graph gives exactly the
     :func:`m_estimate` result.
     """

@@ -129,9 +129,9 @@ class TestFit:
         assert rc == 1
 
     def test_non_convergence_exit_2(self, tmp_path, capsys):
-        # this draw makes the fixed-point iteration end in a two-cycle at
-        # the 1e-18 level, so an absurd tolerance exhausts the budget
-        X = sample(EllipticalModel(np.zeros(3), np.eye(3), "t:5"), 1000, 2)
+        # on this draw the iteration never reaches an exact fixed point (it
+        # stalls at the 1e-17 level), so an absurd tolerance exhausts the budget
+        X = sample(EllipticalModel(np.zeros(3), np.eye(3), "t:5"), 1000, 4)
         data = tmp_path / "X.csv"
         write_csv(data, X)
         graph = tmp_path / "g.g"
@@ -219,9 +219,9 @@ class TestSearch:
             assert set(step) == {"removed_edge", "deviance_delta", "p_value"}
 
     def test_estimator_failure_exits_2_with_partial_trail(self, tmp_path, capsys):
-        # the initial fit two-cycles below machine precision, so an absurd
+        # the initial fit stalls below machine precision, so an absurd
         # tolerance fails before any edge is tested
-        X = sample(EllipticalModel(np.zeros(3), np.eye(3), "t:5"), 1000, 2)
+        X = sample(EllipticalModel(np.zeros(3), np.eye(3), "t:5"), 1000, 4)
         data = tmp_path / "X.csv"
         write_csv(data, X)
         out = tmp_path / "trail.json"

@@ -147,6 +147,13 @@ class TestConstrainScatter:
             constrain_scatter(A, build_index(Graph.cycle(6)), tol=1e-15, max_iter=1)
         assert exc.value.residual is not None and exc.value.residual > 1e-15
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_budget_below_one_sweep_rejected(self, max_iter):
+        K, S = chordless_cycle_shape(6, -0.49)
+        A = rand_spd(6, np.random.default_rng(9)) + 5 * S
+        with pytest.raises(PreconditionError, match="at least one sweep"):
+            constrain_scatter(A, build_index(Graph.cycle(6)), max_iter=max_iter)
+
 
 class TestStackedCompletion:
     """The IPS kernel completes a stack slice by slice, bit for bit as alone."""

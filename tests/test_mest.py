@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from egm import covsel
+from egm import covsel, mest
 from egm.covsel import constrain_scatter
 from egm.errors import (
     ConvergenceError,
@@ -30,7 +30,7 @@ from egm.mest import (
 from egm.mest import _solve
 from egm.simulate import EllipticalModel, _run_chunk, sample
 
-from _oracles import hg_optimization_oracle
+from _oracles import hg_optimization_oracle, plain_fixed_point
 
 rng = np.random.default_rng(808)
 
@@ -453,7 +453,8 @@ class TestStackedSolver:
 
     @staticmethod
     def stack(outlier):
-        # slice 1 loses definiteness; slice 2 (t:1 rows) needs more than 40 steps
+        # slice 1 loses definiteness; slice 2 (t:1 rows) needs more than 19
+        # map evaluations, slice 3 (t:5 rows) fewer
         return [sample(EllipticalModel(np.zeros(4), np.eye(4), "gaussian"), 100, 0),
                 gross_outlier(outlier),
                 sample(EllipticalModel(np.zeros(4), np.eye(4), "t:1"), 100, 1),
@@ -465,12 +466,12 @@ class TestStackedSolver:
         index = build_index(Graph.cycle(4)) if graph else None
         spec = make_spec("t:5", 4)
         data = self.stack(outlier)
-        stacked = _run_chunk(lambda X: _solve(X, spec, 1e-9, 40, index), np.array(data))
+        stacked = _run_chunk(lambda X: _solve(X, spec, 1e-9, 19, index), np.array(data))
         failed = []
         for i, (X, out) in enumerate(zip(data, stacked)):
             try:
-                fit = (graphical_m_estimate(X, index, spec, max_iter=40) if graph
-                       else m_estimate(X, spec, max_iter=40))
+                fit = (graphical_m_estimate(X, index, spec, max_iter=19) if graph
+                       else m_estimate(X, spec, max_iter=19))
             except ConvergenceError as exc:
                 failed.append(i)
                 assert type(out) is ConvergenceError and str(out) == str(exc)
@@ -481,3 +482,81 @@ class TestStackedSolver:
             assert (out.iterations, out.residual) == (fit.iterations, fit.residual)
         assert failed == [1, 2]
         assert "definiteness" in str(stacked[1]) and "did not converge" in str(stacked[2])
+
+
+def cycle10_t5(n, seed):
+    """t:5 rows on the 10-cycle shape with partial correlation -0.3."""
+    K0, S0 = chordless_cycle_shape(10, -0.3)
+    return sample(EllipticalModel(np.zeros(10), S0, "t:5"), n, seed)
+
+
+class TestAcceleration:
+    """SQUAREM in ``mest._solve``: an extrapolation that the Cholesky check
+    rejects leaves the plain iteration, slice by slice."""
+
+    @pytest.mark.parametrize("graph", [False, True])
+    @pytest.mark.parametrize("name, family", [("t:5", "t:5"), ("t:1", "t:5"),
+                                              ("huber:1.345", "t:5"), ("t:5", "gaussian")])
+    def test_all_rejected_is_plain_iteration(self, monkeypatch, graph, name, family):
+        index = build_index(Graph.cycle(5)) if graph else None
+        K0, S0 = chordless_cycle_shape(5, -0.3)
+        X = sample(EllipticalModel(np.zeros(5), S0, family), 300, 9)
+        spec = make_spec(name, 5)
+        fast, = _solve(X[None], spec, 1e-9, 500, index)
+        monkeypatch.setattr(mest, "_has_cholesky", lambda S: np.zeros(len(S), dtype=bool))
+        plain, = _solve(X[None], spec, 1e-9, 500, index)
+        mu, S, iterations = plain_fixed_point(X, spec, 1e-9, 500, index)
+        assert np.array_equal(plain.mu, mu) and np.array_equal(plain.scatter, S)
+        assert plain.iterations == iterations
+        assert fast.iterations < iterations
+
+    def test_fit_large_huber_converges(self):
+        # sup phi2 exceeds p by 0.045% here, so the plain iteration
+        # contracts at about 0.998 per step and runs out of its 500 steps
+        X = cycle10_t5(4000, 61)
+        spec = make_spec("huber:1.345", 10)
+        tol = 1e-9
+        fit = m_estimate(X, spec, tol=tol)
+        assert fit.converged and fit.residual <= tol
+        Xc = X - fit.mu
+        L = np.linalg.cholesky(fit.scatter)
+        R = np.sum(np.linalg.solve(L, Xc.T) ** 2, axis=0)
+        w1, w2 = spec.u1(R), spec.u2(R)
+        assert np.max(np.abs((w1[:, None] * X).sum(axis=0) / w1.sum() - fit.mu)) <= tol
+        S_fix = (w2[:, None] * Xc).T @ Xc / len(X)
+        assert np.max(np.abs(S_fix - fit.scatter)) <= tol * max(1.0, np.max(np.abs(fit.scatter)))
+        plug = plug_in_estimate(X, build_index(Graph.cycle(10)), spec, tol=tol)
+        assert plug.converged and np.array_equal(plug.mu, fit.mu)
+
+    def test_evaluation_count(self):
+        # the plain iteration takes 55 map evaluations for both fits
+        X = cycle10_t5(4000, 61)
+        spec = make_spec("t:5", 10)
+        assert m_estimate(X, spec).iterations <= 25
+        assert graphical_m_estimate(X, build_index(Graph.cycle(10)), spec).iterations <= 25
+
+    @pytest.mark.parametrize("graph", [False, True])
+    def test_rejection_is_per_slice(self, monkeypatch, graph):
+        # only slice 2, whose data are 100 times larger, has its
+        # extrapolations rejected; every slice must still be its solo fit
+        index = build_index(Graph.cycle(4)) if graph else None
+        spec = make_spec("t:5", 4)
+        K0, S0 = chordless_cycle_shape(4, -0.3)
+        data = [sample(EllipticalModel(np.zeros(4), S0, "t:5"), 200, s) for s in range(4)]
+        data[2] = 100.0 * data[2]
+        checked = []
+
+        def has_cholesky(S):
+            big = np.max(np.abs(S), axis=(1, 2)) > 100.0
+            checked.extend(big)
+            return ~big
+
+        monkeypatch.setattr(mest, "_has_cholesky", has_cholesky)
+        stacked = _solve(np.array(data), spec, 1e-9, 500, index)
+        assert any(checked) and not all(checked)
+        for X, out in zip(data, stacked):
+            fit = graphical_m_estimate(X, index, spec) if graph else m_estimate(X, spec)
+            assert np.array_equal(out.mu, fit.mu) and np.array_equal(out.scatter, fit.scatter)
+            assert (out.iterations, out.residual) == (fit.iterations, fit.residual)
+        mu, S, iterations = plain_fixed_point(data[2], spec, 1e-9, 500, index)
+        assert np.array_equal(stacked[2].scatter, S) and stacked[2].iterations == iterations

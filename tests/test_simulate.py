@@ -241,6 +241,8 @@ class TestChunkedStudies:
 
     @pytest.mark.parametrize("study", [_null_study, _equiv_study])
     def test_independent_of_chunk_size(self, study, monkeypatch):
+        # a budget that fails some replicates and not others
+        monkeypatch.setattr(simulate, "_MAX_ITER", 60)
         reports = []
         for chunk in (1, simulate._CHUNK, 64):
             monkeypatch.setattr(simulate, "_CHUNK", chunk)
