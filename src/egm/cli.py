@@ -143,10 +143,10 @@ def cmd_search(args) -> int:
     X = read_data(args.data, header=args.header)
     n, p = X.shape
     spec = mest.make_spec(args.estimator, p)
+    sigma1 = inference.resolve_sigma1(spec, p, args.sigma1, args.family)
     try:
         final, steps = inference.backward_elimination(
-            X, spec, args.alpha, sigma1=args.sigma1, family=args.family,
-            refit=args.refit, tol=args.tol)
+            X, spec, args.alpha, sigma1=sigma1, refit=args.refit, tol=args.tol)
     except ConvergenceError as exc:
         # keep the partial audit trail available to the caller
         _emit({
@@ -157,7 +157,6 @@ def cmd_search(args) -> int:
         }, args)
         sys.stderr.write(f"egm: {exc}\n")
         return 2
-    sigma1 = inference.resolve_sigma1(spec, p, args.sigma1, args.family)
     payload = {
         "command": "search",
         "estimator": args.estimator,

@@ -184,15 +184,14 @@ def _ips(A, index: GraphIndex, tol, max_iter: int = 10_000, start=None):
         start[0][:, diag, diag] = 1.0 / d
         start[1][:, diag, diag] = d
     K, W = start[0].copy(), start[1]
-    blocks = [np.array(c, dtype=int) - 1 for c in index.cliques]
     # the clique marginals of A stay fixed, so each is inverted once
-    A_inv = [spd_inverse(A[:, C[:, None], C]) for C in blocks]
+    A_inv = [spd_inverse(A[:, C[:, None], C]) for C in index.cliques]
     K_out, W_out = np.empty_like(A), np.empty_like(A)
     history, live, tol = [[] for _ in range(R)], np.arange(R), tols
     for _ in range(max_iter):
         if not live.size:
             break
-        for C, Ainv in zip(blocks, A_inv):
+        for C, Ainv in zip(index.cliques, A_inv):
             Wcc = W[:, C[:, None], C]
             delta = Ainv - spd_inverse(Wcc)
             K[:, C[:, None], C] += delta
@@ -237,15 +236,16 @@ def _derivative_block(U, index: GraphIndex):
     """Vec positions kv of the edge and diagonal entries, dv of the absent
     edges (both triangles), and L = J[dv, kv] for the completion derivative
     J at the point whose inverse is U.  J[kv] is M_p[kv] and J[:, dv] = 0.
-    L = -1/2 B^-1 _pair(U, D, kv) on rows (i, j) and (j, i), with the q x q
-    constraint system B = _pair(U, D, D); warns when B is ill-conditioned.
+    L = -1/2 B^-1 _pair(U, D, kv) on rows (i, j) and (j, i) for (i, j) in
+    D = index.D, with the q x q constraint system B = _pair(U, D, D); warns
+    when B is ill-conditioned.
     """
     p = index.p
     on_k = index.k_mask.ravel(order="F")
     kv, dv = np.flatnonzero(on_k), np.flatnonzero(~on_k)
     if index.q == 0:
         return kv, dv, np.zeros((0, kv.size))
-    i, j = D = _rc(dv[dv % p > dv // p], p)  # the absent edges below the diagonal
+    i, j = D = _rc(index.D, p)
     B = _pair(U, D, D)
     eigs = np.linalg.eigvalsh(B)
     if eigs[0] <= 0 or eigs[-1] / eigs[0] > COND_WARN:
@@ -339,8 +339,7 @@ def edge_basis_gram(V, index: GraphIndex) -> np.ndarray:
     columns are vec(E_ij + E_ji) for sub-diagonal edges and vec(E_ii)
     for the diagonal.  Entries are assembled from p x p products only.
     """
-    # the edge and diagonal entries on and below the diagonal, in the order of index.K
-    K = _rc(np.flatnonzero(np.tril(index.k_mask).ravel(order="F")), index.p)
+    K = _rc(index.K, index.p)
     w = np.where(K[0] == K[1], 1.0, 2.0)
     G = w[:, None] * _pair(V, K, K) * w[None, :]
     return 0.5 * (G + G.T)
@@ -363,6 +362,6 @@ def concentration_acov(V, index: GraphIndex, scalars: AsymptoticScalars,
         )
     U = spd_inverse(V)
     G = edge_basis_gram(V, index)
-    u = vec(U)[index.K.vec_indices()]
+    u = vec(U)[index.K]
     W = 2.0 * scalars.sigma1 * spd_inverse(G) + scalars.sigma2 * np.outer(u, u)
     return 0.5 * (W + W.T)

@@ -1,13 +1,14 @@
 """Undirected graphs and the index machinery for constrained scatter.
 
-Vertices are labeled 1..p externally (file formats, reported edges);
-internal adjacency computations are 0-based.  A graph splits the lower
-triangle (diagonal included) of a p x p matrix into
+Vertices are labeled 1..p at the boundary (``Graph``, graph files,
+reported edges, :func:`maximal_cliques`); everything a solver reads is
+0-based.  A graph splits the lower triangle (diagonal included) of a
+p x p matrix into
 
-* ``K``: diagonal plus sub-diagonal edge positions, and
-* ``D``: sub-diagonal non-edge positions,
+* ``K``: the diagonal and the edges, and
+* ``D``: the absent edges,
 
-held as position lists plus boolean masks.
+held as vec positions plus boolean masks.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError
-from .linops import PositionSet, duplication_matrix, lower_triangle_positions, selection_matrix
+from .linops import selection_matrix
 
 __all__ = [
     "Graph",
     "GraphIndex",
     "build_index",
-    "embed",
     "is_chordal",
     "maximal_cliques",
     "read_graph",
@@ -103,26 +103,27 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class GraphIndex:
-    """Graph plus its D(G)/K(G) split, as position lists and p x p masks.
+    """Graph plus its D(G)/K(G) split.
 
+    ``D`` and ``K`` are the 0-based vec positions j * p + i (i >= j) of the
+    absent edges and of the edges plus diagonal, in v(A) order; ``k_mask``
+    and ``d_mask`` mark the same entries, both triangles, as p x p masks.
+    ``cliques`` holds the maximal cliques as 0-based vertex arrays.
     Identity comparison only (the array fields make value equality
     ill-defined).
     """
 
     graph: Graph
-    D: PositionSet
-    K: PositionSet
+    D: np.ndarray
+    K: np.ndarray
     cliques: tuple
     k_mask: np.ndarray = field(repr=False)
     d_mask: np.ndarray = field(repr=False)
 
-    # Dense reference operators built on first access (no solver reads them): Q_*
-    # select from vec(A), Qt_* from v(A); Pt (Qt_K over Qt_D) is an m x m permutation.
-    Q_D = cached_property(lambda self: selection_matrix(self.D))
-    Q_K = cached_property(lambda self: selection_matrix(self.K))
-    Qt_D = cached_property(lambda self: self.Q_D @ duplication_matrix(self.p)[0])
-    Qt_K = cached_property(lambda self: self.Q_K @ duplication_matrix(self.p)[0])
-    Pt = cached_property(lambda self: np.vstack([self.Qt_K, self.Qt_D]))
+    # dense reference operators selecting D and K from vec(A), built on first
+    # access (no solver reads them)
+    Q_D = cached_property(lambda self: selection_matrix(self.D, self.p))
+    Q_K = cached_property(lambda self: selection_matrix(self.K, self.p))
 
     @property
     def p(self) -> int:
@@ -143,31 +144,10 @@ def build_index(G: Graph) -> GraphIndex:
     k_mask = np.eye(p, dtype=bool)
     for a, b in G.edges:
         k_mask[a - 1, b - 1] = k_mask[b - 1, a - 1] = True
-    d_pos, k_pos = [], []
-    for (i, j) in lower_triangle_positions(p).positions:
-        (k_pos if k_mask[i - 1, j - 1] else d_pos).append((i, j))
-    cliques = tuple(tuple(c) for c in maximal_cliques(G))
-    return GraphIndex(G, PositionSet(p, tuple(d_pos)), PositionSet(p, tuple(k_pos)),
-                      cliques, k_mask, ~k_mask)
-
-
-def embed(a, b, index: GraphIndex) -> np.ndarray:
-    """Fill an m-vector with free entries ``a`` on K(G) and ``b`` on D(G).
-
-    Inverse of extraction: Qt_K @ embed(a, b) == a and
-    Qt_D @ embed(a, b) == b.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (len(index.K),) or b.shape != (len(index.D),):
-        raise DimensionError(
-            f"expected lengths {len(index.K)} and {len(index.D)}, got {a.shape} and {b.shape}"
-        )
-    j, i = np.triu_indices(index.p)  # the lower triangle in v(A) order
-    on_k = index.k_mask[i, j]
-    out = np.empty(index.m)
-    out[on_k], out[~on_k] = a, b
-    return out
+    j, i = np.triu_indices(p)  # the lower triangle in v(A) order
+    v, on_k = j * p + i, k_mask[i, j]
+    cliques = tuple(np.array(c) - 1 for c in maximal_cliques(G))
+    return GraphIndex(G, v[~on_k], v[on_k], cliques, k_mask, ~k_mask)
 
 
 def is_chordal(G: Graph) -> bool:

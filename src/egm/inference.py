@@ -36,7 +36,7 @@ from .errors import (
 )
 from .graphs import Graph, GraphIndex, build_index
 from .linops import check_spd, spd_inverse
-from .mest import EstimatorSpec, graphical_m_estimate, m_estimate, scalars_for
+from .mest import EstimatorSpec, _positive, graphical_m_estimate, m_estimate, scalars_for
 
 __all__ = [
     "DevianceReport",
@@ -120,8 +120,7 @@ def _check_nesting(index0: GraphIndex, index1: GraphIndex, sigma1: float) -> Non
         if extra:
             raise NestingError(f"graphs are not nested: edges {extra} missing from the larger model")
         raise NestingError("nesting must be proper: the null graph equals the alternative")
-    if sigma1 <= 0:
-        raise PreconditionError(f"sigma1 must be > 0, got {sigma1}")
+    _positive(sigma1, "sigma1")
 
 
 def _deviance_stack(S, index0: GraphIndex, index1: GraphIndex, n: int,
@@ -135,8 +134,10 @@ def _deviance_stack(S, index0: GraphIndex, index1: GraphIndex, n: int,
 
 
 def resolve_sigma1(spec: EstimatorSpec, p: int, sigma1, family) -> float:
+    """The explicit ``sigma1`` if given (finite and > 0), else the scalar of
+    ``spec`` at the data ``family``, else 1 for the Gaussian estimator."""
     if sigma1 is not None:
-        return float(sigma1)
+        return _positive(float(sigma1), "sigma1")
     if family is not None:
         return scalars_for(spec, family, p).sigma1
     if spec.name == "gaussian":
@@ -163,6 +164,8 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
 
     Returns the final graph and a per-step audit trail.
     """
+    if not 0.0 <= alpha <= 1.0:
+        raise PreconditionError(f"alpha must be in [0, 1], got {alpha}")
     X = np.asarray(X, dtype=float)
     n, p = X.shape
     s1 = resolve_sigma1(spec, p, sigma1, family)
@@ -282,9 +285,8 @@ def asv_partial_correlation(V, index: Optional[GraphIndex],
         return float(2.0 * scalars.sigma1 * np.sum(X * (K @ X @ K)))
     if pattern_violation(V, index) > 1e-8:
         raise PreconditionError("inverse of V violates the graph zero pattern")
-    kpos = index.K.positions
-    w = np.array([X[a - 1, b - 1] + X[b - 1, a - 1] if a != b else X[a - 1, a - 1]
-                  for a, b in kpos])
+    j, i = np.divmod(index.K, p)
+    w = np.where(i == j, X[i, i], X[i, j] + X[j, i])
     Gm = edge_basis_gram(V, index)
     return float(2.0 * scalars.sigma1 * w @ np.linalg.solve(Gm, w))
 

@@ -4,6 +4,8 @@ Everything here works on dense float64 arrays.  The structural matrices
 (Kronecker, commutation, symmetrization, duplication, selection) have up
 to p^4 entries and no solver builds them: they are reference operators
 for the tests and for ``GraphIndex``'s on-demand dense operators.
+Positions are 0-based: entry (i, j) of a p x p matrix sits at position
+j * p + i of vec(A).
 
 The checks and :func:`spd_inverse` also take (R, p, p) stacks.  numpy's
 stacked factorizations call the same LAPACK routine per slice as the 2-D
@@ -14,14 +16,11 @@ the call raises the error that slice raises alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DefinitenessError, DimensionError, PreconditionError
 
 __all__ = [
-    "PositionSet",
     "vec",
     "mat",
     "kron",
@@ -29,7 +28,6 @@ __all__ = [
     "symmetrization_matrix",
     "duplication_matrix",
     "selection_matrix",
-    "lower_triangle_positions",
     "check_symmetric",
     "check_spd",
     "spd_inverse",
@@ -144,51 +142,12 @@ def duplication_matrix(p: int) -> tuple[np.ndarray, np.ndarray]:
     return D, D_plus
 
 
-@dataclass(frozen=True)
-class PositionSet:
-    """An ordered set of (row, col) positions of a p x p matrix.
-
-    Positions are 1-based and kept strictly increasing under the
-    column-major key (col - 1) * p + row, the order in which vec(A)
-    lists the entries.
-    """
-
-    p: int
-    positions: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        last = -1
-        for (i, j) in self.positions:
-            if not (1 <= i <= self.p and 1 <= j <= self.p):
-                raise DimensionError(f"position {(i, j)} out of range for p={self.p}")
-            key = (j - 1) * self.p + i
-            if key <= last:
-                raise DimensionError("positions must be strictly increasing in column-major order")
-            last = key
-
-    @classmethod
-    def from_positions(cls, p: int, positions) -> "PositionSet":
-        """Build a PositionSet from an unordered iterable of (row, col)."""
-        uniq = sorted(set((int(i), int(j)) for i, j in positions),
-                      key=lambda ij: (ij[1] - 1) * p + ij[0])
-        return cls(p, tuple(uniq))
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def vec_indices(self) -> np.ndarray:
-        """0-based indices of the positions within vec(A)."""
-        return np.array([(j - 1) * self.p + (i - 1) for i, j in self.positions], dtype=int)
-
-
-def lower_triangle_positions(p: int) -> PositionSet:
-    """All diagonal-and-below positions, in the v(A) stacking order."""
-    return PositionSet(p, tuple((i, j) for j in range(1, p + 1) for i in range(j, p + 1)))
-
-
-def selection_matrix(Z: PositionSet) -> np.ndarray:
-    """The |Z| x p^2 matrix picking the listed entries out of vec(A)."""
-    Q = np.zeros((len(Z), Z.p * Z.p))
-    if len(Z):
-        Q[np.arange(len(Z)), Z.vec_indices()] = 1.0
+def selection_matrix(v, p: int) -> np.ndarray:
+    """The len(v) x p^2 matrix picking the entries at the 0-based vec
+    positions ``v`` out of vec(A) for a p x p matrix A."""
+    v = np.asarray(v, dtype=int)
+    if v.size and not (0 <= v.min() and v.max() < p * p):
+        raise DimensionError(f"vec positions out of range for p={p}")
+    Q = np.zeros((v.size, p * p))
+    Q[np.arange(v.size), v] = 1.0
     return Q

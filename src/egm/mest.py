@@ -99,10 +99,28 @@ class EstimatorSpec:
                 raise PreconditionError(f"{label} of spec {self.name!r} is not {kind}")
 
 
+def _positive(x: float, what: str) -> float:
+    """``x`` if it is finite and > 0, else PreconditionError naming ``what``."""
+    if not 0.0 < x < np.inf:
+        raise PreconditionError(f"{what} must be finite and > 0, got {x}")
+    return x
+
+
+def _family_nu(family: str) -> Optional[float]:
+    """Parse a named elliptical family: None for ``gaussian``, NU for ``t:NU``."""
+    family = family.strip()
+    if family == "gaussian":
+        return None
+    if family.startswith("t:"):
+        return _positive(float(family[2:]), "t degrees of freedom")
+    raise PreconditionError(f"unknown elliptical family {family!r}")
+
+
 def make_spec(text: str, p: int) -> EstimatorSpec:
     """Build an estimator spec from its string form for dimension p.
 
-    Accepted forms: ``gaussian``, ``t:NU`` (NU > 0), ``huber:K`` (K > 0).
+    Accepted forms: ``gaussian``, ``t:NU`` and ``huber:K``, with NU and K
+    finite and > 0.
     The Huber scatter weight is rescaled by the consistency constant
     c = p / E[min(R, k^2)] = p / {p F_{p+2}(k^2) + k^2 (1 - F_p(k^2))} under
     the chi-square(p) radial law, with F_d the chi-square(d) CDF.
@@ -113,9 +131,7 @@ def make_spec(text: str, p: int) -> EstimatorSpec:
         spec = EstimatorSpec("gaussian", one, one, {},
                              phi2_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)))
     elif text.startswith("t:"):
-        nu = float(text[2:])
-        if nu <= 0:
-            raise PreconditionError(f"t degrees of freedom must be > 0, got {nu}")
+        nu = _positive(float(text[2:]), "t degrees of freedom")
         a = p + nu
 
         def u(s, nu=nu, a=a):
@@ -126,9 +142,7 @@ def make_spec(text: str, p: int) -> EstimatorSpec:
 
         spec = EstimatorSpec(text, u, u, {"nu": nu}, phi2_prime=dphi2)
     elif text.startswith("huber:"):
-        k = float(text[6:])
-        if k <= 0:
-            raise PreconditionError(f"huber threshold must be > 0, got {k}")
+        k = _positive(float(text[6:]), "huber threshold")
         k2 = k * k
         c = p / (p * scipy.stats.chi2.cdf(k2, p + 2) + k2 * scipy.stats.chi2.sf(k2, p))
 
@@ -223,15 +237,8 @@ class RadialLaw:
 
 def radial_for_family(family: str, p: int) -> RadialLaw:
     """Radial law of a named elliptical family (``gaussian`` or ``t:NU``)."""
-    family = family.strip()
-    if family == "gaussian":
-        return RadialLaw.chi_square(p)
-    if family.startswith("t:"):
-        nu = float(family[2:])
-        if nu <= 0:
-            raise PreconditionError(f"t degrees of freedom must be > 0, got {nu}")
-        return RadialLaw.scaled_f(p, nu)
-    raise PreconditionError(f"unknown elliptical family {family!r}")
+    nu = _family_nu(family)
+    return RadialLaw.chi_square(p) if nu is None else RadialLaw.scaled_f(p, nu)
 
 
 @dataclass
@@ -564,16 +571,9 @@ def scalars_for(spec: EstimatorSpec, family: str, p: int) -> AsymptoticScalars:
     scalars at the family's radial law.
     """
     if spec.name == "gaussian":
-        family = family.strip()
-        if family == "gaussian":
-            kappa = 0.0
-        elif family.startswith("t:"):
-            nu = float(family[2:])
-            if nu <= 4:
-                raise PreconditionError(
-                    f"sample covariance needs finite fourth moments (t with nu > 4), got nu={nu}")
-            kappa = 6.0 / (nu - 4.0)
-        else:
-            raise PreconditionError(f"unknown elliptical family {family!r}")
-        return sample_cov_scalars(kappa, p)
+        nu = _family_nu(family)
+        if nu is not None and nu <= 4:
+            raise PreconditionError(
+                f"sample covariance needs finite fourth moments (t with nu > 4), got nu={nu}")
+        return sample_cov_scalars(0.0 if nu is None else 6.0 / (nu - 4.0), p)
     return m_scalars(spec, radial_for_family(family, p), p)

@@ -38,6 +38,7 @@ from .mest import (
     EstimatorSpec,
     FitResult,
     RadialLaw,
+    _family_nu,
     _solve,
     _validate_data,
     radial_for_family,
@@ -88,7 +89,7 @@ class EllipticalModel:
         if self.mu.shape != (self.S.shape[0],):
             raise DimensionError(
                 f"location has shape {self.mu.shape} but shape matrix is {self.S.shape}")
-        radial_for_family(self.family, self.p)  # validates the family string
+        _family_nu(self.family)  # validates the family string
 
     @property
     def p(self) -> int:
@@ -155,8 +156,8 @@ def _draw(model: EllipticalModel, n: int, seed, root) -> np.ndarray:
         raise PreconditionError(f"sample size must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, model.p))
-    if model.family.startswith("t:"):
-        nu = float(model.family[2:])
+    nu = _family_nu(model.family)
+    if nu is not None:
         w = rng.chisquare(nu, n)
         Z = Z / np.sqrt(w / nu)[:, None]
     return model.mu + Z @ root

@@ -32,7 +32,9 @@ def hg_optimization_oracle(A, index):
     completed scatter K*^{-1}.
     """
     p = index.p
-    kpos = index.K.positions
+    G = index.graph
+    kpos = [(i, j) for j in range(1, p + 1) for i in range(j, p + 1)
+            if i == j or G.has_edge(i, j)]
     basis = []
     for (i, j) in kpos:
         E = np.zeros((p, p))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from egm import cli
+from egm import cli, mest
 from egm.graphs import Graph, build_index, read_graph, write_graph
 from egm.inference import are_chordless_cycle, chordless_cycle_shape
 from egm.mest import m_estimate, make_spec
@@ -140,6 +140,14 @@ class TestFit:
                        "--estimator", "t:5", "--tol", "1e-30"])
         assert rc == 2
 
+    @pytest.mark.parametrize("estimator", ["t:nan", "huber:nan", "huber:inf"])
+    def test_non_finite_estimator_parameter_exit_1(self, cycle4_files, capsys, estimator):
+        f = cycle4_files
+        rc = cli.main(["fit", "--data", str(f["data"]), "--graph", str(f["graph"]),
+                       "--estimator", estimator])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_unknown_flag_rejected(self, cycle4_files, capsys):
         rc = cli.main(["fit", "--data", str(cycle4_files["data"]),
                        "--graph", str(cycle4_files["graph"]),
@@ -194,6 +202,16 @@ class TestTest:
         assert rc == 1
         assert "(1, 3)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma1", ["0", "-1", "nan", "inf"])
+    def test_sigma1_not_finite_and_positive_exit_1(self, cycle4_files, capsys, sigma1):
+        f = cycle4_files
+        rc = cli.main(["test", "--data", str(f["data"]), "--graph0", str(f["graph"]),
+                       "--graph1", str(f["complete"]), "--estimator", "t:5",
+                       "--sigma1", sigma1])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "sigma1" in captured.err
+
     def test_sigma1_flag(self, cycle4_files, capsys):
         f = cycle4_files
         rc, payload = run_json(capsys, [
@@ -233,6 +251,26 @@ class TestSearch:
         assert payload["steps"] == []
         assert payload["final_graph"].startswith("p 3")
         assert "error" in payload
+
+    def test_sigma1_resolved_once(self, cycle4_files, capsys, monkeypatch):
+        calls = []
+        m_scalars = mest.m_scalars
+        monkeypatch.setattr(mest, "m_scalars", lambda *a: calls.append(1) or m_scalars(*a))
+        rc, payload = run_json(capsys, [
+            "search", "--data", str(cycle4_files["data"]), "--estimator", "t:5",
+            "--family", "t:5", "--alpha", "0.05"])
+        assert rc == 0
+        assert len(calls) == 1
+        assert payload["sigma1"] == mest.scalars_for(make_spec("t:5", 4), "t:5", 4).sigma1
+
+    @pytest.mark.parametrize("flag,value", [("--sigma1", "0"), ("--sigma1", "-1"),
+                                            ("--sigma1", "nan"), ("--alpha", "nan"),
+                                            ("--alpha", "-0.5"), ("--alpha", "2")])
+    def test_rejected_sigma1_or_alpha_exit_1(self, cycle4_files, capsys, flag, value):
+        argv = ["search", "--data", str(cycle4_files["data"]), "--estimator", "gaussian",
+                "--alpha", "0.05", flag, value]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().out == ""
 
     def test_search_deterministic(self, tmp_path, capsys):
         X = sample(EllipticalModel(np.zeros(3), np.eye(3), "gaussian"), 800, 3)

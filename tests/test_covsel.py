@@ -265,7 +265,8 @@ class TestConstrainJacobian:
         U = spd_inverse(fit.matrix)
         Mp = symmetrization_matrix(p)
         Dp, Dp_plus = duplication_matrix(p)
-        MpG = Dp @ index.Qt_K.T @ index.Qt_K @ Dp_plus
+        QtK = index.Q_K @ Dp  # selects K from v(A)
+        MpG = Dp @ QtK.T @ QtK @ Dp_plus
         UU = kron(U, U)
         QD = index.Q_D
         B = QD @ UU @ Mp @ QD.T
@@ -396,7 +397,7 @@ class TestConcentrationAcov:
     def test_gram_matches_dense_construction(self):
         K, S = chordless_cycle_shape(4, -0.2)
         Dp, _ = duplication_matrix(4)
-        Gamma = Dp @ CYCLE4.Qt_K.T
+        Gamma = Dp @ (CYCLE4.Q_K @ Dp).T
         dense = Gamma.T @ kron(S, S) @ Gamma
         assert np.allclose(edge_basis_gram(S, CYCLE4), dense, atol=1e-12)
 

@@ -35,6 +35,12 @@ class TestDeviance:
         assert rep.df == idx0.q
         assert rep.p_value == 1.0
 
+    @pytest.mark.parametrize("sigma1", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_sigma1_not_finite_and_positive(self, sigma1):
+        idx0, idx1 = build_index(Graph.cycle(4)), build_index(Graph.complete(4))
+        with pytest.raises(PreconditionError):
+            deviance(np.eye(4), idx0, idx1, 50, sigma1=sigma1)
+
     def test_non_finite_estimate_named(self):
         S = np.eye(4)
         S[0, 3] = S[3, 0] = np.nan
@@ -104,8 +110,25 @@ class TestResolveSigma1:
         with pytest.raises(PreconditionError):
             resolve_sigma1(make_spec("t:5", 3), 3, None, None)
 
+    @pytest.mark.parametrize("sigma1", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_sigma1_not_finite_and_positive(self, sigma1):
+        with pytest.raises(PreconditionError):
+            resolve_sigma1(make_spec("gaussian", 3), 3, sigma1, None)
+
 
 class TestBackwardElimination:
+    @pytest.mark.parametrize("sigma1", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_sigma1_not_finite_and_positive(self, sigma1):
+        X = rng.standard_normal((100, 4))
+        with pytest.raises(PreconditionError):
+            backward_elimination(X, make_spec("gaussian", 4), 0.05, sigma1=sigma1)
+
+    @pytest.mark.parametrize("alpha", [np.nan, -0.1, 1.5, np.inf])
+    def test_rejects_alpha_outside_unit_interval(self, alpha):
+        X = rng.standard_normal((100, 4))
+        with pytest.raises(PreconditionError):
+            backward_elimination(X, make_spec("gaussian", 4), alpha)
+
     def test_alpha_one_keeps_complete_graph(self):
         X = rng.standard_normal((100, 4))
         G, steps = backward_elimination(X, make_spec("gaussian", 4), alpha=1.0)

@@ -3,12 +3,10 @@ import pytest
 
 from egm.errors import DimensionError, PreconditionError
 from egm.linops import (
-    PositionSet,
     check_spd,
     commutation_matrix,
     duplication_matrix,
     kron,
-    lower_triangle_positions,
     mat,
     selection_matrix,
     symmetrization_matrix,
@@ -165,45 +163,32 @@ class TestDuplication:
 
 class TestSelection:
     def test_single_position(self):
-        Q = selection_matrix(PositionSet(2, (((2, 1)),)))
+        Q = selection_matrix([1], 2)  # entry (2, 1)
         A = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(Q @ vec(A), [3.0])
 
     def test_full_lower_triangle_equals_v(self):
         p = 4
-        Q = selection_matrix(lower_triangle_positions(p))
+        Q = selection_matrix([j * p + i for j in range(p) for i in range(j, p)], p)
         _, Dp = duplication_matrix(p)
         A = rng.standard_normal((p, p))
         A = A + A.T
         assert np.allclose(Q @ vec(A), Dp @ vec(A), atol=1e-15)
 
     def test_empty(self):
-        Q = selection_matrix(PositionSet(3, ()))
+        Q = selection_matrix([], 3)
         assert Q.shape == (0, 9)
         assert (Q @ vec(np.eye(3))).shape == (0,)
 
     def test_orthonormal_rows(self):
-        Z = PositionSet.from_positions(4, [(2, 1), (4, 3), (1, 1), (3, 2)])
-        Q = selection_matrix(Z)
+        Z = [0, 1, 6, 11]  # entries (1, 1), (2, 1), (3, 2) and (4, 3)
+        Q = selection_matrix(Z, 4)
         assert np.array_equal(Q @ Q.T, np.eye(len(Z)))
 
-
-class TestPositionSet:
-    def test_rejects_duplicates(self):
+    @pytest.mark.parametrize("v", [[9], [-1], [0, 9]])
+    def test_rejects_out_of_range(self, v):
         with pytest.raises(DimensionError):
-            PositionSet(3, ((2, 1), (2, 1)))
-
-    def test_rejects_wrong_order(self):
-        with pytest.raises(DimensionError):
-            PositionSet(3, ((1, 2), (2, 1)))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DimensionError):
-            PositionSet(3, ((4, 1),))
-
-    def test_from_positions_sorts(self):
-        Z = PositionSet.from_positions(3, [(1, 2), (2, 1), (3, 3)])
-        assert Z.positions == ((2, 1), (1, 2), (3, 3))
+            selection_matrix(v, 3)
 
 
 class TestStructuralIdentitySuite:

@@ -11,7 +11,7 @@ from egm.errors import (
     PreconditionError,
     SampleSizeError,
 )
-from egm.graphs import Graph, build_index, embed
+from egm.graphs import Graph, build_index
 from egm.inference import chordless_cycle_shape
 from egm.linops import duplication_matrix, mat
 from egm.mest import (
@@ -65,6 +65,11 @@ class TestSpecs:
             make_spec("t:-1", 3)
         with pytest.raises(PreconditionError):
             make_spec("huber:0", 3)
+
+    @pytest.mark.parametrize("text", ["t:nan", "t:inf", "huber:nan", "huber:inf", "huber:-inf"])
+    def test_non_finite_parameters(self, text):
+        with pytest.raises(PreconditionError, match="finite"):
+            make_spec(text, 3)
 
     def test_huber_consistency_constant(self):
         # quadrature constant vs the chi-square identity
@@ -128,6 +133,14 @@ class TestRadialLaws:
         assert radial_for_family("t:5", 3).kind.startswith("scaled-f")
         with pytest.raises(PreconditionError):
             radial_for_family("cauchy", 3)
+
+    @pytest.mark.parametrize("family", ["t:nan", "t:inf", "t:0", "t:-2"])
+    def test_family_parameter_finite_and_positive(self, family):
+        with pytest.raises(PreconditionError):
+            radial_for_family(family, 3)
+        for spec in ("gaussian", "t:5"):
+            with pytest.raises(PreconditionError):
+                scalars_for(make_spec(spec, 3), family, 3)
 
 
 class TestMEstimate:
@@ -225,10 +238,11 @@ class TestGraphicalMEstimate:
         idx = build_index(Graph.cycle(p))
         fit = graphical_m_estimate(X, idx, make_spec("t:5", p), tol=1e-11)
         Dp, Dp_plus = duplication_matrix(p)
+        QtK = idx.Q_K @ Dp  # selects K from v(A)
 
         def objective(theta):
             mu, kfree = theta[:p], theta[p:]
-            Kmat = mat(Dp @ embed(kfree, np.zeros(len(idx.D)), idx), p)
+            Kmat = mat(Dp @ (QtK.T @ kfree), p)
             sign, ld = np.linalg.slogdet(Kmat)
             if sign <= 0:
                 return -np.inf
@@ -237,7 +251,7 @@ class TestGraphicalMEstimate:
             return ld - np.mean((p + nu) * np.log(nu + R))
 
         Khat = np.linalg.inv(fit.scatter)
-        theta0 = np.concatenate([fit.mu, idx.Qt_K @ (Dp_plus @ Khat.reshape(-1, order="F"))])
+        theta0 = np.concatenate([fit.mu, QtK @ (Dp_plus @ Khat.reshape(-1, order="F"))])
         h = 1e-6
         grad = np.empty_like(theta0)
         for t in range(len(theta0)):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.stats
 
 from egm import covsel, simulate
@@ -41,6 +42,19 @@ class TestEllipticalModel:
             EllipticalModel(MU3, S3, "laplace")
         with pytest.raises(PreconditionError):
             EllipticalModel(MU3, S3, "t:0")
+
+    @pytest.mark.parametrize("family", ["t:nan", "t:inf"])
+    def test_rejects_non_finite_degrees_of_freedom(self, family):
+        with pytest.raises(PreconditionError):
+            EllipticalModel(MU3, S3, family)
+
+    def test_builds_no_radial_law(self, monkeypatch):
+        calls = []
+        quad = scipy.integrate.quad
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: calls.append(1) or quad(*a, **k))
+        EllipticalModel(MU3, S3, "t:5")
+        EllipticalModel(MU3, S3, "gaussian")
+        assert calls == []
 
     def test_radial_kinds(self):
         assert EllipticalModel(MU3, S3, "gaussian").radial.kind == "chi-square-p"
@@ -82,6 +96,13 @@ class TestSample:
         Xc = X - MU3
         r = np.einsum("ij,jk,ik->i", Xc, np.linalg.inv(S3), Xc)
         assert scipy.stats.kstest(r / 3.0, scipy.stats.f(3, 5).cdf).pvalue > 1e-3
+
+    def test_t_rows_are_scaled_normal_draws(self):
+        rng = np.random.default_rng(42)
+        Z = rng.standard_normal((50, 3))
+        Z = Z / np.sqrt(rng.chisquare(5.0, 50) / 5.0)[:, None]
+        m = EllipticalModel(MU3, S3, "t:5")
+        assert np.array_equal(sample(m, 50, 42), MU3 + Z @ shape_sqrt(S3))
 
     def test_rejects_empty(self):
         with pytest.raises(PreconditionError):
