@@ -144,9 +144,12 @@ def duplication_matrix(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def selection_matrix(v, p: int) -> np.ndarray:
     """The len(v) x p^2 matrix picking the entries at the 0-based vec
-    positions ``v`` out of vec(A) for a p x p matrix A."""
+    positions ``v`` out of vec(A) for a p x p matrix A.  The positions
+    must be strictly increasing, so the rows follow the vec(A) order."""
     v = np.asarray(v, dtype=int)
-    if v.size and not (0 <= v.min() and v.max() < p * p):
+    if np.any(np.diff(v) <= 0):
+        raise DimensionError("vec positions must be strictly increasing")
+    if v.size and not (0 <= v[0] and v[-1] < p * p):
         raise DimensionError(f"vec positions out of range for p={p}")
     Q = np.zeros((v.size, p * p))
     Q[np.arange(v.size), v] = 1.0

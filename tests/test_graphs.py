@@ -14,7 +14,7 @@ from egm.graphs import (
     read_graph,
     write_graph,
 )
-from egm.linops import selection_matrix
+from egm.linops import duplication_matrix, selection_matrix
 
 from _oracles import random_graph
 
@@ -94,6 +94,12 @@ class TestBuildIndex:
         assert np.array_equal(idx.Q_D, selection_matrix(idx.D, p))
         assert "Q_D" in vars(idx)
 
+    def test_pt_orthogonal(self):
+        # K(G) over D(G) permutes the coordinates of v(A).
+        for G in (Graph.cycle(5), Graph.complete(4), random_graph(6, rng)):
+            idx = build_index(G)
+            Pt = np.vstack([idx.Q_K, idx.Q_D]) @ duplication_matrix(idx.p)[0]
+            assert np.allclose(Pt.T @ Pt, np.eye(idx.m), atol=1e-15)
 
 
 def _chordal_oracle(p, edge_set):

@@ -185,10 +185,24 @@ class TestSelection:
         Q = selection_matrix(Z, 4)
         assert np.array_equal(Q @ Q.T, np.eye(len(Z)))
 
-    @pytest.mark.parametrize("v", [[9], [-1], [0, 9]])
-    def test_rejects_out_of_range(self, v):
+
+
+class TestPositionSet:
+    """The 0-based vec positions ``selection_matrix`` takes: strictly
+    increasing in vec(A) order and inside the p x p matrix."""
+
+    def test_rejects_duplicates(self):
         with pytest.raises(DimensionError):
-            selection_matrix(v, 3)
+            selection_matrix([1, 1], 3)  # entry (2, 1) twice
+
+    def test_rejects_wrong_order(self):
+        with pytest.raises(DimensionError):
+            selection_matrix([3, 1], 3)  # entry (1, 2) before (2, 1)
+
+    def test_rejects_out_of_range(self):
+        for v in ([9], [-1], [0, 9]):
+            with pytest.raises(DimensionError):
+                selection_matrix(v, 3)
 
 
 class TestStructuralIdentitySuite:
