@@ -59,6 +59,8 @@ class AsymptoticScalars:
     eta: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite([self.sigma1, self.sigma2, self.eta]).all():
+            raise PreconditionError(f"asymptotic scalars must be finite, got {self}")
         if self.sigma1 < 0:
             raise PreconditionError(f"sigma1 must be >= 0, got {self.sigma1}")
         if self.eta <= 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.stats
+from scipy.special import chdtrc
 
 from .covsel import (
     AsymptoticScalars,
@@ -108,7 +108,7 @@ def deviance(S_hat, index0: GraphIndex, index1: GraphIndex, n: int,
     S_hat = check_spd(S_hat)
     stat, = _deviance_stack(S_hat[None], index0, index1, n, sigma1, completion_tol)
     df = index0.q - index1.q
-    return DevianceReport(stat, df, sigma1, float(scipy.stats.chi2.sf(stat, df)), n)
+    return DevianceReport(stat, df, sigma1, float(chdtrc(df, stat)), n)
 
 
 def _check_nesting(index0: GraphIndex, index1: GraphIndex, sigma1: float) -> None:
@@ -204,7 +204,7 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
             if best is None or (stat, e) < (best[0], best[1]):
                 best = (stat, e, ld)
         stat, edge, ld = best
-        p_value = float(scipy.stats.chi2.sf(stat, 1))
+        p_value = float(chdtrc(1, stat))
         if p_value <= alpha:
             break
         current = current.without_edge(*edge)

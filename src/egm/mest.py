@@ -17,6 +17,9 @@ Tyler's distribution-free estimator (u2(s) = p/s) is deliberately not
 offered for graphical fitting: its phi2 is constant, which sits on the
 boundary of the monotonicity assumptions, and its scale indeterminacy
 does not mix well with the constrained estimating equations.
+
+Radial laws are densities integrated by adaptive quadrature; distribution
+functions come from ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.integrate
 import scipy.optimize
-import scipy.stats
+from scipy.special import betaln, chdtr, chdtrc, gammaln, xlogy
 
 from .covsel import AsymptoticScalars, _complete, _ips, constrain_scatter
 from .errors import (
@@ -55,9 +58,6 @@ __all__ = [
     "m_scalars",
     "scalars_for",
 ]
-
-_MC_FALLBACK_SEED = 202406
-_MC_FALLBACK_SIZE = 10**6
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,13 @@ class EstimatorSpec:
         """Verify u1, u2 non-increasing and phi1, phi2 non-decreasing.
 
         Checked on a grid of ``n`` points over (0, upper]; raises
-        PreconditionError on violation.
+        PreconditionError on violation, a NaN value included.
         """
         grid = np.linspace(upper / n, upper, n)
         for label, f, sign in (("u1", self.u1, -1), ("u2", self.u2, -1),
                                ("phi1", self.phi1, 1), ("phi2", self.phi2, 1)):
             d = sign * np.diff(np.asarray(f(grid), dtype=float))
-            if np.any(d < -slack):
+            if not np.all(d >= -slack):
                 kind = "non-increasing" if sign < 0 else "non-decreasing"
                 raise PreconditionError(f"{label} of spec {self.name!r} is not {kind}")
 
@@ -106,13 +106,25 @@ def _positive(x: float, what: str) -> float:
     return x
 
 
+def _parameter(text: str, prefix: str, what: str) -> float:
+    """The number after ``prefix`` in ``text``, finite and > 0, else
+    PreconditionError naming ``what`` and the accepted forms."""
+    try:
+        x = float(text[len(prefix):])
+    except ValueError:
+        raise PreconditionError(
+            f"{what} in {text!r} is not a number; accepted forms are "
+            "gaussian, t:NU and huber:K") from None
+    return _positive(x, what)
+
+
 def _family_nu(family: str) -> Optional[float]:
     """Parse a named elliptical family: None for ``gaussian``, NU for ``t:NU``."""
     family = family.strip()
     if family == "gaussian":
         return None
     if family.startswith("t:"):
-        return _positive(float(family[2:]), "t degrees of freedom")
+        return _parameter(family, "t:", "t degrees of freedom")
     raise PreconditionError(f"unknown elliptical family {family!r}")
 
 
@@ -131,7 +143,7 @@ def make_spec(text: str, p: int) -> EstimatorSpec:
         spec = EstimatorSpec("gaussian", one, one, {},
                              phi2_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)))
     elif text.startswith("t:"):
-        nu = _positive(float(text[2:]), "t degrees of freedom")
+        nu = _parameter(text, "t:", "t degrees of freedom")
         a = p + nu
 
         def u(s, nu=nu, a=a):
@@ -142,9 +154,9 @@ def make_spec(text: str, p: int) -> EstimatorSpec:
 
         spec = EstimatorSpec(text, u, u, {"nu": nu}, phi2_prime=dphi2)
     elif text.startswith("huber:"):
-        k = _positive(float(text[6:]), "huber threshold")
+        k = _parameter(text, "huber:", "huber threshold")
         k2 = k * k
-        c = p / (p * scipy.stats.chi2.cdf(k2, p + 2) + k2 * scipy.stats.chi2.sf(k2, p))
+        c = p / (p * chdtr(p + 2, k2) + k2 * chdtrc(p, k2))
 
         def u1(s, k=k):
             # the floor only dodges a 0/0 warning; the weight is 1 there
@@ -167,72 +179,63 @@ def make_spec(text: str, p: int) -> EstimatorSpec:
 
 @dataclass(frozen=True)
 class RadialLaw:
-    """Distribution of the squared radius R of an elliptical law.
+    """Distribution of the squared radius R of an elliptical law in p >= 1
+    dimensions, given by its density; expectations are integrals of it.
 
-    Expectations are computed by adaptive quadrature over the density
-    (mapped to (0, 1) via r = s/(1-s)); empirical laws fall back to a
-    fixed-seed Monte Carlo average.
+    The built-in densities evaluate scipy's chi-square and F densities
+    from ``scipy.special`` in scipy's order of operations, bit for bit.
     """
 
     kind: str
     p: int
-    density: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    sampler: Optional[Callable] = None
-    samples: Optional[np.ndarray] = field(default=None, repr=False)
+    density: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if self.density is None and self.sampler is None and self.samples is None:
-            raise PreconditionError("radial law needs a density, a sampler, or samples")
-        if self.density is not None:
-            total = self._quad(lambda r: np.ones_like(r))
-            if abs(total - 1.0) > 1e-8:
-                raise PreconditionError(
-                    f"radial density integrates to {total!r}, not 1"
-                )
+        if not self.p >= 1:
+            raise PreconditionError(f"radial law needs dimension p >= 1, got {self.p}")
+        total = self.expect(np.ones_like)
+        if not abs(total - 1.0) <= 1e-8:  # so that NaN fails too
+            raise PreconditionError(f"radial density integrates to {total!r}, not 1")
 
     @classmethod
     def chi_square(cls, p: int) -> "RadialLaw":
         """Radial law of a Gaussian vector: chi-square with p df."""
-        dist = scipy.stats.chi2(p)
-        return cls("chi-square-p", p, density=dist.pdf,
-                   sampler=lambda rng, n: rng.chisquare(p, n))
+        # scipy's chi2(p).pdf, operation for operation
+        a, b, c = p / 2. - 1, gammaln(p / 2.), (np.log(2) * p) / 2.
+
+        def density(r):
+            r = np.asarray(r, dtype=float)
+            return np.exp(xlogy(a, r) - r / 2. - b - c)
+
+        return cls("chi-square-p", p, density)
 
     @classmethod
     def scaled_f(cls, p: int, nu: float) -> "RadialLaw":
         """Radial law of an elliptical t: R/p follows F(p, nu)."""
-        dist = scipy.stats.f(p, nu)
-        return cls(f"scaled-f-t:{nu:g}", p,
-                   density=lambda r: dist.pdf(np.asarray(r, dtype=float) / p) / p,
-                   sampler=lambda rng, n: p * rng.f(p, nu, n))
+        n, m = 1.0 * p, 1.0 * _positive(nu, "t degrees of freedom")
+        # scipy's f(p, nu).pdf(r / p) / p, operation for operation
+        a, b = m / 2 * np.log(m) + n / 2 * np.log(n), n / 2 - 1
+        c, d = (n + m) / 2, betaln(n / 2, m / 2)
 
-    @classmethod
-    def empirical(cls, samples, p: int) -> "RadialLaw":
-        return cls("empirical", p, samples=np.asarray(samples, dtype=float))
+        def density(r):
+            x = np.asarray(r, dtype=float) / p
+            return np.exp(a + xlogy(b, x) - (c * np.log(m + n * x) + d)) / p
+
+        return cls(f"scaled-f-t:{nu:g}", p, density)
 
     @classmethod
     def from_density(cls, density, p: int) -> "RadialLaw":
-        return cls("user-density", p, density=density)
+        return cls("user-density", p, density)
 
-    def _quad(self, fn) -> float:
+    def expect(self, fn) -> float:
+        """E[fn(R)] by adaptive quadrature over s in (0, 1), r = s/(1-s)."""
         def integrand(s):
-            r = s / (1.0 - s)
-            return fn(np.asarray([r]))[0] * self.density(np.asarray([r]))[0] / (1.0 - s) ** 2
+            r = np.asarray([s / (1.0 - s)])
+            return np.asarray(fn(r), dtype=float)[0] * self.density(r)[0] / (1.0 - s) ** 2
 
         val, _ = scipy.integrate.quad(integrand, 0.0, 1.0,
                                       epsabs=1e-12, epsrel=1e-11, limit=400)
         return val
-
-    def _mc_samples(self) -> np.ndarray:
-        if self.samples is not None:
-            return self.samples
-        rng = np.random.default_rng(_MC_FALLBACK_SEED)
-        return self.sampler(rng, _MC_FALLBACK_SIZE)
-
-    def expect(self, fn) -> float:
-        """E[fn(R)] by quadrature, or Monte Carlo without a density."""
-        if self.density is not None:
-            return self._quad(lambda r: np.asarray(fn(r), dtype=float))
-        return float(np.mean(fn(self._mc_samples())))
 
 
 def radial_for_family(family: str, p: int) -> RadialLaw:
@@ -247,7 +250,6 @@ class FitResult:
 
     mu: np.ndarray
     scatter: np.ndarray
-    scalars: Optional[AsymptoticScalars]
     iterations: int
     converged: bool
     residual: float
@@ -390,8 +392,7 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
                 sub = (X, mu, S) if len(conv) == len(X) else (X[conv], mu[conv], S[conv])
                 for i, r in zip(conv, _residual(*sub, spec, index)):
                     if r <= tol:
-                        out[live[i]] = FitResult(mu[i].copy(), S[i].copy(), None, it, True,
-                                                 float(r))
+                        out[live[i]] = FitResult(mu[i].copy(), S[i].copy(), it, True, float(r))
         if live.size:
             for r, res in zip(live, _residual(X, mu, S, spec, index)):
                 out[r] = ConvergenceError(f"{what} did not converge in {max_iter} iterations "
@@ -462,7 +463,7 @@ def plug_in_estimate(X, index: GraphIndex, spec: EstimatorSpec,
     """Unconstrained M-estimate followed by constrained completion."""
     fit = m_estimate(X, spec, tol=tol, max_iter=max_iter)
     S_P = constrain_scatter(fit.scatter, index, tol=completion_tol).matrix
-    return FitResult(fit.mu, S_P, None, fit.iterations, fit.converged, fit.residual)
+    return FitResult(fit.mu, S_P, fit.iterations, fit.converged, fit.residual)
 
 
 def sample_cov_scalars(kappa: float, p: Optional[int] = None) -> AsymptoticScalars:

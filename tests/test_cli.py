@@ -69,6 +69,18 @@ class TestFit:
         assert np.max(np.abs(S_plug - S_graph)) <= 10.0 / np.sqrt(len(f["X"]))
         assert payload["scalars"]["sigma1"] > 1.0
 
+    @pytest.mark.parametrize("estimator,what", [("t:abc", "t degrees of freedom"),
+                                                ("huber:x", "huber threshold")])
+    def test_unparsable_estimator_parameter_exit_1(self, cycle4_files, capsys, estimator, what):
+        f = cycle4_files
+        rc = cli.main(["fit", "--data", str(f["data"]), "--graph", str(f["graph"]),
+                       "--estimator", estimator])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"egm: {what} in '{estimator}' is not a number; "
+                                "accepted forms are gaussian, t:NU and huber:K\n")
+
     def test_sorted_stable_json(self, cycle4_files, capsys):
         f = cycle4_files
         argv = ["fit", "--data", str(f["data"]), "--graph", str(f["graph"]),

@@ -296,6 +296,12 @@ class TestScatterAcov:
         with pytest.raises(PreconditionError):
             scatter_acov(np.eye(4), AsymptoticScalars(1.0, -0.6))
 
+    @pytest.mark.parametrize("scalars", [(np.nan, 0.0, 1.0), (1.0, np.nan, 1.0), (1.0, 0.0, np.nan),
+                                         (np.inf, 0.0, 1.0), (1.0, -np.inf, 1.0), (1.0, 0.0, np.inf)])
+    def test_non_finite_scalars_rejected(self, scalars):
+        with pytest.raises(PreconditionError, match="must be finite"):
+            AsymptoticScalars(*scalars)
+
     def test_matches_monte_carlo_gaussian(self):
         # MC covariance of sqrt(n) vec(cov_hat - I) at n=5000, p=3.
         p, n, reps = 3, 5000, 1500

@@ -12,7 +12,7 @@ from egm.errors import (
     SampleSizeError,
 )
 from egm.graphs import Graph, build_index
-from egm.inference import chordless_cycle_shape
+from egm.inference import chordless_cycle_shape, deviance
 from egm.linops import duplication_matrix, mat
 from egm.mest import (
     EstimatorSpec,
@@ -28,7 +28,7 @@ from egm.mest import (
     scalars_for,
 )
 from egm.mest import _solve
-from egm.simulate import EllipticalModel, _run_chunk, sample
+from egm.simulate import EllipticalModel, _run_chunk, deviance_null_study, sample
 
 from _oracles import hg_optimization_oracle, plain_fixed_point
 
@@ -71,6 +71,14 @@ class TestSpecs:
         with pytest.raises(PreconditionError, match="finite"):
             make_spec(text, 3)
 
+    @pytest.mark.parametrize("text,what", [("t:abc", "t degrees of freedom"),
+                                           ("huber:x", "huber threshold"),
+                                           ("huber:", "huber threshold")])
+    def test_parameter_not_a_number(self, text, what):
+        with pytest.raises(PreconditionError, match=f"{what} in '{text}' is not a number; "
+                                                    "accepted forms are gaussian, t:NU and huber:K"):
+            make_spec(text, 3)
+
     def test_huber_consistency_constant(self):
         # quadrature constant vs the chi-square identity
         # E[min(R, a)] = p F_{p+2}(a) + a (1 - F_p(a)) under chi2_p
@@ -91,6 +99,14 @@ class TestSpecs:
     @pytest.mark.parametrize("name", ["gaussian", "t:5", "t:8", "huber:1.345", "huber:2.0"])
     def test_builtin_monotonicity(self, name):
         make_spec(name, 4).check_monotone()
+
+    def test_nan_weights_fail_monotonicity(self):
+        nan = EstimatorSpec("nan", lambda s: np.full_like(np.asarray(s, float), np.nan),
+                            lambda s: np.full_like(np.asarray(s, float), np.nan))
+        with pytest.raises(PreconditionError, match="not non-increasing"):
+            nan.check_monotone()
+        with pytest.raises(PreconditionError):
+            m_scalars(nan, RadialLaw.chi_square(3), 3)
 
     def test_monotonicity_violation_detected(self):
         bad = EstimatorSpec("bad", lambda s: np.asarray(s, float),
@@ -119,20 +135,32 @@ class TestRadialLaws:
         law = RadialLaw.scaled_f(p, nu)
         assert abs(law.expect(lambda r: r) - p * nu / (nu - 2.0)) < 1e-8
 
-    def test_empirical_expectation(self):
-        samples = np.random.default_rng(1).chisquare(4, 200_000)
-        law = RadialLaw.empirical(samples, 4)
-        assert abs(law.expect(lambda r: r) - samples.mean()) < 1e-12
+    @pytest.mark.parametrize("nu", [-1.0, 0.0, np.nan])
+    def test_scaled_f_rejects_bad_degrees_of_freedom(self, nu):
+        with pytest.raises(PreconditionError, match="t degrees of freedom"):
+            RadialLaw.scaled_f(3, nu)
 
-    def test_sampler_only_monte_carlo_fallback(self):
-        law = RadialLaw("custom", 3, sampler=lambda rng, n: rng.chisquare(3, n))
-        assert abs(law.expect(lambda r: r) - 3.0) < 0.02
+    def test_chi_square_rejects_dimension_zero(self):
+        with pytest.raises(PreconditionError, match="p >= 1"):
+            RadialLaw.chi_square(0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_nan_density_rejected(self):
+        # abs(nan - 1) > tol is False, so the check must be written to fail on NaN
+        with pytest.raises(PreconditionError, match="integrates to nan"):
+            RadialLaw.from_density(lambda r: np.full_like(r, np.nan), 3)
 
     def test_family_parsing(self):
         assert radial_for_family("gaussian", 3).kind == "chi-square-p"
         assert radial_for_family("t:5", 3).kind.startswith("scaled-f")
         with pytest.raises(PreconditionError):
             radial_for_family("cauchy", 3)
+
+    @pytest.mark.parametrize("family", ["t:", "t:abc"])
+    def test_family_parameter_not_a_number(self, family):
+        with pytest.raises(PreconditionError, match=r"t degrees of freedom in .* is not a number; "
+                                                    "accepted forms are gaussian, t:NU and huber:K"):
+            radial_for_family(family, 3)
 
     @pytest.mark.parametrize("family", ["t:nan", "t:inf", "t:0", "t:-2"])
     def test_family_parameter_finite_and_positive(self, family):
@@ -141,6 +169,57 @@ class TestRadialLaws:
         for spec in ("gaussian", "t:5"):
             with pytest.raises(PreconditionError):
                 scalars_for(make_spec(spec, 3), family, 3)
+
+
+class TestScipyStatsParity:
+    """The distribution functions egm evaluates from scipy.special equal, bit
+    for bit, the scipy.stats calls they replace; scipy.stats is the oracle."""
+
+    GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 400)])
+
+    def assert_density(self, law, expected):
+        assert np.array_equal(law.density(self.GRID), expected)
+        # one point at a time, as the quadrature evaluates it
+        assert np.array_equal([law.density(np.array([r]))[0] for r in self.GRID], expected)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 10, 30])
+    def test_chi_square_density(self, p):
+        self.assert_density(RadialLaw.chi_square(p), scipy.stats.chi2(p).pdf(self.GRID))
+
+    @pytest.mark.parametrize("p", [1, 3, 5, 10])
+    @pytest.mark.parametrize("nu", [1.0, 2.5, 5.0, 30.0])
+    def test_scaled_f_density(self, p, nu):
+        self.assert_density(RadialLaw.scaled_f(p, nu),
+                            scipy.stats.f(p, nu).pdf(self.GRID / p) / p)
+
+    @pytest.mark.parametrize("p", [1, 3, 5, 10, 30])
+    @pytest.mark.parametrize("k", [0.5, 1.345, 2.5])
+    def test_huber_constant(self, p, k):
+        k2 = k * k
+        c = p / (p * scipy.stats.chi2.cdf(k2, p + 2) + k2 * scipy.stats.chi2.sf(k2, p))
+        assert make_spec(f"huber:{k}", p).params["c"] == c
+
+    @pytest.mark.parametrize("graph1", [Graph.complete(5), Graph.cycle(5).with_edge(1, 3)],
+                             ids=["complete", "chord"])
+    def test_deviance_p_value(self, graph1):
+        _, S = chordless_cycle_shape(5, -0.3)
+        i0, i1 = build_index(Graph.cycle(5)), build_index(graph1)
+        S_hat = S + 0.05 * np.ones((5, 5))  # off the null pattern
+        for sigma1 in [*np.geomspace(1e-3, 1e3, 25), 1.0]:
+            rep = deviance(S_hat, i0, i1, 200, sigma1=sigma1)
+            assert rep.p_value == float(scipy.stats.chi2.sf(rep.statistic, rep.df))
+        assert deviance(S, i0, i1, 200).p_value == float(scipy.stats.chi2.sf(0.0, i0.q - i1.q))
+
+    @pytest.mark.parametrize("graph1", [Graph.complete(5), Graph.cycle(5).with_edge(1, 3)],
+                             ids=["complete", "chord"])
+    def test_null_study_reference_quantiles(self, graph1):
+        _, S = chordless_cycle_shape(5, -0.3)
+        i0, i1 = build_index(Graph.cycle(5)), build_index(graph1)
+        rep = deviance_null_study(i0, i1, EllipticalModel(np.zeros(5), S, "gaussian"),
+                                  make_spec("gaussian", 5), n=50, replicates=3, seed=5)
+        df = rep.summary["df"]
+        assert rep.summary["reference_quantiles"] == {
+            str(q): float(scipy.stats.chi2.ppf(q, df)) for q in (0.5, 0.9, 0.95, 0.99)}
 
 
 class TestMEstimate:
@@ -381,6 +460,12 @@ class TestScalars:
         x = np.random.default_rng(404).standard_t(10, 2_000_000)
         assert abs(scipy.stats.kurtosis(x) - 1.0) < 0.05
         sample_cov_scalars(1.0, p=3)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_mle_nan_expectation_rejected(self):
+        # NaN fails no comparison, so only a finiteness check stops it
+        with pytest.raises(PreconditionError, match="must be finite"):
+            mle_scalars(RadialLaw.chi_square(3), lambda y: np.full_like(np.asarray(y, float), np.nan), 3)
 
     def test_mle_gaussian_closed_form(self):
         s = mle_scalars(RadialLaw.chi_square(4), lambda y: -0.5 * np.ones_like(np.asarray(y, float)), 4)

@@ -56,10 +56,6 @@ class TestEllipticalModel:
         EllipticalModel(MU3, S3, "gaussian")
         assert calls == []
 
-    def test_radial_kinds(self):
-        assert EllipticalModel(MU3, S3, "gaussian").radial.kind == "chi-square-p"
-        assert EllipticalModel(MU3, S3, "t:5").radial.kind.startswith("scaled-f")
-
 
 class TestSample:
     def test_deterministic(self):
