@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     SampleSizeError,
 )
-from .graphs import Graph, GraphIndex, build_index, is_chordal, maximal_cliques, read_graph
+from .graphs import Graph, GraphIndex, build_index, is_chordal, read_graph
 from .inference import (
     AreResult,
     DevianceReport,

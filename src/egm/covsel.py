@@ -2,15 +2,16 @@
 
 Given an SPD matrix A and a graph G, :func:`constrain_scatter` computes
 the unique SPD matrix that agrees with A on edges and the diagonal while
-its inverse vanishes on the absent edges.  The solver is clique-wise
-iterative proportional scaling on the concentration matrix, which
-converges for arbitrary (also non-decomposable) graphs.  It runs on
-(R, p, p) stacks, so M-estimation and the studies complete many matrices
-per LAPACK call; each slice stops sweeping when it would stop alone, and
-a single completion is a stack of one.  A slice that runs out of sweeps
-gets its own ConvergenceError while the others go on; any other failure,
-such as a non-SPD input or a lost definiteness, raises for the whole
-stack, with the error the failing slice raises alone.
+its inverse vanishes on the absent edges.  The solver is node-wise
+regression on the scatter matrix, which converges for arbitrary (also
+non-decomposable) graphs and reads only the graph's edge-and-diagonal
+mask.  It runs on (R, p, p) stacks, with one graph for the stack or one
+per slice, so M-estimation, the search, the deviance and the studies
+complete many matrices per LAPACK call; each slice stops sweeping when
+it would stop alone, and a single completion is a stack of one.  A slice
+that runs out of sweeps gets its own ConvergenceError while the others go
+on; any other failure, such as a non-SPD input or a lost definiteness,
+raises for the whole stack, with the error the failing slice raises alone.
 
 The analytic derivative of that map and the asymptotic covariances built
 from it are dense p^2 x p^2 (resp. (m-q) x (m-q)) matrices, assembled from
@@ -27,7 +28,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConvergenceError, DimensionError, PreconditionError, _results
 from .graphs import GraphIndex
-from .linops import check_spd, spd_inverse, vec
+from .linops import _has_cholesky, check_spd, spd_inverse, vec
 
 __all__ = [
     "AsymptoticScalars",
@@ -90,12 +91,18 @@ class ConstrainedFit:
     condition_warning: bool = False
 
 
-def _residual(Sigma, Kmat, A, index: GraphIndex) -> np.ndarray:
-    """Max-abs violation of the two defining conditions, per slice of the stacks."""
-    res = np.max(np.abs((Sigma - A)[:, index.k_mask]), axis=1)
-    if index.d_mask.any():
-        res = np.maximum(res, np.max(np.abs(Kmat[:, index.d_mask]), axis=1))
-    return res
+def _residual(Sigma, Kmat, A, k_mask) -> np.ndarray:
+    """Max-abs violation of the two defining conditions, per slice of the
+    stacks, for a (p, p) or (R, p, p) edge-and-diagonal mask."""
+    return np.where(k_mask, np.abs(Sigma - A), np.abs(Kmat)).max(axis=(1, 2))
+
+
+def _check_budget(tol, max_iter: int, unit: str) -> None:
+    """PreconditionError unless every tol is finite and > 0 and max_iter >= 1."""
+    if not np.all((np.asarray(tol) > 0) & np.isfinite(tol)):
+        raise PreconditionError(f"tol must be finite and > 0, got {tol}")
+    if max_iter < 1:
+        raise PreconditionError(f"a budget of at least one {unit} is needed, got {max_iter}")
 
 
 def constrain_scatter(A, index: GraphIndex, tol: float = 1e-10,
@@ -109,9 +116,10 @@ def constrain_scatter(A, index: GraphIndex, tol: float = 1e-10,
     index : GraphIndex
         Graph machinery from :func:`egm.graphs.build_index`.
     tol : float
-        Bound on the max-abs violation of the defining conditions.
+        Bound on the max-abs violation of the defining conditions and on
+        the max-abs change of the last sweep.
     max_iter : int
-        Maximum number of full clique sweeps.
+        Maximum number of full sweeps over the vertices.
 
     Returns
     -------
@@ -127,96 +135,98 @@ def constrain_scatter(A, index: GraphIndex, tol: float = 1e-10,
 
     Notes
     -----
-    One sweep updates, for every maximal clique C, the C-block of the
-    concentration matrix so that the implied scatter marginal matches
-    A on C.  The concentration iterate keeps exact zeros at absent-edge
-    positions throughout, so only the entry-match part of the residual
-    is ever nonzero.
+    One sweep visits every vertex j in turn, solves W_nn b = A_nj on its
+    neighbours n in the current scatter W and sets the off-diagonal row
+    and column j of W to W b (Hastie, Tibshirani & Friedman, ESL 2nd ed.,
+    Alg. 17.1).  This keeps diag(W) = diag(A), matches A on j's edges and
+    zeroes the implied concentration row off them; it converges for any
+    graph, also non-decomposable (Speed & Kiiveri 1986), without a clique.
     """
-    fit, = _results(_complete(check_spd(A)[None], index, tol, max_iter))
+    fit, = _results(_complete(check_spd(A)[None], index.k_mask, tol, max_iter))
     return fit
 
 
-def _complete(A, index: GraphIndex, tol: float, max_iter: int = 10_000) -> list:
+def _complete(A, k_mask, tol: float, max_iter: int = 10_000) -> list:
     """:func:`constrain_scatter` on each slice of an (R, p, p) stack, with its
-    checks, warning and early exits; one ConstrainedFit, or the
-    ConvergenceError of a slice that runs out of sweeps, per slice.  One IPS
-    call serves the whole stack."""
-    if A.shape[1:] != (index.p, index.p):
-        raise PreconditionError(f"matrix is {A.shape[1:]} but the graph has p={index.p}")
-    A = check_spd(A)
+    checks, warning and early exits, under ``k_mask``: one (p, p) graph or
+    one per slice.  One ConstrainedFit, or the ConvergenceError of a slice
+    that runs out of sweeps, per slice; one kernel call serves the stack."""
+    _check_budget(tol, max_iter, "sweep")
+    if A.shape[1:] != k_mask.shape[-2:]:
+        raise PreconditionError(f"matrix is {A.shape[1:]} but the graph has p={k_mask.shape[-1]}")
+    A, k_mask = check_spd(A), np.broadcast_to(k_mask, A.shape)
     cond = np.linalg.cond(A) > COND_WARN
     for _ in range(np.count_nonzero(cond)):
         warnings.warn("input matrix has condition number above 1e12", RuntimeWarning)
     # a complete graph, or a compliant input, is its own completion
-    if index.q == 0:
-        res0, done = np.zeros(len(A)), np.full(len(A), True)
-    else:
-        res0 = _residual(A, spd_inverse(A), A, index)
-        done = res0 <= tol
+    res0 = _residual(A, spd_inverse(A), A, k_mask)
+    done = res0 <= tol
     out = [ConstrainedFit(A[i].copy(), 0, float(res0[i]), [float(res0[i])], bool(cond[i]))
            if done[i] else None for i in range(len(A))]
     todo = np.flatnonzero(~done)
     if todo.size:
-        _, W, history, errors = _ips(A[todo], index, tol, max_iter)
+        W, history, errors = _nodewise(A[todo], k_mask[todo], tol, max_iter)
         for i, t in enumerate(todo):
             out[t] = errors.get(i) or ConstrainedFit(
                 W[i], len(history[i]), history[i][-1], history[i], bool(cond[t]))
     return out
 
 
-def _ips(A, index: GraphIndex, tol, max_iter: int = 10_000, start=None):
-    """Clique sweeps (see :func:`constrain_scatter`) on an (R, p, p) stack
-    until each slice's residual is within its ``tol`` (a scalar or one per
-    slice); a slice stops sweeping once it is.  ``start`` is a pair of
-    stacks, concentrations with exact zeros on the absent edges and their
-    inverses, by default the diagonal of A.
+def _nodewise(A, k_mask, tol, max_iter: int = 10_000, start=None):
+    """Node-wise regression sweeps (see :func:`constrain_scatter`) on an
+    (R, p, p) stack under ``k_mask``, one (p, p) graph or one per slice;
+    a slice stops once its residual and its last sweep's change are within
+    its ``tol`` (a scalar or one per slice).  Sweeps start from A, or from
+    ``start`` rescaled by a diagonal congruence to A's diagonal and given
+    A's edges where that keeps it positive definite: from such a start
+    each vertex update maximizes log det W over the vertex's non-edge
+    entries, so W stays positive definite.
 
-    Returns the stacks K and W = K^{-1}, one residual history per slice,
-    and {slice: ConvergenceError} for the slices that ran out of sweeps,
-    whose K and W are the last sweep's.  A lost definiteness raises.
+    Returns the stack W, one residual history per slice and {slice:
+    ConvergenceError} for the slices that ran out of sweeps (W is then the
+    last sweep's).  A lost definiteness raises.
     """
-    if max_iter < 1:
-        raise PreconditionError(f"completion needs a budget of at least one sweep, got {max_iter}")
-    R, p = len(A), index.p
+    _check_budget(tol, max_iter, "sweep")
+    R, p = A.shape[:2]
     tols = np.broadcast_to(np.asarray(tol, dtype=float), (R,))
-    if start is None:
-        d, diag = np.diagonal(A, axis1=1, axis2=2), np.arange(p)
-        start = np.zeros_like(A), np.zeros_like(A)
-        start[0][:, diag, diag] = 1.0 / d
-        start[1][:, diag, diag] = d
-    K, W = start[0].copy(), start[1]
-    # the clique marginals of A stay fixed, so each is inverted once
-    A_inv = [spd_inverse(A[:, C[:, None], C]) for C in index.cliques]
-    K_out, W_out = np.empty_like(A), np.empty_like(A)
+    k_mask = np.broadcast_to(k_mask, A.shape)
+    W = A.copy()
+    if start is not None:
+        d = np.sqrt(np.diagonal(A, axis1=1, axis2=2) / np.diagonal(start, axis1=1, axis2=2))
+        warm = np.where(k_mask, A, start * d[:, :, None] * d[:, None, :])
+        ok = _has_cholesky(warm)
+        W[ok] = warm[ok]
+    W_out = np.empty_like(A)
     history, live, tol = [[] for _ in range(R)], np.arange(R), tols
+    # the others of each vertex, and the identity that pads a non-neighbour
+    others = [np.delete(np.arange(p), j) for j in range(p)]
+    eye = np.eye(p - 1)
     for _ in range(max_iter):
         if not live.size:
             break
-        for C, Ainv in zip(index.cliques, A_inv):
-            Wcc = W[:, C[:, None], C]
-            delta = Ainv - spd_inverse(Wcc)
-            K[:, C[:, None], C] += delta
-            # Woodbury update of W = K^{-1}; the (I + delta Wcc) form
-            # avoids inverting a possibly tiny delta.
-            WU = W[:, :, C]
-            M = np.linalg.solve(np.eye(len(C)) + delta @ Wcc, delta)
-            W = W - WU @ M @ WU.mT
-        # refresh the inverse once per sweep to stop Woodbury drift
-        W = spd_inverse(K)
-        res = _residual(W, K, A, index)
+        last = W.copy()
+        for j, o in enumerate(others):
+            W11 = W[:, o[:, None], o]
+            nb = k_mask[:, o, j]
+            M = np.where(nb[:, :, None] & nb[:, None, :], W11, eye)
+            beta = np.linalg.solve(M, np.where(nb, A[:, o, j], 0.0)[..., None])[..., 0]
+            # an elementwise product keeps every slice's bits its own
+            w12 = (W11 * beta[:, None, :]).sum(axis=-1)
+            W[:, o, j] = W[:, j, o] = w12
+        res = _residual(W, spd_inverse(W), A, k_mask)
         for r, x in zip(live, res):
             history[r].append(float(x))
-        done = res <= tol
+        # the sweep's change bounds the distance to the completion, which a
+        # small inverse-pattern residual alone does not
+        done = (res <= tol) & (np.abs(W - last).max(axis=(1, 2)) <= tol)
         if done.any():
-            K_out[live[done]], W_out[live[done]] = K[done], W[done]
-            live, A, tol, K, W = live[~done], A[~done], tol[~done], K[~done], W[~done]
-            A_inv = [x[~done] for x in A_inv]
-    K_out[live], W_out[live] = K, W
+            W_out[live[done]] = W[done]
+            live, A, tol, W, k_mask = (x[~done] for x in (live, A, tol, W, k_mask))
+    W_out[live] = W
     errors = {r: ConvergenceError(
         f"constrained completion did not reach tol={float(tols[r])} in {max_iter} "
         f"sweeps (last residual {history[r][-1]:.3e})", residual=history[r][-1]) for r in live}
-    return K_out, W_out, history, errors
+    return W_out, history, errors
 
 
 def _pair(T, rows, cols) -> np.ndarray:

@@ -1,14 +1,14 @@
 """Undirected graphs and the index machinery for constrained scatter.
 
 Vertices are labeled 1..p at the boundary (``Graph``, graph files,
-reported edges, :func:`maximal_cliques`); everything a solver reads is
-0-based.  A graph splits the lower triangle (diagonal included) of a
-p x p matrix into
+reported edges); everything a solver reads is 0-based.  A graph splits
+the lower triangle (diagonal included) of a p x p matrix into
 
 * ``K``: the diagonal and the edges, and
 * ``D``: the absent edges,
 
-held as vec positions plus boolean masks.
+held as vec positions plus boolean masks.  The completion reads only the
+edge-and-diagonal mask, so no clique is ever enumerated.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "GraphIndex",
     "build_index",
     "is_chordal",
-    "maximal_cliques",
     "read_graph",
     "parse_graph",
     "write_graph",
@@ -108,7 +107,6 @@ class GraphIndex:
     ``D`` and ``K`` are the 0-based vec positions j * p + i (i >= j) of the
     absent edges and of the edges plus diagonal, in v(A) order; ``k_mask``
     and ``d_mask`` mark the same entries, both triangles, as p x p masks.
-    ``cliques`` holds the maximal cliques as 0-based vertex arrays.
     Identity comparison only (the array fields make value equality
     ill-defined).
     """
@@ -116,7 +114,6 @@ class GraphIndex:
     graph: Graph
     D: np.ndarray
     K: np.ndarray
-    cliques: tuple
     k_mask: np.ndarray = field(repr=False)
     d_mask: np.ndarray = field(repr=False)
 
@@ -139,15 +136,14 @@ class GraphIndex:
 
 
 def build_index(G: Graph) -> GraphIndex:
-    """Split the lower triangle into D(G)/K(G) and enumerate the cliques."""
+    """Split the lower triangle into D(G)/K(G)."""
     p = G.p
     k_mask = np.eye(p, dtype=bool)
     for a, b in G.edges:
         k_mask[a - 1, b - 1] = k_mask[b - 1, a - 1] = True
     j, i = np.triu_indices(p)  # the lower triangle in v(A) order
     v, on_k = j * p + i, k_mask[i, j]
-    cliques = tuple(np.array(c) - 1 for c in maximal_cliques(G))
-    return GraphIndex(G, v[~on_k], v[on_k], cliques, k_mask, ~k_mask)
+    return GraphIndex(G, v[~on_k], v[on_k], k_mask, ~k_mask)
 
 
 def is_chordal(G: Graph) -> bool:
@@ -184,34 +180,6 @@ def is_chordal(G: Graph) -> bool:
     return True
 
 
-def maximal_cliques(G: Graph) -> list:
-    """All maximal cliques (Bron-Kerbosch with pivoting), 1-based labels.
-
-    Exact enumeration; exponential in the worst case, which is fine for
-    the sparse graphs at the dimensions this package targets.  Isolated
-    vertices appear as singleton cliques.
-    """
-    adj = {v: set() for v in range(1, G.p + 1)}
-    for a, b in G.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-
-    out = []
-
-    def expand(R, P, X):
-        if not P and not X:
-            out.append(tuple(sorted(R)))
-            return
-        pivot = max(P | X, key=lambda u: len(P & adj[u]))
-        for v in sorted(P - adj[pivot]):
-            expand(R | {v}, P & adj[v], X & adj[v])
-            P = P - {v}
-            X = X | {v}
-
-    expand(set(), set(adj), set())
-    return sorted(out)
-
-
 def parse_graph(text: str) -> Graph:
     """Parse the plain-text graph format.
 
@@ -229,14 +197,21 @@ def parse_graph(text: str) -> Graph:
         if p is None:
             if len(parts) != 2 or parts[0] != "p":
                 raise DimensionError(f"line {lineno}: expected 'p <integer>', got {raw!r}")
-            p = int(parts[1])
+            p, = _integers(parts[1:], lineno, raw)
             continue
         if len(parts) != 2:
             raise DimensionError(f"line {lineno}: expected 'i j', got {raw!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append(tuple(_integers(parts, lineno, raw)))
     if p is None:
         raise DimensionError("graph file has no 'p <integer>' line")
     return Graph.from_edges(p, edges)
+
+
+def _integers(words, lineno: int, raw: str) -> list:
+    try:
+        return [int(w) for w in words]
+    except ValueError:
+        raise DimensionError(f"line {lineno}: expected integers, got {raw!r}") from None
 
 
 def read_graph(path) -> Graph:

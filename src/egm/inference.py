@@ -19,13 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import chdtrc
 
-from .covsel import (
-    AsymptoticScalars,
-    _complete,
-    constrain_scatter,
-    edge_basis_gram,
-    pattern_violation,
-)
+from .covsel import AsymptoticScalars, _complete, edge_basis_gram, pattern_violation
 from .errors import (
     ConvergenceError,
     DefinitenessError,
@@ -36,7 +30,8 @@ from .errors import (
 )
 from .graphs import Graph, GraphIndex, build_index
 from .linops import check_spd, spd_inverse
-from .mest import EstimatorSpec, _positive, graphical_m_estimate, m_estimate, scalars_for
+from .mest import (EstimatorSpec, _positive, _validate_data, graphical_m_estimate, m_estimate,
+                   scalars_for)
 
 __all__ = [
     "DevianceReport",
@@ -105,6 +100,8 @@ def deviance(S_hat, index0: GraphIndex, index1: GraphIndex, n: int,
     zero pattern.
     """
     _check_nesting(index0, index1, sigma1)
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise PreconditionError(f"sample size n must be an integer >= 1, got {n!r}")
     S_hat = check_spd(S_hat)
     stat, = _deviance_stack(S_hat[None], index0, index1, n, sigma1, completion_tol)
     df = index0.q - index1.q
@@ -127,9 +124,11 @@ def _deviance_stack(S, index0: GraphIndex, index1: GraphIndex, n: int,
                     sigma1: float, completion_tol: float) -> list:
     """The clamped deviance statistic of each slice of an (R, p, p) stack of
     scatter estimates, for graphs already checked to be properly nested;
-    raises what :func:`deviance` raises for the first slice that fails."""
-    ld = [_logdet(np.array([f.matrix for f in _results(_complete(S, index, completion_tol))]))
-          for index in (index0, index1)]
+    raises what :func:`deviance` raises for the first slice that fails.
+    One completion call serves both graphs."""
+    masks = np.repeat(np.array([index0.k_mask, index1.k_mask]), len(S), axis=0)
+    fits = _results(_complete(np.concatenate([S, S]), masks, completion_tol))
+    ld = _logdet(np.array([f.matrix for f in fits])).reshape(2, -1)
     return [max(0.0, n * (float(a) - float(b)) / sigma1) for a, b in zip(*ld)]
 
 
@@ -158,15 +157,16 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
     removal from the current graph and deletes the edge with the
     smallest deviance, unless that deviance is already significant at
     level ``alpha``.  By default the unconstrained estimate is computed
-    once and candidates are scored by constrained completion of it;
-    ``refit=True`` refits the graphical M-estimator per candidate
-    instead (slow, for comparison).
+    once, and one stacked completion of it scores all candidates of a
+    step, each under the current graph's mask with its edge cleared;
+    ``refit=True`` refits the graphical M-estimator per candidate instead
+    (slow, for comparison).
 
     Returns the final graph and a per-step audit trail.
     """
     if not 0.0 <= alpha <= 1.0:
         raise PreconditionError(f"alpha must be in [0, 1], got {alpha}")
-    X = np.asarray(X, dtype=float)
+    X = _validate_data(X)
     n, p = X.shape
     s1 = resolve_sigma1(spec, p, sigma1, family)
 
@@ -178,38 +178,49 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
         raise
     S = fit.scatter
 
-    def logdet_for(graph: Graph) -> float:
-        index = build_index(graph)
+    def removals(graph, mask):
+        """(edge, log-determinant or ConvergenceError) of each removal from ``graph``."""
+        edges = graph.sorted_edges()
         if refit:
-            return float(_logdet(graphical_m_estimate(X, index, spec, tol=tol).scatter))
-        return float(_logdet(constrain_scatter(S, index, tol=completion_tol).matrix))
+            for e in edges:
+                try:
+                    index = build_index(graph.without_edge(*e))
+                    yield e, float(_logdet(graphical_m_estimate(X, index, spec, tol=tol).scatter))
+                except ConvergenceError as exc:
+                    yield e, exc
+            return
+        masks = np.repeat(mask[None], len(edges), axis=0)
+        for r, (a, b) in enumerate(edges):
+            masks[r, a - 1, b - 1] = masks[r, b - 1, a - 1] = False
+        fits = _complete(np.broadcast_to(S, masks.shape), masks, completion_tol)
+        for e, f in zip(edges, fits):
+            yield e, f if isinstance(f, ConvergenceError) else float(_logdet(f.matrix))
 
-    current = Graph.complete(p)
-    ld_cur = logdet_for(current)
+    # the complete graph's completion, or graphical fit, is the estimate itself
+    current, k_mask, ld_cur = Graph.complete(p), np.ones((p, p), dtype=bool), float(_logdet(S))
     steps = []
     while current.edges:
         best = None
-        for e in current.sorted_edges():
-            try:
-                ld = logdet_for(current.without_edge(*e))
-            except ConvergenceError as exc:
+        for e, ld in removals(current, k_mask):
+            if isinstance(ld, ConvergenceError):
                 # keep the audit trail of the steps completed so far
                 wrapped = ConvergenceError(
                     f"estimator failed at step {len(steps) + 1} while testing "
-                    f"removal of edge {e}: {exc}", residual=exc.residual)
+                    f"removal of edge {e}: {ld}", residual=ld.residual)
                 wrapped.steps = steps
                 wrapped.graph = current
-                raise wrapped from exc
+                raise wrapped from ld
             stat = max(0.0, n * (ld - ld_cur) / s1)
             if best is None or (stat, e) < (best[0], best[1]):
                 best = (stat, e, ld)
-        stat, edge, ld = best
+        stat, (a, b), ld = best
         p_value = float(chdtrc(1, stat))
         if p_value <= alpha:
             break
-        current = current.without_edge(*edge)
+        current = current.without_edge(a, b)
+        k_mask[a - 1, b - 1] = k_mask[b - 1, a - 1] = False
         ld_cur = ld
-        steps.append({"removed_edge": list(edge), "deviance_delta": stat, "p_value": p_value})
+        steps.append({"removed_edge": [a, b], "deviance_delta": stat, "p_value": p_value})
     return current, steps
 
 

@@ -84,6 +84,14 @@ def spd_inverse(A) -> np.ndarray:
     return 0.5 * (out + out.mT)
 
 
+def _has_cholesky(S) -> np.ndarray:
+    """Per slice of a stack: does it have a finite Cholesky factor?"""
+    try:
+        return np.isfinite(np.linalg.cholesky(S)).all(axis=(1, 2))
+    except np.linalg.LinAlgError:  # raised for the whole stack, so split it
+        return np.array([len(S) > 1 and _has_cholesky(s[None])[0] for s in S])
+
+
 def vec(A) -> np.ndarray:
     """Stack the columns of ``A`` into one vector (column-major)."""
     A = np.asarray(A, dtype=float)

@@ -32,7 +32,7 @@ import scipy.integrate
 import scipy.optimize
 from scipy.special import betaln, chdtr, chdtrc, gammaln, xlogy
 
-from .covsel import AsymptoticScalars, _complete, _ips, constrain_scatter
+from .covsel import AsymptoticScalars, _check_budget, _complete, _nodewise, constrain_scatter
 from .errors import (
     ConvergenceError,
     DefinitenessError,
@@ -43,6 +43,7 @@ from .errors import (
     _results,
 )
 from .graphs import GraphIndex
+from .linops import _has_cholesky
 
 __all__ = [
     "EstimatorSpec",
@@ -319,14 +320,6 @@ def _extrapolate(theta0, theta1, theta2):
     return np.where(ok[:, None], mu, m2), np.where(ok[:, None, None], S, S2)
 
 
-def _has_cholesky(S) -> np.ndarray:
-    """Per slice of a stack: does it have a finite Cholesky factor?"""
-    try:
-        return np.isfinite(np.linalg.cholesky(S)).all(axis=(1, 2))
-    except np.linalg.LinAlgError:  # raised for the whole stack, so split it
-        return np.array([len(S) > 1 and _has_cholesky(s[None])[0] for s in S])
-
-
 def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
            index: Optional[GraphIndex] = None) -> list:
     """Fixed-point iteration of the M-estimating equations, accelerated by
@@ -334,19 +327,20 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
     constrained to the graph of ``index`` when that graph has an absent edge.
 
     The map reweights location and scatter at its input; under a graph it
-    then completes the weighted scatter by IPS, started from the previous
-    completion, to an inner tolerance that follows the outer progress down
-    to one hundredth of ``tol``.  After every second map evaluation the
-    iterate is extrapolated (:func:`_extrapolate`).  Each map output is
-    tested for convergence, its change from the previous output and then
-    its residual, so an estimate is always a map output.  A slice leaves
-    the stack once it converges or runs out of budget (``max_iter`` map
-    evaluations, or the sweeps of a completion), so it takes exactly the
-    evaluations it would take alone.  Returns one FitResult, or the
-    ConvergenceError of an exhausted budget, per slice.  Any other failure
-    raises for the whole stack; a lost definiteness raises ConvergenceError
-    naming the evaluation.
+    then completes the weighted scatter (:func:`egm.covsel._nodewise`),
+    started from the previous completion, to an inner tolerance that
+    follows the outer progress down to one hundredth of ``tol``.  After
+    every second map evaluation the iterate is extrapolated
+    (:func:`_extrapolate`).  Each map output is tested for convergence, its
+    change from the previous output and then its residual, so an estimate
+    is always a map output.  A slice leaves the stack once it converges or
+    runs out of budget (``max_iter`` map evaluations, or the sweeps of a
+    completion), so it takes exactly the evaluations it would take alone.
+    Returns one FitResult, or the ConvergenceError of an exhausted budget,
+    per slice.  Any other failure raises for the whole stack; a lost
+    definiteness raises ConvergenceError naming the evaluation.
     """
+    _check_budget(tol, max_iter, "iteration")
     R, n, p = X.shape
     what = "M-estimation" if index is None else "graphical M-estimation"
     if index is not None and index.q == 0:
@@ -356,9 +350,9 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
         mu = X.mean(axis=1)
         Xc = X - mu[:, None, :]
         S = Xc.mT @ Xc / n
-        K, W, change = None, None, np.full(R, np.inf)
+        W, change = None, np.full(R, np.inf)
         if index is not None:
-            fits = _complete(S, index, 1e-2 * tol)
+            fits = _complete(S, index.k_mask, 1e-2 * tol)
             out = [f if isinstance(f, ConvergenceError) else None for f in fits]
             S = np.array([f.matrix if o is None else s for s, f, o in zip(S, fits, out)])
         live = np.arange(R)  # the data set of each slice of the stacks
@@ -368,7 +362,7 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
             keep = np.array([out[r] is None for r in live], dtype=bool)
             if not keep.all():
                 live, X, mu, S, change = live[keep], X[keep], mu[keep], S[keep], change[keep]
-                K, W = (None, None) if K is None else (K[keep], W[keep])
+                W = None if W is None else W[keep]
                 path = [(m[keep], s[keep]) for m, s in path]
             if not live.size or it == max_iter:
                 break
@@ -377,8 +371,8 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
             mu_new, S_new = _reweight(X, *path[-1], spec)
             if index is not None:
                 inner_tol = np.minimum(np.maximum(1e-2 * change, 1e-2 * tol), 1e-2)
-                # warm start from the last completion: an extrapolated S is no K^-1
-                K, W, _, failed = _ips(S_new, index, inner_tol, start=None if K is None else (K, W))
+                # warm start from the last completion, not an extrapolated S
+                W, _, failed = _nodewise(S_new, index.k_mask, inner_tol, start=W)
                 S_new = W
                 for i, exc in failed.items():
                     out[live[i]] = exc
@@ -450,9 +444,9 @@ def graphical_m_estimate(X, index: GraphIndex, spec: EstimatorSpec,
     The accelerated fixed-point iteration of :func:`m_estimate` with
     every reweighted scatter replaced by its graph-constrained completion;
     ``max_iter`` counts map evaluations.  The completion is warm-started
-    from the previous completion's concentration, so late evaluations
-    need about one IPS sweep each.  A complete graph gives exactly the
-    :func:`m_estimate` result.
+    from the previous completion, so late evaluations need about one
+    sweep each.  A complete graph gives exactly the :func:`m_estimate`
+    result.
     """
     return _fit(X, spec, tol, max_iter, index)
 

@@ -210,7 +210,8 @@ def _both_fits(X, index: GraphIndex, spec: EstimatorSpec, tol: float) -> list:
     out = _solve(X, spec, tol, _MAX_ITER)
     ok = [i for i, f in enumerate(out) if isinstance(f, FitResult)]
     if ok:
-        completed = _complete(np.array([out[i].scatter for i in ok]), index, _COMPLETION_TOL)
+        completed = _complete(np.array([out[i].scatter for i in ok]), index.k_mask,
+                              _COMPLETION_TOL)
         for i, c in zip(ok, completed):
             out[i] = c if isinstance(c, Exception) else (out[i].mu, c.matrix)
     ok = [i for i, o in enumerate(out) if isinstance(o, tuple)]

@@ -104,14 +104,14 @@ def plain_fixed_point(X, spec, tol, max_iter, index=None):
     on one (n, p) data set, written out one map evaluation at a time.
 
     Unlike the rest of this module it is built from the solver's own map,
-    completion and residual primitives (``mest._reweight``, ``covsel._ips``
+    completion and residual primitives (``mest._reweight``, ``covsel._nodewise``
     with the previous completion as its start, ``mest._residual``), so that
     a solver whose every extrapolation is rejected must equal it bit for
     bit.  Stops at the first map output whose change and residual are both
     within ``tol``.  Returns (mu, S, map evaluations), or None when
     ``max_iter`` evaluations do not get there.
     """
-    from egm.covsel import _complete, _ips
+    from egm.covsel import _complete, _nodewise
     from egm.mest import _residual, _reweight
 
     X = np.asarray(X, dtype=float)[None]
@@ -119,15 +119,15 @@ def plain_fixed_point(X, spec, tol, max_iter, index=None):
     Xc = X - mu[:, None, :]
     S = Xc.mT @ Xc / X.shape[1]
     if index is not None:
-        S = _complete(S, index, 1e-2 * tol)[0].matrix[None]
+        S = _complete(S, index.k_mask, 1e-2 * tol)[0].matrix[None]
     start, change = None, np.inf
     for it in range(1, max_iter + 1):
         mu_new, S_new = _reweight(X, mu, S, spec)
         if index is not None:
             inner_tol = np.minimum(np.maximum(1e-2 * change, 1e-2 * tol), 1e-2)
-            K, S_new, _, failed = _ips(S_new, index, inner_tol, start=start)
+            S_new, _, failed = _nodewise(S_new, index.k_mask, inner_tol, start=start)
             assert not failed
-            start = (K, S_new)
+            start = S_new
         scale = np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
         change = np.maximum(np.max(np.abs(mu_new - mu), axis=1),
                             np.max(np.abs(S_new - S), axis=(1, 2)) / scale)

@@ -152,6 +152,15 @@ class TestFit:
                        "--estimator", "t:5", "--tol", "1e-30"])
         assert rc == 2
 
+    @pytest.mark.parametrize("method, tol", [("plugin", "nan"), ("plugin", "-1"),
+                                             ("graphical", "nan")])
+    def test_tolerance_not_finite_and_positive_exit_1(self, cycle4_files, capsys, method, tol):
+        f = cycle4_files
+        rc = cli.main(["fit", "--data", str(f["data"]), "--graph", str(f["graph"]),
+                       "--estimator", "t:5", "--method", method, "--tol", tol])
+        assert rc == 1
+        assert "tol must be finite and > 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("estimator", ["t:nan", "huber:nan", "huber:inf"])
     def test_non_finite_estimator_parameter_exit_1(self, cycle4_files, capsys, estimator):
         f = cycle4_files

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from egm.covsel import (
     AsymptoticScalars,
     _complete,
-    _ips,
+    _nodewise,
     concentration_acov,
     constrain_jacobian,
     constrain_scatter,
@@ -147,6 +148,11 @@ class TestConstrainScatter:
             constrain_scatter(A, build_index(Graph.cycle(6)), tol=1e-15, max_iter=1)
         assert exc.value.residual is not None and exc.value.residual > 1e-15
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+    def test_tolerance_not_finite_and_positive_rejected(self, tol):
+        with pytest.raises(PreconditionError, match="tol must be finite and > 0"):
+            constrain_scatter(rand_spd(4, np.random.default_rng(8)), CYCLE4, tol=tol)
+
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_budget_below_one_sweep_rejected(self, max_iter):
         K, S = chordless_cycle_shape(6, -0.49)
@@ -156,7 +162,7 @@ class TestConstrainScatter:
 
 
 class TestStackedCompletion:
-    """The IPS kernel completes a stack slice by slice, bit for bit as alone."""
+    """The completion kernel completes a stack slice by slice, bit for bit as alone."""
 
     GRAPH = build_index(Graph.cycle(6).with_edge(1, 4))
 
@@ -167,7 +173,7 @@ class TestStackedCompletion:
 
     def test_stack_equals_single_calls(self):
         A = self.inputs(np.random.default_rng(41))
-        for fit, a in zip(_complete(A, self.GRAPH, 1e-10), A):
+        for fit, a in zip(_complete(A, self.GRAPH.k_mask, 1e-10), A):
             alone = constrain_scatter(a, self.GRAPH)
             assert np.array_equal(fit.matrix, alone.matrix)
             assert fit.iterations == alone.iterations
@@ -177,27 +183,65 @@ class TestStackedCompletion:
     def test_per_slice_tolerance_and_start(self):
         local = np.random.default_rng(42)
         A = self.inputs(local)[:4]
-        d = np.array([np.diag(rand_spd(6, local)) for _ in A])
-        K0, W0 = np.array([np.diag(1.0 / x) for x in d]), np.array([np.diag(x) for x in d])
+        W0 = np.array([rand_spd(6, local) for _ in A])
         tols = np.array([1e-4, 1e-7, 1e-10, 1e-13])
-        K, W, history, errors = _ips(A, self.GRAPH, tols, start=(K0, W0))
+        W, history, errors = _nodewise(A, self.GRAPH.k_mask, tols, start=W0)
         assert not errors
         for r in range(len(A)):
-            K1, W1, h1, e1 = _ips(A[r:r + 1], self.GRAPH, tols[r], start=(K0[r:r + 1], W0[r:r + 1]))
-            assert np.array_equal(K[r], K1[0]) and np.array_equal(W[r], W1[0])
+            W1, h1, e1 = _nodewise(A[r:r + 1], self.GRAPH.k_mask, tols[r], start=W0[r:r + 1])
+            assert np.array_equal(W[r], W1[0])
             assert history[r] == h1[0]
         assert len(history[0]) < len(history[3])
 
     def test_sweep_budget_is_per_slice(self):
         A = self.inputs(np.random.default_rng(43))[:4]
         tols = np.array([1e-2, 1e-13, 1e-2, 1e-13])
-        _, _, history, errors = _ips(A, self.GRAPH, tols, max_iter=3)
+        _, history, errors = _nodewise(A, self.GRAPH.k_mask, tols, max_iter=3)
         assert sorted(errors) == [1, 3]
         for r in (1, 3):
             with pytest.raises(ConvergenceError) as exc:
                 constrain_scatter(A[r], self.GRAPH, tol=1e-13, max_iter=3)
             assert str(errors[r]) == str(exc.value)
             assert errors[r].residual == exc.value.residual == history[r][-1]
+
+    MIXED = [build_index(G) for G in (Graph.cycle(6).with_edge(1, 4), Graph.cycle(6),
+                                      Graph.from_edges(6, [(1, 2), (2, 3), (4, 5)]),
+                                      Graph.complete(6), Graph.cycle(6).with_edge(2, 5))]
+
+    def test_mixed_graphs_equal_one_graph_calls(self):
+        local = np.random.default_rng(44)
+        A = np.array([rand_spd(6, local, spread=2.0) for _ in self.MIXED])
+        masks = np.array([idx.k_mask for idx in self.MIXED])
+        for fit, a, idx in zip(_complete(A, masks, 1e-10), A, self.MIXED):
+            alone = constrain_scatter(a, idx)
+            assert np.array_equal(fit.matrix, alone.matrix)
+            assert fit.residual_history == alone.residual_history
+        # per-slice tolerances and one budget that some slices exhaust
+        tols = np.array([1e-3, 1e-14, 1e-8, 1e-14, 1e-15])
+        W0 = np.array([rand_spd(6, local) for _ in A])
+        W, history, errors = _nodewise(A, masks, tols, max_iter=4, start=W0)
+        assert errors and len(errors) < len(A)
+        for r in range(len(A)):
+            W1, h1, e1 = _nodewise(A[r:r + 1], masks[r], tols[r], max_iter=4, start=W0[r:r + 1])
+            assert np.array_equal(W[r], W1[0])
+            assert history[r] == h1[0]
+            assert (r in errors) == bool(e1)
+            if e1:
+                assert str(errors[r]) == str(e1[0]) and errors[r].residual == e1[0].residual
+
+    def test_cocktail_party_graph(self):
+        # K_24 minus a perfect matching has 2^12 = 4096 maximal cliques
+        p = 24
+        G = Graph.from_edges(p, [(i, j) for i in range(1, p + 1) for j in range(i + 1, p + 1)
+                                 if not (i % 2 == 1 and j == i + 1)])
+        idx = build_index(G)
+        A = rand_spd(p, np.random.default_rng(45))
+        start = time.perf_counter()
+        fit = constrain_scatter(A, idx)
+        elapsed = time.perf_counter() - start
+        assert np.max(np.abs((fit.matrix - A)[idx.k_mask])) <= 1e-10
+        assert np.max(np.abs(np.linalg.inv(fit.matrix)[idx.d_mask])) <= 1e-10
+        assert elapsed <= 0.5
 
 
 class TestInputChecks:

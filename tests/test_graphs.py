@@ -9,7 +9,6 @@ from egm.graphs import (
     build_index,
     format_graph,
     is_chordal,
-    maximal_cliques,
     parse_graph,
     read_graph,
     write_graph,
@@ -84,7 +83,6 @@ class TestBuildIndex:
         idx = build_index(Graph.empty(1))
         assert idx.m == 1 and idx.q == 0
         assert idx.K.tolist() == [0]
-        assert [c.tolist() for c in idx.cliques] == [[0]]
 
     def test_dense_operators_built_on_demand(self):
         p = 60
@@ -152,39 +150,6 @@ class TestChordality:
             assert is_chordal(G) == _chordal_oracle(p, edges)
 
 
-class TestMaximalCliques:
-    def test_cycle_gives_edges(self):
-        for p in (4, 5, 7):
-            cl = maximal_cliques(Graph.cycle(p))
-            assert sorted(cl) == sorted(tuple(e) for e in Graph.cycle(p).edges)
-
-    def test_complete(self):
-        assert maximal_cliques(Graph.complete(5)) == [tuple(range(1, 6))]
-
-    def test_path(self):
-        G = Graph.from_edges(3, [(1, 2), (2, 3)])
-        assert maximal_cliques(G) == [(1, 2), (2, 3)]
-
-    def test_isolated_vertices_are_singletons(self):
-        G = Graph.from_edges(4, [(1, 2)])
-        assert maximal_cliques(G) == [(1, 2), (3,), (4,)]
-
-    def test_no_subset_and_edge_coverage(self):
-        for _ in range(30):
-            G = random_graph(int(rng.integers(2, 8)), rng)
-            cliques = [set(c) for c in maximal_cliques(G)]
-            for a in cliques:
-                for b in cliques:
-                    assert a == b or not a < b
-            covered = {(min(i, j), max(i, j))
-                       for c in cliques for i in c for j in c if i != j}
-            assert covered >= G.edges
-            for c in cliques:
-                for i in c:
-                    for j in c:
-                        assert i == j or G.has_edge(i, j)
-
-
 class TestGraphFiles:
     def test_parse(self):
         text = "# a comment\np 4\n1 2\n2 3  # trailing comment\n\n3 4\n"
@@ -205,6 +170,11 @@ class TestGraphFiles:
     def test_bad_edge_line(self):
         with pytest.raises(DimensionError):
             parse_graph("p 3\n1 2 3\n")
+
+    @pytest.mark.parametrize("text, line", [("p x", 1), ("p 3\n1 x", 2), ("p 3\n1 2.5", 2)])
+    def test_non_integer_names_line(self, text, line):
+        with pytest.raises(DimensionError, match=f"line {line}: expected integers"):
+            parse_graph(text)
 
     def test_format_sorted(self):
         G = Graph.from_edges(3, [(2, 3), (1, 2)])

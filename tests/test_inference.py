@@ -47,6 +47,12 @@ class TestDeviance:
         with pytest.raises(PreconditionError, match="non-finite value at row 1, column 4"):
             deviance(S, build_index(Graph.cycle(4)), build_index(Graph.complete(4)), 50)
 
+    @pytest.mark.parametrize("n", [-5, 0, 2.5])
+    def test_rejects_sample_size_not_a_positive_integer(self, n):
+        idx0, idx1 = build_index(Graph.cycle(4)), build_index(Graph.complete(4))
+        with pytest.raises(PreconditionError, match="integer >= 1"):
+            deviance(rand_spd(4, rng), idx0, idx1, n)
+
     def test_equal_graphs_rejected(self):
         idx = build_index(Graph.cycle(4))
         with pytest.raises(NestingError):
@@ -128,6 +134,30 @@ class TestBackwardElimination:
         X = rng.standard_normal((100, 4))
         with pytest.raises(PreconditionError):
             backward_elimination(X, make_spec("gaussian", 4), alpha)
+
+    @pytest.mark.parametrize("shape", [(100,), (2, 100, 4)])
+    def test_rejects_data_not_a_matrix(self, shape):
+        with pytest.raises(DimensionError, match="n x p matrix"):
+            backward_elimination(np.ones(shape), make_spec("gaussian", 4), 0.05)
+
+    def test_one_completion_call_per_step(self, monkeypatch):
+        import egm.covsel as cov
+        import egm.inference as inf
+
+        calls = []
+        real = cov._complete
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        for module in (cov, inf):
+            monkeypatch.setattr(module, "_complete", counted)
+        K0, S0 = chordless_cycle_shape(8, -0.3)
+        X = sample(EllipticalModel(np.zeros(8), S0, "gaussian"), 500, 12)
+        G, steps = backward_elimination(X, make_spec("gaussian", 8), 0.05)
+        assert len(steps) >= 10
+        assert len(calls) <= len(steps) + 2
 
     def test_alpha_one_keeps_complete_graph(self):
         X = rng.standard_normal((100, 4))

@@ -313,16 +313,16 @@ class TestChunkedStudies:
 
     def test_null_study_completes_chunks_not_replicates(self, monkeypatch):
         calls = []
-        ips = covsel._ips
+        kernel = covsel._nodewise
 
         def counted(*args, **kwargs):
             calls.append(len(args[0]))
-            return ips(*args, **kwargs)
+            return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(covsel, "_ips", counted)
+        monkeypatch.setattr(covsel, "_nodewise", counted)
         m5, _ = _cycle_models("gaussian")
         deviance_null_study(I5, I5_CHORD, m5, make_spec("gaussian", 5), 200, 64, seed=3)
-        assert len(calls) <= 2 * -(-64 // simulate._CHUNK)
+        assert len(calls) <= -(-64 // simulate._CHUNK)
 
 
 class TestChunkFallback:
