@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -29,7 +30,33 @@ DEFAULT_C_LIST = [0.0, -0.05, -0.1, -0.2, -0.3, -0.4, -0.49]
 
 
 def read_data(path, header: bool = False) -> np.ndarray:
-    """Read a comma-separated matrix of finite numbers; errors name the bad row."""
+    """Read a comma-separated matrix of finite numbers; errors name the bad row.
+
+    The file is parsed by ``np.loadtxt``.  A file it refuses, or one with a
+    non-finite cell, is scanned by :func:`_scan_data`, which either names
+    the bad row and column or reads the forms ``loadtxt`` refuses: blank and
+    white-space lines, quoted cells.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            if header:
+                next(csv.reader(fh), None)  # one record, as the scan skips it
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                X = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        # loadtxt strips the separators \x1c-\x1f as white space; float() does not
+        stray = any(c in raw for c in b"\x1c\x1d\x1e\x1f")
+    except (ValueError, OSError, csv.Error):
+        X, stray = None, True
+    if stray or not X.size or not np.isfinite(X).all():
+        return _scan_data(path, header)
+    return X
+
+
+def _scan_data(path, header: bool) -> np.ndarray:
+    """The row-by-row ``csv.reader`` scan behind :func:`read_data`."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

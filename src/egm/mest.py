@@ -25,6 +25,8 @@ functions come from ``scipy.special``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Callable, Optional
 
 import numpy as np
@@ -272,23 +274,44 @@ def _validate_data(X) -> np.ndarray:
     return X
 
 
-def _radii(X, mu, S) -> np.ndarray:
-    Xc = X - mu[:, None, :]
-    # inverting the p x p factor once beats a general solve for n columns
-    Y = np.linalg.inv(np.linalg.cholesky(0.5 * (S + S.mT))) @ Xc.mT
+# rows per pass of the fixed-point map: a block's temporaries stay in cache
+_BLOCK = 8192
+
+
+def _radii(X, mu, L_inv) -> np.ndarray:
+    Y = L_inv @ (X - mu[:, None, :]).mT
     return np.einsum("rij,rij->rj", Y, Y)
 
 
 def _reweight(X, mu, S, spec, center=None):
     """The fixed-point map at (mu, S), per slice of the stacks X (R, n, p),
     mu (R, p) and S (R, p, p): the u1-weighted mean and the u2-weighted
-    scatter about ``center``, by default that new mean."""
-    R = _radii(X, mu, S)
-    w1 = spec.u1(R)
-    w2 = spec.u2(R)
-    mu_new = (w1[..., None] * X).sum(axis=1) / w1.sum(axis=1)[:, None]
-    Xc = X - (mu_new if center is None else center)[:, None, :]
-    return mu_new, (w2[..., None] * Xc).mT @ Xc / X.shape[1]
+    scatter about ``center``, by default that new mean.
+
+    Rows are processed in blocks of ``_BLOCK``, in two passes: the radii,
+    both weights and the weighted row sums, then the weighted scatter about
+    the new mean.  So the temporaries of an evaluation are bounded by the
+    block, not by n, and the blocks depend on n alone: a slice keeps the
+    bits of its stack-of-one call, and n <= ``_BLOCK`` rows take one block.
+    """
+    n = X.shape[1]
+    blocks = [slice(a, a + _BLOCK) for a in range(0, n, _BLOCK)]
+    # inverting the p x p factor once beats a general solve for n columns
+    L_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (S + S.mT)))
+    w2, sums, totals = [], [], []
+    for b in blocks:
+        radii = _radii(X[:, b], mu, L_inv)
+        w1 = spec.u1(radii)
+        w2.append(spec.u2(radii))
+        sums.append((w1[..., None] * X[:, b]).sum(axis=1))
+        totals.append(w1.sum(axis=1))
+    mu_new = reduce(add, sums) / reduce(add, totals)[:, None]
+    c = (mu_new if center is None else center)[:, None, :]
+    scatter = []
+    for b, w in zip(blocks, w2):
+        Xc = X[:, b] - c
+        scatter.append((w[..., None] * Xc).mT @ Xc)
+    return mu_new, reduce(add, scatter) / n
 
 
 def _residual(X, mu, S, spec, index: Optional[GraphIndex] = None) -> np.ndarray:
@@ -429,7 +452,9 @@ def m_estimate(X, spec: EstimatorSpec, tol: float = 1e-9,
     Fixed-point iteration, accelerated by SQUAREM: the map takes the
     reweighted mean and the reweighted scatter at the current radii, and
     every second map output is extrapolated along the last two steps
-    unless that loses positive definiteness.  Gaussian weights converge at
+    unless that loses positive definiteness.  Each evaluation passes over
+    the rows in fixed-size blocks, so its temporaries are bounded by the
+    block, not by n.  Gaussian weights converge at
     the first evaluation to the sample mean and the 1/n-denominator sample
     covariance.  An exhausted budget, or an iterate that loses positive
     definiteness, raises ConvergenceError.

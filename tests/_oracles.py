@@ -2,9 +2,13 @@
 
 Everything here deliberately avoids the code paths under test: the
 constrained completion is re-derived by generic numerical optimization,
-derivatives by central differences, and distributional facts by Monte
-Carlo or classical closed forms.
+derivatives by central differences, distributional facts by Monte
+Carlo or classical closed forms, the fixed-point map in one pass over all
+rows, and data files by a ``csv.reader`` scan.
 """
+
+import csv
+import math
 
 import numpy as np
 import scipy.optimize
@@ -135,3 +139,49 @@ def plain_fixed_point(X, spec, tol, max_iter, index=None):
         if change[0] <= tol and _residual(X, mu, S, spec, index)[0] <= tol:
             return mu[0], S[0], it
     return None
+
+
+def reweight_oracle(X, mu, S, spec, center=None):
+    """The fixed-point map of ``mest._reweight`` in one pass over all rows
+    of the stacks X (R, n, p), mu (R, p) and S (R, p, p): the u1-weighted
+    mean and the u2-weighted scatter about ``center``, by default that new
+    mean.  Its temporaries grow with n."""
+    Xc = X - mu[:, None, :]
+    Y = np.linalg.inv(np.linalg.cholesky(0.5 * (S + S.mT))) @ Xc.mT
+    radii = np.einsum("rij,rij->rj", Y, Y)
+    w1, w2 = spec.u1(radii), spec.u2(radii)
+    mu_new = (w1[..., None] * X).sum(axis=1) / w1.sum(axis=1)[:, None]
+    Xc = X - (mu_new if center is None else center)[:, None, :]
+    return mu_new, (w2[..., None] * Xc).mT @ Xc / X.shape[1]
+
+
+def read_data_oracle(path, header=False):
+    """``egm.cli.read_data`` as a ``csv.reader`` scan, one Python float()
+    per cell: the rows it returns and the error texts it raises (the bad
+    row, and column for a non-finite cell) define what a data file means.
+    Blank and white-space-only records are skipped and ``#`` is data."""
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        width = None
+        for lineno, row in enumerate(reader, start=1):
+            if header and lineno == 1:
+                continue
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            try:
+                values = [float(x) for x in row]
+            except ValueError:
+                raise ValueError(f"{path}: row {lineno}: could not parse {row!r} as numbers")
+            if width is None:
+                width = len(values)
+            elif len(values) != width:
+                raise ValueError(
+                    f"{path}: row {lineno}: expected {width} columns, got {len(values)}")
+            if not all(map(math.isfinite, values)):
+                col = next(c for c, v in enumerate(values, 1) if not math.isfinite(v))
+                raise ValueError(f"{path}: row {lineno}, column {col}: {row[col - 1]!r} is not finite")
+            rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return np.array(rows, dtype=float)

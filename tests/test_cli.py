@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from egm.graphs import Graph, build_index, read_graph, write_graph
 from egm.inference import are_chordless_cycle, chordless_cycle_shape
 from egm.mest import m_estimate, make_spec
 from egm.simulate import EllipticalModel, sample
+
+from _oracles import read_data_oracle
 
 
 def write_csv(path, X, header=None):
@@ -195,6 +198,76 @@ class TestFit:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["command"] == "fit"
+
+
+class TestReadData:
+    """``cli.read_data`` against the ``csv.reader`` oracle: the same array,
+    bit for bit, or the same error text, and never a warning."""
+
+    CASES = {
+        "empty": "",
+        "blank_only": "\n  \n\t\n",
+        "crlf": "1.5,2\r\n3,-4e-3\r\n",
+        "crlf_blank_line": "1,2\r\n\r\n3,4\r\n",
+        "whitespace_line": "1,2\n   \n3,4\n",
+        "quoted_cell": '"1.25",2\n3,"4"\n',
+        "spaces_around_cells": " 1 ,\t2 \n3 , 4\n",
+        "no_trailing_newline": "1,2\n3,4",
+        "one_column": "1\n2.5\n-3\n",
+        "hash_line": "1,2\n# 3,4\n5,6\n",
+        "hash_cell": "1,2\n#3,4\n",
+        "quoted_header": '"a","b"\n1,2\n3,4\n',
+        "header_quote_spans_lines": 'a,"b\n1,2\n3,4\n',
+        "header_only": "a,b\n",
+        "ragged": "1,2\n3\n",
+        "empty_cell": "1,,2\n",
+        "non_finite": "1,2\n3,inf\n",
+        "overflow": "1,1e400\n",
+        "underscore_digits": "1_0,2\n",
+        "unit_separator": "1\x1f,2\n",
+        "lone_cr": "1,2\r3,4\r",
+    }
+
+    @staticmethod
+    def outcome(read, path, header):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                X = read(path, header)
+            except ValueError as exc:
+                return str(exc)
+        return X.shape, X.dtype, X.tobytes()
+
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_csv_reader_oracle(self, tmp_path, name, header):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(self.CASES[name].encode("utf-8"))
+        assert self.outcome(cli.read_data, path, header) == \
+            self.outcome(read_data_oracle, path, header)
+
+    def test_plain_file_skips_the_scan(self, tmp_path, monkeypatch):
+        X = np.random.default_rng(3).standard_normal((3000, 4)) * 10.0 ** np.arange(-150, 150, 75)
+        path = tmp_path / "X.csv"
+        write_csv(path, X)
+        expected = self.outcome(read_data_oracle, path, True)
+        monkeypatch.setattr(cli, "_scan_data", None)
+        assert np.array_equal(cli.read_data(path).view(np.int64), X.view(np.int64))
+        assert self.outcome(cli.read_data, path, True) == expected
+
+    @pytest.mark.parametrize("text", ["", "\n \n\n"])
+    def test_no_rows_fit_message(self, tmp_path, capsys, text):
+        data = tmp_path / "empty.csv"
+        data.write_text(text, encoding="utf-8")
+        graph = tmp_path / "g.g"
+        write_graph(Graph.complete(2), graph)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["fit", "--data", str(data), "--graph", str(graph),
+                           "--estimator", "gaussian"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"egm: {data}: no data rows\n"
 
 
 class TestTest:

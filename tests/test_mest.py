@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -27,10 +29,10 @@ from egm.mest import (
     sample_cov_scalars,
     scalars_for,
 )
-from egm.mest import _solve
+from egm.mest import _BLOCK, _reweight, _solve
 from egm.simulate import EllipticalModel, _run_chunk, deviance_null_study, sample
 
-from _oracles import hg_optimization_oracle, plain_fixed_point
+from _oracles import hg_optimization_oracle, plain_fixed_point, rand_spd, reweight_oracle
 
 rng = np.random.default_rng(808)
 
@@ -688,3 +690,56 @@ class TestAcceleration:
             assert (out.iterations, out.residual) == (fit.iterations, fit.residual)
         mu, S, iterations = plain_fixed_point(data[2], spec, 1e-9, 500, index)
         assert np.array_equal(stacked[2].scatter, S) and stacked[2].iterations == iterations
+
+
+class TestBlockedPass:
+    """``mest._reweight`` passes over the rows in blocks of ``_BLOCK``:
+    a stack's slices keep their solo bits, the map is one-pass arithmetic
+    up to rounding, and its temporaries do not grow with n."""
+
+    @pytest.mark.parametrize("graph", [False, True])
+    def test_stack_slices_equal_solo_fits(self, graph):
+        index = build_index(Graph.cycle(4)) if graph else None
+        spec = make_spec("t:5", 4)
+        K0, S0 = chordless_cycle_shape(4, -0.3)
+        n = 2 * _BLOCK + 17
+        data = [sample(EllipticalModel(np.zeros(4), S0, "t:5"), n, s) for s in range(3)]
+        stacked = _solve(np.array(data), spec, 1e-9, 500, index)
+        for X, out in zip(data, stacked):
+            fit = graphical_m_estimate(X, index, spec) if graph else m_estimate(X, spec)
+            assert np.array_equal(out.mu, fit.mu) and np.array_equal(out.scatter, fit.scatter)
+            assert (out.iterations, out.residual) == (fit.iterations, fit.residual)
+
+    @pytest.mark.parametrize("name", ["gaussian", "t:5", "huber:1.345"])
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_matches_one_pass_oracle(self, name, centered):
+        local = np.random.default_rng(17)
+        R, n, p = 2, 3 * _BLOCK + 5, 6
+        X = local.standard_normal((R, n, p)) @ np.triu(np.ones((p, p))) + 3.0
+        mu = X.mean(axis=1) + 0.1
+        S = np.array([rand_spd(p, local) for _ in range(R)])
+        center = mu - 0.2 if centered else None
+        spec = make_spec(name, p)
+        mu_new, W = _reweight(X, mu, S, spec, center)
+        mu_ref, W_ref = reweight_oracle(X, mu, S, spec, center)
+        assert np.max(np.abs(mu_new - mu_ref)) <= 1e-13 * np.max(np.abs(mu_ref))
+        assert np.max(np.abs(W - W_ref)) <= 1e-13 * np.max(np.abs(W_ref))
+
+    def test_one_block_is_one_pass(self):
+        X = sample(EllipticalModel(np.zeros(5), np.eye(5), "t:5"), _BLOCK, 4)[None]
+        mu, S = X.mean(axis=1) + 0.1, np.eye(5)[None] * 1.3
+        spec = make_spec("t:5", 5)
+        for a, b in zip(_reweight(X, mu, S, spec), reweight_oracle(X, mu, S, spec)):
+            assert np.array_equal(a, b)
+
+    def test_temporaries_bounded_by_block(self):
+        X = np.random.default_rng(5).standard_normal((1, 200_000, 10))
+        mu, S = X.mean(axis=1), np.eye(10)[None]
+        spec = make_spec("t:5", 10)
+        tracemalloc.start()
+        try:
+            _reweight(X, mu, S, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * X.nbytes
