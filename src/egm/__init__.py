@@ -4,6 +4,9 @@ Compute graph-constrained scatter estimates (plug-in and graphical
 M-estimates), their asymptotic covariances, deviance tests,
 partial-correlation inference, and the efficiency of graph-constrained
 estimation, with a seeded simulation harness and a CLI front end.
+
+Importing the package loads numpy alone: a function that needs scipy
+imports the module it uses where it uses it.
 """
 
 from .covsel import (

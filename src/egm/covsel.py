@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConvergenceError, DimensionError, PreconditionError, _results
 from .graphs import GraphIndex
@@ -262,7 +261,8 @@ def _derivative_block(U, index: GraphIndex):
     eigs = np.linalg.eigvalsh(B)
     if eigs[0] <= 0 or eigs[-1] / eigs[0] > COND_WARN:
         warnings.warn("constraint system is ill-conditioned", RuntimeWarning)
-    X = cho_solve(cho_factor(B), _pair(U, D, _rc(kv, p)))
+    L_inv = np.linalg.inv(np.linalg.cholesky(B))
+    X = L_inv.T @ (L_inv @ _pair(U, D, _rc(kv, p)))
     slot = np.empty((p, p), dtype=int)
     slot[i, j] = slot[j, i] = np.arange(len(i))
     return kv, dv, -0.5 * X[slot[_rc(dv, p)]]

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .covsel import AsymptoticScalars, _complete, edge_basis_gram, pattern_violation
 from .errors import (
@@ -102,6 +101,7 @@ def deviance(S_hat, index0: GraphIndex, index1: GraphIndex, n: int,
     _check_nesting(index0, index1, sigma1)
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise PreconditionError(f"sample size n must be an integer >= 1, got {n!r}")
+    from scipy.special import chdtrc
     S_hat = check_spd(S_hat)
     stat, = _deviance_stack(S_hat[None], index0, index1, n, sigma1, completion_tol)
     df = index0.q - index1.q
@@ -196,6 +196,7 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
         for e, f in zip(edges, fits):
             yield e, f if isinstance(f, ConvergenceError) else float(_logdet(f.matrix))
 
+    from scipy.special import chdtrc
     # the complete graph's completion, or graphical fit, is the estimate itself
     current, k_mask, ld_cur = Graph.complete(p), np.ones((p, p), dtype=bool), float(_logdet(S))
     steps = []

@@ -18,8 +18,9 @@ offered for graphical fitting: its phi2 is constant, which sits on the
 boundary of the monotonicity assumptions, and its scale indeterminacy
 does not mix well with the constrained estimating equations.
 
-Radial laws are densities integrated by adaptive quadrature; distribution
-functions come from ``scipy.special``.
+The t maximum-likelihood estimator at its own family has closed-form
+scalars; every other pairing integrates its radial law's density by
+adaptive quadrature.  Distribution functions come from ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ from operator import add
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.integrate
-import scipy.optimize
-from scipy.special import betaln, chdtr, chdtrc, gammaln, xlogy
 
 from .covsel import AsymptoticScalars, _check_budget, _complete, _nodewise, constrain_scatter
 from .errors import (
@@ -158,6 +156,7 @@ def make_spec(text: str, p: int) -> EstimatorSpec:
         spec = EstimatorSpec(text, u, u, {"nu": nu}, phi2_prime=dphi2)
     elif text.startswith("huber:"):
         k = _parameter(text, "huber:", "huber threshold")
+        from scipy.special import chdtr, chdtrc
         k2 = k * k
         c = p / (p * chdtr(p + 2, k2) + k2 * chdtrc(p, k2))
 
@@ -203,6 +202,7 @@ class RadialLaw:
     @classmethod
     def chi_square(cls, p: int) -> "RadialLaw":
         """Radial law of a Gaussian vector: chi-square with p df."""
+        from scipy.special import gammaln, xlogy
         # scipy's chi2(p).pdf, operation for operation
         a, b, c = p / 2. - 1, gammaln(p / 2.), (np.log(2) * p) / 2.
 
@@ -215,6 +215,7 @@ class RadialLaw:
     @classmethod
     def scaled_f(cls, p: int, nu: float) -> "RadialLaw":
         """Radial law of an elliptical t: R/p follows F(p, nu)."""
+        from scipy.special import betaln, xlogy
         n, m = 1.0 * p, 1.0 * _positive(nu, "t degrees of freedom")
         # scipy's f(p, nu).pdf(r / p) / p, operation for operation
         a, b = m / 2 * np.log(m) + n / 2 * np.log(n), n / 2 - 1
@@ -232,12 +233,12 @@ class RadialLaw:
 
     def expect(self, fn) -> float:
         """E[fn(R)] by adaptive quadrature over s in (0, 1), r = s/(1-s)."""
+        from scipy.integrate import quad
         def integrand(s):
             r = np.asarray([s / (1.0 - s)])
             return np.asarray(fn(r), dtype=float)[0] * self.density(r)[0] / (1.0 - s) ** 2
 
-        val, _ = scipy.integrate.quad(integrand, 0.0, 1.0,
-                                      epsabs=1e-12, epsrel=1e-11, limit=400)
+        val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-11, limit=400)
         return val
 
 
@@ -511,8 +512,11 @@ def mle_scalars(radial: RadialLaw, g_logderiv, p: int) -> AsymptoticScalars:
         u = -2.0 * np.asarray(g_logderiv(r), dtype=float)
         return (r * u) ** 2
 
-    denom = radial.expect(integrand)
-    sigma1 = p * (p + 2.0) / denom
+    return _mle(p * (p + 2.0) / radial.expect(integrand), p)
+
+
+def _mle(sigma1: float, p: int) -> AsymptoticScalars:
+    """Checked MLE scalars from sigma1: sigma2 by the formula above, eta = 1."""
     sigma2 = -2.0 * sigma1 * (1.0 - sigma1) / (2.0 + p * (1.0 - sigma1))
     s = AsymptoticScalars(sigma1, sigma2, 1.0)
     s.check_bounds(p)
@@ -537,6 +541,7 @@ def m_scalars(spec: EstimatorSpec, radial: RadialLaw, p: int) -> AsymptoticScala
     The stored eta is the factor with (estimator limit) = eta * (shape),
     i.e. the reciprocal of the root c.
     """
+    from scipy.optimize import brentq
     spec.check_monotone()
     if spec.phi2_prime is not None:
         dphi2 = spec.phi2_prime
@@ -570,7 +575,7 @@ def m_scalars(spec: EstimatorSpec, radial: RadialLaw, p: int) -> AsymptoticScala
             raise PreconditionError(
                 "no consistency root: E[phi2(c R)] stays above p "
                 f"(spec {spec.name!r} cannot match this radial law)")
-    c = scipy.optimize.brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    c = brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16)
 
     gamma1 = radial.expect(lambda r: spec.phi2(c * r) ** 2) / (p * (p + 2.0))
     gamma2 = radial.expect(lambda r: c * r * dphi2(c * r)) / p
@@ -587,13 +592,19 @@ def scalars_for(spec: EstimatorSpec, family: str, p: int) -> AsymptoticScalars:
     """Scalars matching an estimator spec to a named data family.
 
     Gaussian (constant) weights are the sample covariance, handled via
-    its kurtosis formula; everything else goes through the M-estimator
-    scalars at the family's radial law.
+    its kurtosis formula.  The t:NU spec at the t:NU family is the MLE, with
+    sigma1 = (p+NU+2)/(p+NU) (Tyler 1982, Biometrika 69) and eta = 1.
+    Everything else goes through the M-estimator scalars at the family's
+    radial law.
     """
+    nu = _family_nu(family)
     if spec.name == "gaussian":
-        nu = _family_nu(family)
         if nu is not None and nu <= 4:
             raise PreconditionError(
                 f"sample covariance needs finite fourth moments (t with nu > 4), got nu={nu}")
         return sample_cov_scalars(0.0 if nu is None else 6.0 / (nu - 4.0), p)
+    # the MLE weight u(s) = (p+NU)/(NU+s) of this dimension, not another's
+    if (spec.name.startswith("t:") and nu is not None and spec.params.get("nu") == nu
+            and spec.u2(0.0) == (p + nu) / nu):
+        return _mle((p + nu + 2.0) / (p + nu), p)
     return m_scalars(spec, radial_for_family(family, p), p)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.special import gammaincinv
 
 from .covsel import _complete, pattern_violation
 from .errors import (
@@ -306,6 +305,7 @@ def deviance_null_study(index0: GraphIndex, index1: GraphIndex,
         outcome = _run_chunk(fit_and_test, _data(model, n, seed, rs, root))
         stats += [o for r, o in zip(rs, outcome) if _record(r, o, failures)]
     _check_failure_cap(failures, replicates)
+    from scipy.special import gammaincinv
     df = index0.q - index1.q
     probs = (0.5, 0.9, 0.95, 0.99)
     summary = {

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from egm import cli, mest
+from egm import cli, inference, mest
 from egm.graphs import Graph, build_index, read_graph, write_graph
 from egm.inference import are_chordless_cycle, chordless_cycle_shape
 from egm.mest import m_estimate, make_spec
@@ -346,16 +346,33 @@ class TestSearch:
         assert payload["final_graph"].startswith("p 3")
         assert "error" in payload
 
-    def test_sigma1_resolved_once(self, cycle4_files, capsys, monkeypatch):
-        calls = []
-        m_scalars = mest.m_scalars
-        monkeypatch.setattr(mest, "m_scalars", lambda *a: calls.append(1) or m_scalars(*a))
+    @staticmethod
+    def count_calls(monkeypatch, name, *modules):
+        """Count the calls of ``mest.<name>``, patched where each module looks it up."""
+        calls, original = [], getattr(mest, name)
+        for module in modules:
+            monkeypatch.setattr(module, name, lambda *a: calls.append(1) or original(*a))
+        return calls
+
+    def search_sigma1(self, files, capsys, estimator):
         rc, payload = run_json(capsys, [
-            "search", "--data", str(cycle4_files["data"]), "--estimator", "t:5",
+            "search", "--data", str(files["data"]), "--estimator", estimator,
             "--family", "t:5", "--alpha", "0.05"])
         assert rc == 0
+        return payload["sigma1"]
+
+    def test_sigma1_resolved_once(self, cycle4_files, capsys, monkeypatch):
+        calls = self.count_calls(monkeypatch, "scalars_for", mest, inference)
+        sigma1 = self.search_sigma1(cycle4_files, capsys, "t:5")
         assert len(calls) == 1
-        assert payload["sigma1"] == mest.scalars_for(make_spec("t:5", 4), "t:5", 4).sigma1
+        assert sigma1 == mest.scalars_for(make_spec("t:5", 4), "t:5", 4).sigma1
+
+    def test_sigma1_by_quadrature_resolved_once(self, cycle4_files, capsys, monkeypatch):
+        # Huber scalars at the t family still integrate, once per search
+        calls = self.count_calls(monkeypatch, "m_scalars", mest)
+        sigma1 = self.search_sigma1(cycle4_files, capsys, "huber:1.345")
+        assert len(calls) == 1
+        assert sigma1 == mest.scalars_for(make_spec("huber:1.345", 4), "t:5", 4).sigma1
 
     @pytest.mark.parametrize("flag,value", [("--sigma1", "0"), ("--sigma1", "-1"),
                                             ("--sigma1", "nan"), ("--alpha", "nan"),

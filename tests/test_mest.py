@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -542,6 +543,27 @@ class TestScalars:
         se = mle_scalars(radial, lambda y: -0.5 * (p + nu) / (nu + np.asarray(y, float)), p)
         assert abs(sm.sigma1 - expected) <= 1e-10
         assert abs(se.sigma1 - expected) <= 1e-10
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 10, 30])
+    @pytest.mark.parametrize("nu", [1.0, 2.5, 5.0, 30.0])
+    def test_t_mle_closed_form_matches_quadrature(self, p, nu):
+        spec = make_spec(f"t:{nu:g}", p)
+        closed = scalars_for(spec, f"t:{nu:g}", p)
+        radial = radial_for_family(f"t:{nu:g}", p)
+        quad_m = m_scalars(spec, radial, p)
+        quad_mle = mle_scalars(radial, lambda y: -0.5 * (p + nu) / (nu + np.asarray(y, float)), p)
+        for s in (quad_m, quad_mle):
+            got, want = np.array(astuple(closed)), np.array(astuple(s))
+            assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+    @pytest.mark.parametrize("family,spec_p", [("t:3", 4), ("gaussian", 4), ("t:5", 3)])
+    def test_t_at_other_family_integrates(self, monkeypatch, family, spec_p):
+        # a t:5 spec built for p=3 weighs by 8/(5+s): at p=4 it is not the MLE
+        calls = []
+        monkeypatch.setattr(mest, "m_scalars", lambda *a: calls.append(1) or m_scalars(*a))
+        s = scalars_for(make_spec("t:5", spec_p), family, 4)
+        assert len(calls) == 1
+        assert s == m_scalars(make_spec("t:5", spec_p), radial_for_family(family, 4), 4)
 
     def test_huber_defining_equation(self):
         p = 3
