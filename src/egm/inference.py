@@ -29,8 +29,8 @@ from .errors import (
 )
 from .graphs import Graph, GraphIndex, build_index
 from .linops import check_spd, spd_inverse
-from .mest import (EstimatorSpec, _positive, _validate_data, graphical_m_estimate, m_estimate,
-                   scalars_for)
+from .mest import (EstimatorSpec, _check_spec, _positive, _validate_data, graphical_m_estimate,
+                   m_estimate, scalars_for)
 
 __all__ = [
     "DevianceReport",
@@ -168,6 +168,7 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
         raise PreconditionError(f"alpha must be in [0, 1], got {alpha}")
     X = _validate_data(X)
     n, p = X.shape
+    _check_spec(spec, p)
     s1 = resolve_sigma1(spec, p, sigma1, family)
 
     try:

@@ -133,7 +133,7 @@ def make_spec(text: str, p: int) -> EstimatorSpec:
     """Build an estimator spec from its string form for dimension p.
 
     Accepted forms: ``gaussian``, ``t:NU`` and ``huber:K``, with NU and K
-    finite and > 0.
+    finite and > 0; ``params["p"]`` records p, which data must match.
     The Huber scatter weight is rescaled by the consistency constant
     c = p / E[min(R, k^2)] = p / {p F_{p+2}(k^2) + k^2 (1 - F_p(k^2))} under
     the chi-square(p) radial law, with F_d the chi-square(d) CDF.
@@ -141,7 +141,7 @@ def make_spec(text: str, p: int) -> EstimatorSpec:
     text = text.strip()
     if text == "gaussian":
         one = lambda s: np.ones_like(np.asarray(s, dtype=float))
-        spec = EstimatorSpec("gaussian", one, one, {},
+        spec = EstimatorSpec("gaussian", one, one, {"p": p},
                              phi2_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)))
     elif text.startswith("t:"):
         nu = _parameter(text, "t:", "t degrees of freedom")
@@ -153,7 +153,7 @@ def make_spec(text: str, p: int) -> EstimatorSpec:
         def dphi2(s, nu=nu, a=a):
             return a * nu / (nu + np.asarray(s, dtype=float)) ** 2
 
-        spec = EstimatorSpec(text, u, u, {"nu": nu}, phi2_prime=dphi2)
+        spec = EstimatorSpec(text, u, u, {"nu": nu, "p": p}, phi2_prime=dphi2)
     elif text.startswith("huber:"):
         k = _parameter(text, "huber:", "huber threshold")
         from scipy.special import chdtr, chdtrc
@@ -172,11 +172,18 @@ def make_spec(text: str, p: int) -> EstimatorSpec:
         def dphi2(s, c=c, k2=k2):
             return np.where(np.asarray(s, dtype=float) < k2, c, 0.0)
 
-        spec = EstimatorSpec(text, u1, u2, {"k": k, "c": c}, phi2_prime=dphi2)
+        spec = EstimatorSpec(text, u1, u2, {"k": k, "c": c, "p": p}, phi2_prime=dphi2)
     else:
         raise PreconditionError(f"unknown estimator spec {text!r}")
     spec.check_monotone()
     return spec
+
+
+def _check_spec(spec: EstimatorSpec, p: int) -> None:
+    """DimensionError if ``spec`` was built for a dimension other than p."""
+    built = spec.params.get("p")
+    if built is not None and built != p:
+        raise DimensionError(f"estimator spec {spec.name!r} was built for p={built}, not for p={p}")
 
 
 @dataclass(frozen=True)
@@ -275,51 +282,64 @@ def _validate_data(X) -> np.ndarray:
     return X
 
 
-# rows per pass of the fixed-point map: a block's temporaries stay in cache
+# rows per tile of the fixed-point map, over all its slices: they stay in cache
 _BLOCK = 8192
 
 
-def _radii(X, mu, L_inv) -> np.ndarray:
-    Y = L_inv @ (X - mu[:, None, :]).mT
-    return np.einsum("rij,rij->rj", Y, Y)
+def _groups(R: int, n: int) -> list:
+    """The groups of slices of an (R, n, p) stack that the fixed-point map
+    takes together: ``_BLOCK // n`` slices while n <= ``_BLOCK``, else one."""
+    g = max(1, _BLOCK // min(n, _BLOCK))
+    return [slice(t, t + g) for t in range(0, R, g)]
 
 
-def _reweight(X, mu, S, spec, center=None):
-    """The fixed-point map at (mu, S), per slice of the stacks X (R, n, p),
-    mu (R, p) and S (R, p, p): the u1-weighted mean and the u2-weighted
-    scatter about ``center``, by default that new mean.
+def _reweight(X, mu, S, spec, center=None, live=None):
+    """The fixed-point map at (mu, S), per slice of the stacks X[live]
+    (R, n, p), mu (R, p) and S (R, p, p), X[live] never copied whole: the
+    u1-weighted mean and the u2-weighted scatter about ``center``, by
+    default that new mean.
 
-    Rows are processed in blocks of ``_BLOCK``, in two passes: the radii,
-    both weights and the weighted row sums, then the weighted scatter about
-    the new mean.  So the temporaries of an evaluation are bounded by the
-    block, not by n, and the blocks depend on n alone: a slice keeps the
-    bits of its stack-of-one call, and n <= ``_BLOCK`` rows take one block.
+    A tile is a group of slices (:func:`_groups`) times a block of
+    ``_BLOCK`` rows.  Each group takes two passes over its blocks: the
+    radii, both weights and the weighted row sums, then the weighted
+    scatter about the new mean.  So temporaries are bounded by the tile,
+    and blocks depend on n alone: a slice keeps its stack-of-one bits.
     """
-    n = X.shape[1]
+    n, p = X.shape[1:]
+    live = np.arange(len(X)) if live is None else live
     blocks = [slice(a, a + _BLOCK) for a in range(0, n, _BLOCK)]
     # inverting the p x p factor once beats a general solve for n columns
     L_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (S + S.mT)))
-    w2, sums, totals = [], [], []
-    for b in blocks:
-        radii = _radii(X[:, b], mu, L_inv)
-        w1 = spec.u1(radii)
-        w2.append(spec.u2(radii))
-        sums.append((w1[..., None] * X[:, b]).sum(axis=1))
-        totals.append(w1.sum(axis=1))
-    mu_new = reduce(add, sums) / reduce(add, totals)[:, None]
-    c = (mu_new if center is None else center)[:, None, :]
-    scatter = []
-    for b, w in zip(blocks, w2):
-        Xc = X[:, b] - c
-        scatter.append((w[..., None] * Xc).mT @ Xc)
-    return mu_new, reduce(add, scatter) / n
+    mu_new, scatter = np.empty_like(mu), np.empty_like(S)
+    for G in _groups(len(live), n):
+        # a run of consecutive slices is a view, any other tile a copy
+        t = live[G]
+        Xt = X[t[0]:t[-1] + 1] if t[-1] - t[0] < len(t) else X[t]
+        w2, sums, totals = [], [], []
+        for b in blocks:
+            Y = L_inv[G] @ (Xt[:, b] - mu[G, None, :]).mT
+            radii = np.einsum("rij,rij->rj", Y, Y)
+            w1 = spec.u1(radii)
+            w2.append(spec.u2(radii))
+            # einsum adds the rows in order, as numpy's strided sum does; at
+            # p = 1 numpy sums pairwise, so the mean there keeps that sum
+            sums.append(np.einsum("rn,rni->ri", w1, Xt[:, b]) if p > 1
+                        else (w1[..., None] * Xt[:, b]).sum(axis=1))
+            totals.append(w1.sum(axis=1))
+        mu_new[G] = reduce(add, sums) / reduce(add, totals)[:, None]
+        c = (mu_new if center is None else center)[G, None, :]
+        parts = []
+        for b, w in zip(blocks, w2):
+            Xc = Xt[:, b] - c
+            parts.append((w[..., None] * Xc).mT @ Xc)
+        scatter[G] = reduce(add, parts) / n
+    return mu_new, scatter
 
 
-def _residual(X, mu, S, spec, index: Optional[GraphIndex] = None) -> np.ndarray:
-    """Max-abs residual of the estimating equations, per slice; with
-    ``index`` the scatter equation holds on edges and the diagonal only and
-    the inverse must vanish on the absent edges."""
-    mu_fix, W = _reweight(X, mu, S, spec, center=mu)
+def _residual(X, mu, S, spec, index: Optional[GraphIndex] = None, live=None) -> np.ndarray:
+    """Max-abs residual of the estimating equations, per slice of X[live];
+    under ``index`` on edges and the diagonal, and |S^-1| on absent edges."""
+    mu_fix, W = _reweight(X, mu, S, spec, center=mu, live=live)
     scale = np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
     gap = np.abs(S - W).reshape(len(S), -1) if index is None else np.abs((S - W)[:, index.k_mask])
     res = np.maximum(np.max(np.abs(mu_fix - mu), axis=1), np.max(gap, axis=1) / scale)
@@ -371,9 +391,10 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
         index = None  # a complete graph constrains nothing
     out, it = [None] * R, 0
     try:
-        mu = X.mean(axis=1)
-        Xc = X - mu[:, None, :]
-        S = Xc.mT @ Xc / n
+        mu, S = X.mean(axis=1), np.empty((R, p, p))
+        for G in _groups(R, n):
+            Xc = X[G] - mu[G, None, :]
+            S[G] = Xc.mT @ Xc / n
         W, change = None, np.full(R, np.inf)
         if index is not None:
             fits = _complete(S, index.k_mask, 1e-2 * tol)
@@ -382,17 +403,17 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
         live = np.arange(R)  # the data set of each slice of the stacks
         path = []  # the inputs (mu, S) of this cycle's map evaluations
         while True:
-            # the slices with an outcome leave; the stacks are copied only then
+            # the slices with an outcome leave; the data stack is never copied
             keep = np.array([out[r] is None for r in live], dtype=bool)
             if not keep.all():
-                live, X, mu, S, change = live[keep], X[keep], mu[keep], S[keep], change[keep]
+                live, mu, S, change = live[keep], mu[keep], S[keep], change[keep]
                 W = None if W is None else W[keep]
                 path = [(m[keep], s[keep]) for m, s in path]
             if not live.size or it == max_iter:
                 break
             path = [_extrapolate(*path, (mu, S))] if len(path) == 2 else path + [(mu, S)]
             it += 1
-            mu_new, S_new = _reweight(X, *path[-1], spec)
+            mu_new, S_new = _reweight(X, *path[-1], spec, live=live)
             if index is not None:
                 inner_tol = np.minimum(np.maximum(1e-2 * change, 1e-2 * tol), 1e-2)
                 # warm start from the last completion, not an extrapolated S
@@ -406,13 +427,12 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
             mu, S = mu_new, S_new
             conv = [i for i in np.flatnonzero(change <= tol) if out[live[i]] is None]
             if conv:
-                # the data are copied only when some slices have not converged
-                sub = (X, mu, S) if len(conv) == len(X) else (X[conv], mu[conv], S[conv])
-                for i, r in zip(conv, _residual(*sub, spec, index)):
+                c = slice(None) if len(conv) == len(live) else conv
+                for i, r in zip(conv, _residual(X, mu[c], S[c], spec, index, live[c])):
                     if r <= tol:
                         out[live[i]] = FitResult(mu[i].copy(), S[i].copy(), it, True, float(r))
         if live.size:
-            for r, res in zip(live, _residual(X, mu, S, spec, index)):
+            for r, res in zip(live, _residual(X, mu, S, spec, index, live)):
                 out[r] = ConvergenceError(f"{what} did not converge in {max_iter} iterations "
                                           f"(residual {res:.3e})", residual=float(res))
     except (np.linalg.LinAlgError, DefinitenessError) as exc:
@@ -428,6 +448,7 @@ def _fit(X, spec: EstimatorSpec, tol: float, max_iter: int,
     X = _validate_data(X)
     if index is not None and X.shape[1] != index.p:
         raise DimensionError(f"data has {X.shape[1]} columns but the graph has p={index.p}")
+    _check_spec(spec, X.shape[1])
     fit, = _results(_solve(X[None], spec, tol, max_iter, index))
     return fit
 
@@ -454,11 +475,12 @@ def m_estimate(X, spec: EstimatorSpec, tol: float = 1e-9,
     reweighted mean and the reweighted scatter at the current radii, and
     every second map output is extrapolated along the last two steps
     unless that loses positive definiteness.  Each evaluation passes over
-    the rows in fixed-size blocks, so its temporaries are bounded by the
-    block, not by n.  Gaussian weights converge at
-    the first evaluation to the sample mean and the 1/n-denominator sample
-    covariance.  An exhausted budget, or an iterate that loses positive
-    definiteness, raises ConvergenceError.
+    the data in tiles of at most 8192 rows, counted over the data sets of
+    a stacked call (a study stacks up to 128 replicates), so temporaries
+    are bounded by the tile, neither by n nor by the stack.  Gaussian
+    weights converge at the first evaluation to the sample mean and the
+    1/n-denominator sample covariance.  An exhausted budget, or an iterate
+    that loses positive definiteness, raises ConvergenceError.
     """
     return _fit(X, spec, tol, max_iter)
 
@@ -554,28 +576,18 @@ def m_scalars(spec: EstimatorSpec, radial: RadialLaw, p: int) -> AsymptoticScala
     def gap(c):
         return radial.expect(lambda r: spec.phi2(c * r)) - p
 
-    lo, hi = 1.0, 1.0
-    g_hi = gap(hi)
-    tries = 0
-    while g_hi < 0.0:
-        hi *= 2.0
-        g_hi = gap(hi)
-        tries += 1
-        if tries > 60:
-            raise PreconditionError(
-                "no consistency root: E[phi2(c R)] stays below p "
-                f"(spec {spec.name!r} cannot match this radial law)")
-    g_lo = gap(lo)
-    tries = 0
-    while g_lo > 0.0:
-        lo /= 2.0
-        g_lo = gap(lo)
-        tries += 1
-        if tries > 60:
-            raise PreconditionError(
-                "no consistency root: E[phi2(c R)] stays above p "
-                f"(spec {spec.name!r} cannot match this radial law)")
-    c = brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    def bracket(step, sign, side):
+        # the first of 1, step, ..., step^60 where sign * gap < 0 fails
+        c = 1.0
+        for _ in range(61):
+            if not sign * gap(c) < 0.0:
+                return c
+            c *= step
+        raise PreconditionError(f"no consistency root: E[phi2(c R)] stays {side} p "
+                                f"(spec {spec.name!r} cannot match this radial law)")
+
+    hi = bracket(2.0, 1.0, "below")
+    c = brentq(gap, bracket(0.5, -1.0, "above"), hi, xtol=1e-13, rtol=8.9e-16)
 
     gamma1 = radial.expect(lambda r: spec.phi2(c * r) ** 2) / (p * (p + 2.0))
     gamma2 = radial.expect(lambda r: c * r * dphi2(c * r)) / p
@@ -605,6 +617,6 @@ def scalars_for(spec: EstimatorSpec, family: str, p: int) -> AsymptoticScalars:
         return sample_cov_scalars(0.0 if nu is None else 6.0 / (nu - 4.0), p)
     # the MLE weight u(s) = (p+NU)/(NU+s) of this dimension, not another's
     if (spec.name.startswith("t:") and nu is not None and spec.params.get("nu") == nu
-            and spec.u2(0.0) == (p + nu) / nu):
+            and spec.params.get("p") == p):
         return _mle((p + nu + 2.0) / (p + nu), p)
     return m_scalars(spec, radial_for_family(family, p), p)

@@ -6,15 +6,16 @@ square root uses the symmetric eigendecomposition, which makes a draw
 from (mu, S) exactly the affine transform of the standard draw with the
 same seed.
 
-The studies fit their replicates in chunks, each chunk an (R, n, p)
-stack that one solver call advances together while every replicate
-stops exactly when it would stop alone.  A replicate that runs out of
-iterations or sweeps fails on its own; any other failure raises for the
-whole stack, and then the chunk reruns replicate by replicate, each a
-stack of one, which is the serial call.  A replicate's result therefore
-depends on neither the chunk size nor the other replicates in its chunk:
-it equals, bit for bit, the public serial calls on ``sample(model, n,
-[seed, r])``, and so does the reason it failed.
+The studies fit their replicates in chunks of up to ``_CHUNK`` = 128,
+each an (R, n, p) stack that one solver call advances together, tile by
+tile of the map, while every replicate stops exactly when it would stop
+alone.  A replicate that runs out of iterations or sweeps fails on its
+own; any other failure raises for the whole stack, and then the chunk
+reruns replicate by replicate, each a stack of one, which is the serial
+call.  A replicate's result therefore depends on neither the chunk size
+nor the other replicates in its chunk: it equals, bit for bit, the public
+serial calls on ``sample(model, n, [seed, r])``, and so does the reason
+it failed.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .linops import check_spd
 from .mest import (
     EstimatorSpec,
     FitResult,
+    _check_spec,
     _family_nu,
     _solve,
     _validate_data,
@@ -55,7 +57,7 @@ __all__ = [
 FAILURE_CAP = 0.02
 
 # replicates fitted together as one stack; results do not depend on it
-_CHUNK = 16
+_CHUNK = 128
 
 # what the kernel can raise for one replicate's data; anything else is a
 # bug and propagates
@@ -165,7 +167,10 @@ def _chunks(replicates: int) -> list:
 def _data(model: EllipticalModel, n: int, seed: int, rs, root) -> np.ndarray:
     """The (R, n, p) stack of the replicates ``rs``, each checked as the
     estimators check their data."""
-    return np.array([_validate_data(_draw(model, n, [seed, r], root)) for r in rs])
+    X = np.empty((len(rs), n, model.p))
+    for x, r in zip(X, rs):
+        x[...] = _validate_data(_draw(model, n, [seed, r], root))
+    return X
 
 
 def _run_chunk(kernel, X) -> list:
@@ -215,7 +220,8 @@ def _both_fits(X, index: GraphIndex, spec: EstimatorSpec, tol: float) -> list:
             out[i] = c if isinstance(c, Exception) else (out[i].mu, c.matrix)
     ok = [i for i, o in enumerate(out) if isinstance(o, tuple)]
     if ok:
-        for i, f in zip(ok, _solve(X[ok], spec, tol, _MAX_ITER, index)):
+        sub = X if len(ok) == len(X) else X[ok]
+        for i, f in zip(ok, _solve(sub, spec, tol, _MAX_ITER, index)):
             out[i] = f if isinstance(f, Exception) else (out[i], (f.mu, f.scatter))
     return out
 
@@ -237,6 +243,7 @@ def equivalence_study(index: GraphIndex, model: EllipticalModel,
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid or len(set(n_grid)) < len(n_grid):
         raise PreconditionError(f"the n grid must be non-empty and distinct, got {n_grid}")
+    _check_spec(spec, model.p)
     if pattern_violation(model.S, index) > 1e-8:
         raise PreconditionError(
             "model shape violates the graph: inverse has mass on absent edges")
@@ -282,6 +289,7 @@ def deviance_null_study(index0: GraphIndex, index1: GraphIndex,
     ``sample(model, n, [seed, r])``.
     """
     chunks = _chunks(replicates)
+    _check_spec(spec, model.p)
     if pattern_violation(model.S, index0) > 1e-8:
         raise PreconditionError(
             "model shape violates the null graph: inverse has mass on absent edges")

@@ -140,6 +140,11 @@ class TestBackwardElimination:
         with pytest.raises(DimensionError, match="n x p matrix"):
             backward_elimination(np.ones(shape), make_spec("gaussian", 4), 0.05)
 
+    def test_rejects_spec_of_another_dimension(self):
+        X = rng.standard_normal((100, 4))
+        with pytest.raises(DimensionError, match="built for p=3, not for p=4"):
+            backward_elimination(X, make_spec("t:5", 3), 0.05, family="t:5")
+
     def test_one_completion_call_per_step(self, monkeypatch):
         import egm.covsel as cov
         import egm.inference as inf

@@ -11,6 +11,7 @@ from egm.errors import (
     ConvergenceError,
     DefinitenessError,
     DegenerateDataError,
+    DimensionError,
     PreconditionError,
     SampleSizeError,
 )
@@ -62,6 +63,30 @@ class TestSpecs:
         assert t.params["nu"] == 5.0
         h = make_spec("huber:1.345", 3)
         assert h.params["k"] == 1.345
+
+    @pytest.mark.parametrize("text", ["gaussian", "t:5", "huber:1.345"])
+    def test_records_dimension(self, text):
+        assert make_spec(text, 3).params["p"] == 3
+
+    @pytest.mark.parametrize("text", ["gaussian", "t:5", "huber:1.345"])
+    def test_fits_refuse_spec_of_another_dimension(self, text):
+        X = rng.standard_normal((60, 5))
+        index = build_index(Graph.cycle(5))
+        spec = make_spec(text, 3)
+        for fit in (lambda: m_estimate(X, spec), lambda: graphical_m_estimate(X, index, spec),
+                    lambda: plug_in_estimate(X, index, spec)):
+            with pytest.raises(DimensionError, match="built for p=3, not for p=5"):
+                fit()
+
+    def test_hand_built_spec_has_no_dimension(self):
+        # the t:5 weights of p=5, without params["p"]: fitted, and scored by quadrature
+        u = lambda s: 10.0 / (5.0 + np.asarray(s, dtype=float))
+        spec = EstimatorSpec("t:5", u, u, {"nu": 5.0})
+        X = rng.standard_normal((60, 5))
+        fit = m_estimate(X, spec)
+        ref = m_estimate(X, make_spec("t:5", 5))
+        assert np.array_equal(fit.mu, ref.mu) and np.array_equal(fit.scatter, ref.scatter)
+        assert scalars_for(spec, "t:5", 5) == m_scalars(spec, radial_for_family("t:5", 5), 5)
 
     def test_t_weights_formula(self):
         spec = make_spec("t:5", 3)
@@ -243,6 +268,11 @@ class TestMEstimate:
         assert np.max(np.abs(fit.mu - X.mean(axis=0))) == 0.0
         assert np.max(np.abs(fit.scatter - Xc.T @ Xc / len(X))) < 1e-14
         assert fit.converged
+
+    def test_gaussian_weights_give_mean_in_one_dimension(self):
+        X = rng.standard_normal((3000, 1)) * 3.0 + 1.0
+        fit = m_estimate(X, make_spec("gaussian", 1))
+        assert np.array_equal(fit.mu, X.mean(axis=0))
 
     def test_t5_fit_on_t5_data(self):
         S = np.array([[2.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.5]])
@@ -753,6 +783,44 @@ class TestBlockedPass:
         spec = make_spec("t:5", 5)
         for a, b in zip(_reweight(X, mu, S, spec), reweight_oracle(X, mu, S, spec)):
             assert np.array_equal(a, b)
+
+    # R leaves the last tile short: 32 + 13, 16 + 5 and 8 + 3 slices
+    @pytest.mark.parametrize("n,R", [(250, 45), (500, 21), (1000, 11), (_BLOCK, 3),
+                                     (_BLOCK + 1, 2)])
+    @pytest.mark.parametrize("centered", [False, True])
+    @pytest.mark.parametrize("p", [1, 5])
+    def test_tiled_slices_equal_stack_of_one(self, n, R, centered, p):
+        local = np.random.default_rng(n)
+        X = local.standard_normal((R, n, p)) @ np.triu(np.ones((p, p))) + 3.0
+        mu = X.mean(axis=1) + 0.1
+        S = np.array([rand_spd(p, local) for _ in range(R)])
+        center = mu - 0.2 if centered else None
+        spec = make_spec("t:5", p)
+        # every third slice left: tiles of scattered slices are copied
+        live = np.flatnonzero(np.arange(R) % 3 != 1)
+        stacked = _reweight(X, mu, S, spec, center)
+        subset = _reweight(X, mu[live], S[live], spec, None if center is None else center[live],
+                           live=live)
+        for r in range(R):
+            alone = _reweight(X[r:r + 1], mu[r:r + 1], S[r:r + 1], spec,
+                              None if center is None else center[r:r + 1])
+            for a, b in zip(stacked, alone):
+                assert np.array_equal(a[r], b[0])
+            if r in live:
+                for a, b in zip(subset, alone):
+                    assert np.array_equal(a[np.searchsorted(live, r)], b[0])
+
+    def test_temporaries_bounded_by_tile(self):
+        X = np.random.default_rng(6).standard_normal((256, 500, 5))
+        mu, S = X.mean(axis=1), np.repeat(np.eye(5)[None], 256, axis=0)
+        spec = make_spec("t:5", 5)
+        tracemalloc.start()
+        try:
+            _reweight(X, mu, S, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * X.nbytes
 
     def test_temporaries_bounded_by_block(self):
         X = np.random.default_rng(5).standard_normal((1, 200_000, 10))

@@ -229,6 +229,14 @@ class TestStudySizes:
         with pytest.raises(PreconditionError, match="at least one replicate"):
             equivalence_study(I4, m4, make_spec("gaussian", 4), [100], replicates, seed=1)
 
+    @pytest.mark.parametrize("text", ["gaussian", "t:5", "huber:1.345"])
+    def test_spec_of_another_dimension_rejected(self, text):
+        m5, m4 = _cycle_models("t:5")
+        with pytest.raises(DimensionError, match="built for p=3, not for p=5"):
+            deviance_null_study(I5, I5_CHORD, m5, make_spec(text, 3), 100, 4, seed=1)
+        with pytest.raises(DimensionError, match="built for p=3, not for p=4"):
+            equivalence_study(I4, m4, make_spec(text, 3), [100], 4, seed=1)
+
     def test_repeated_n_rejected(self):
         _, m4 = _cycle_models("gaussian")
         with pytest.raises(PreconditionError, match="distinct"):
@@ -261,7 +269,8 @@ class TestChunkedStudies:
         # a budget that fails some replicates and not others
         monkeypatch.setattr(simulate, "_MAX_ITER", 60)
         reports = []
-        for chunk in (1, simulate._CHUNK, 64):
+        # a stack of one, chunks that split a tile, and one stack per study
+        for chunk in (1, 5, simulate._CHUNK):
             monkeypatch.setattr(simulate, "_CHUNK", chunk)
             reports.append(study().to_dict())
         assert reports[0]["failures"] > 0
@@ -369,7 +378,7 @@ class TestChunkFallback:
         m5, _ = _cycle_models("t:5")
         spec = make_spec("t:5", 5)
         reports = []
-        for chunk in (1, 16, 64):
+        for chunk in (1, 5, simulate._CHUNK):
             monkeypatch.setattr(simulate, "_CHUNK", chunk)
             reports.append(deviance_null_study(I5, I5_CHORD, m5, spec, 100, 64, seed=3))
         stats, log = [], []
@@ -392,7 +401,7 @@ class TestChunkFallback:
         _, m4 = _cycle_models("t:5")
         spec = make_spec("t:5", 4)
         reports = []
-        for chunk in (1, 16, 64):
+        for chunk in (1, 5, simulate._CHUNK):
             monkeypatch.setattr(simulate, "_CHUNK", chunk)
             reports.append(equivalence_study(I4, m4, spec, [40], 64, seed=3))
         deltas, log = [], []
