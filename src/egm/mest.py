@@ -6,6 +6,13 @@ asymptotic scalars (sigma1, sigma2, eta) of the three classical cases:
 sample covariance, elliptical maximum likelihood, and general monotone
 M-estimators.
 
+The solver accelerates the fixed-point map by SQUAREM (Varadhan & Roland
+2008) and moves every accepted extrapolation along its scale ray, S -> S/s,
+onto the trace identity mean phi2(s r_i) = p.  Every fixed point meets
+that identity at s = 1, while the map itself leaves the scale direction
+almost neutral; so the step changes no fixed point and removes the slowest
+mode of the iteration.
+
 Built-in weight families, addressable by string:
 
 * ``gaussian``      constant weights; reproduces mean / covariance,
@@ -270,9 +277,8 @@ def _validate_data(X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionError(f"data must be an n x p matrix, got shape {X.shape}")
-    bad = np.argwhere(~np.isfinite(X))
-    if bad.size:
-        i, j = bad[0] + 1
+    if not np.isfinite(X).all():
+        i, j = np.argwhere(~np.isfinite(X))[0] + 1
         raise PreconditionError(f"data has a non-finite value at row {i}, column {j}")
     n, p = X.shape
     if n < p + 1:
@@ -293,34 +299,47 @@ def _groups(R: int, n: int) -> list:
     return [slice(t, t + g) for t in range(0, R, g)]
 
 
-def _reweight(X, mu, S, spec, center=None, live=None):
+def _reweight(X, mu, S, spec, center=None, live=None, rescale=None):
     """The fixed-point map at (mu, S), per slice of the stacks X[live]
     (R, n, p), mu (R, p) and S (R, p, p), X[live] never copied whole: the
     u1-weighted mean and the u2-weighted scatter about ``center``, by
     default that new mean.
 
     A tile is a group of slices (:func:`_groups`) times a block of
-    ``_BLOCK`` rows.  Each group takes two passes over its blocks: the
-    radii, both weights and the weighted row sums, then the weighted
+    ``_BLOCK`` rows.  Each group passes over its blocks for the radii,
+    then for both weights and the weighted row sums, then for the weighted
     scatter about the new mean.  So temporaries are bounded by the tile,
-    and blocks depend on n alone: a slice keeps its stack-of-one bits.
+    apart from one radius per row, and blocks depend on n alone: a slice
+    keeps its stack-of-one bits.
+
+    With ``rescale``, a flag per slice, a flagged slice is mapped at
+    (mu, S / s) instead, s from :func:`_scale_root` on its radii, and the
+    scales s (1 where not flagged) are returned as a third array.
     """
     n, p = X.shape[1:]
     live = np.arange(len(X)) if live is None else live
     blocks = [slice(a, a + _BLOCK) for a in range(0, n, _BLOCK)]
     # inverting the p x p factor once beats a general solve for n columns
     L_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (S + S.mT)))
-    mu_new, scatter = np.empty_like(mu), np.empty_like(S)
+    mu_new, scatter, scales = np.empty_like(mu), np.empty_like(S), np.ones(len(live))
     for G in _groups(len(live), n):
         # a run of consecutive slices is a view, any other tile a copy
         t = live[G]
         Xt = X[t[0]:t[-1] + 1] if t[-1] - t[0] < len(t) else X[t]
-        w2, sums, totals = [], [], []
+        radii = np.empty((len(t), n))
         for b in blocks:
             Y = L_inv[G] @ (Xt[:, b] - mu[G, None, :]).mT
-            radii = np.einsum("rij,rij->rj", Y, Y)
-            w1 = spec.u1(radii)
-            w2.append(spec.u2(radii))
+            np.einsum("rij,rij->rj", Y, Y, out=radii[:, b])
+        if rescale is not None and rescale[G].any():
+            # the radii at S/s are s r; all n radii of a slice enter its root
+            i = np.flatnonzero(rescale[G])
+            scales[G.start + i] = _scale_root(radii[i], spec, p)
+            radii *= scales[G, None]
+        w2, sums, totals = [], [], []
+        for b in blocks:
+            r = radii[:, b]
+            w1 = spec.u1(r)
+            w2.append(spec.u2(r))
             # einsum adds the rows in order, as numpy's strided sum does; at
             # p = 1 numpy sums pairwise, so the mean there keeps that sum
             sums.append(np.einsum("rn,rni->ri", w1, Xt[:, b]) if p > 1
@@ -333,7 +352,56 @@ def _reweight(X, mu, S, spec, center=None, live=None):
             Xc = Xt[:, b] - c
             parts.append((w[..., None] * Xc).mT @ Xc)
         scatter[G] = reduce(add, parts) / n
-    return mu_new, scatter
+    return (mu_new, scatter) if rescale is None else (mu_new, scatter, scales)
+
+
+# the scale root is sought in [2^-60, 2^60], as m_scalars brackets its root
+_SPAN = 2.0 ** 60
+
+
+def _scale_root(radii, spec: EstimatorSpec, p: int) -> np.ndarray:
+    """Per row of ``radii`` (k, n), the n squared radii r_i of one slice:
+    the scale s > 0 with mean phi2(s r_i) = p to 1e-13 p, phi2(v) =
+    v u2(v); 1 where no root lies in [2^-60, 2^60].  This is the sample
+    form of the consistency equation of :func:`m_scalars`: every fixed
+    point of the M-estimating equations, plain or graph-constrained, meets
+    it at s = 1.
+
+    From s = 1 the first step is the ratio s p / mean phi2(s r), exact for
+    a linear phi2, and the next are secant steps.  A step that leaves the
+    bracket of a sign change, or that does not halve it, bisects it; one
+    that points away from a root not yet bracketed moves by a factor of 4
+    instead.  Each row runs on its own numbers, so its root does not
+    depend on the other rows.
+    """
+    def gap(s, rows):
+        v = s[:, None] * (radii if len(rows) == len(radii) else radii[rows])
+        return (v * spec.u2(v)).mean(axis=1) - p
+
+    k = len(radii)
+    out, rows = np.ones(k), np.arange(k)
+    s, s_old, f_old = np.ones(k), np.full(k, np.nan), np.full(k, np.nan)
+    lo, hi, width = np.zeros(k), np.full(k, np.inf), np.full(k, np.inf)
+    f = gap(s, rows)
+    for _ in range(200):
+        lo, hi = np.where(f < 0, s, lo), np.where(f > 0, s, hi)
+        done = (np.abs(f) <= 1e-13 * p) | (hi - lo <= 4 * np.finfo(float).eps * lo)
+        out[rows[done]] = s[done]
+        keep = ~done & (((f < 0) & (s < _SPAN)) | ((f > 0) & (s > 1 / _SPAN)))
+        if not keep.any():
+            break
+        rows, s, f, s_old, f_old, lo, hi, width = (
+            a[keep] for a in (rows, s, f, s_old, f_old, lo, hi, width))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.where(np.isnan(s_old), p * s / (f + p), s - f * (s - s_old) / (f - f_old))
+        bracketed = (lo > 0) & (hi < np.inf)
+        bisect = bracketed & ((hi - lo > 0.5 * width) | ~((lo < c) & (c < hi)))
+        away = ~bracketed & ~((lo < c) & (c < hi))  # NaN included
+        c = np.where(bisect, 0.5 * (lo + hi), np.where(away, np.where(f < 0, 4 * s, s / 4), c))
+        width = np.where(bracketed, hi - lo, np.inf)
+        s_old, f_old, s = s, f, np.clip(c, 1 / _SPAN, _SPAN)
+        f = gap(s, rows)
+    return out
 
 
 def _residual(X, mu, S, spec, index: Optional[GraphIndex] = None, live=None) -> np.ndarray:
@@ -353,7 +421,8 @@ def _extrapolate(theta0, theta1, theta2):
     successive fixed-point iterates (mu, S), per slice of the stacks: with
     r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0, the point
     theta0 - 2 a r + a^2 v at a = -max(|r|/|v|, 1).  A slice whose
-    extrapolated S has no finite Cholesky factor takes theta2 itself."""
+    extrapolated S has no finite Cholesky factor takes theta2 itself.
+    Returns the points and the flags of the slices whose step it took."""
     (m0, S0), (m1, S1), (m2, S2) = theta0, theta1, theta2
     r, v = (m1 - m0, S1 - S0), (m2 - 2.0 * m1 + m0, S2 - 2.0 * S1 + S0)
     rr, vv = ((x * x).sum(axis=1) + (y * y).sum(axis=(1, 2)) for x, y in (r, v))
@@ -361,7 +430,7 @@ def _extrapolate(theta0, theta1, theta2):
     mu = m0 - 2.0 * a[:, None] * r[0] + (a * a)[:, None] * v[0]
     S = S0 - 2.0 * a[:, None, None] * r[1] + (a * a)[:, None, None] * v[1]
     ok = _has_cholesky(S)
-    return np.where(ok[:, None], mu, m2), np.where(ok[:, None, None], S, S2)
+    return np.where(ok[:, None], mu, m2), np.where(ok[:, None, None], S, S2), ok
 
 
 def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
@@ -375,9 +444,14 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
     started from the previous completion, to an inner tolerance that
     follows the outer progress down to one hundredth of ``tol``.  After
     every second map evaluation the iterate is extrapolated
-    (:func:`_extrapolate`).  Each map output is tested for convergence, its
-    change from the previous output and then its residual, so an estimate
-    is always a map output.  A slice leaves the stack once it converges or
+    (:func:`_extrapolate`); an accepted extrapolation is mapped from its
+    scale-corrected point S/s (:func:`_scale_root`, skipped for the
+    constant Gaussian weights), and that point starts the next cycle, while
+    a rejected one keeps the plain iterate unscaled.  So a solve whose
+    every extrapolation is rejected is the plain iteration, bit for bit.
+    Each map output is tested for convergence, its change from the
+    previous output and then its residual, so an estimate is always a map
+    output.  A slice leaves the stack once it converges or
     runs out of budget (``max_iter`` map evaluations, or the sweeps of a
     completion), so it takes exactly the evaluations it would take alone.
     Returns one FitResult, or the ConvergenceError of an exhausted budget,
@@ -401,6 +475,7 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
             out = [f if isinstance(f, ConvergenceError) else None for f in fits]
             S = np.array([f.matrix if o is None else s for s, f, o in zip(S, fits, out)])
         live = np.arange(R)  # the data set of each slice of the stacks
+        scaled = spec.name != "gaussian"  # constant weights: s moves no map output
         path = []  # the inputs (mu, S) of this cycle's map evaluations
         while True:
             # the slices with an outcome leave; the data stack is never copied
@@ -411,9 +486,17 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
                 path = [(m[keep], s[keep]) for m, s in path]
             if not live.size or it == max_iter:
                 break
-            path = [_extrapolate(*path, (mu, S))] if len(path) == 2 else path + [(mu, S)]
             it += 1
-            mu_new, S_new = _reweight(X, *path[-1], spec, live=live)
+            if len(path) < 2:
+                path.append((mu, S))
+                mu_new, S_new = _reweight(X, mu, S, spec, live=live)
+            else:
+                # an accepted step is mapped from its scale-corrected point,
+                # and that point starts the next cycle
+                mu_x, S_x, accepted = _extrapolate(*path, (mu, S))
+                mu_new, S_new, s = _reweight(X, mu_x, S_x, spec, live=live,
+                                             rescale=accepted & scaled)
+                path = [(mu_x, S_x / s[:, None, None])]
             if index is not None:
                 inner_tol = np.minimum(np.maximum(1e-2 * change, 1e-2 * tol), 1e-2)
                 # warm start from the last completion, not an extrapolated S
@@ -474,7 +557,10 @@ def m_estimate(X, spec: EstimatorSpec, tol: float = 1e-9,
     Fixed-point iteration, accelerated by SQUAREM: the map takes the
     reweighted mean and the reweighted scatter at the current radii, and
     every second map output is extrapolated along the last two steps
-    unless that loses positive definiteness.  Each evaluation passes over
+    unless that loses positive definiteness.  An accepted extrapolation is
+    first rescaled, S -> S/s, so that its radii meet the trace identity
+    mean phi2(s r_i) = p that holds at every fixed point; this removes the
+    map's slowest, near-neutral scale mode.  Each evaluation passes over
     the data in tiles of at most 8192 rows, counted over the data sets of
     a stacked call (a study stacks up to 128 replicates), so temporaries
     are bounded by the tile, neither by n nor by the stack.  Gaussian
@@ -490,8 +576,12 @@ def graphical_m_estimate(X, index: GraphIndex, spec: EstimatorSpec,
     """Solve the graph-constrained M-estimating equations.
 
     The accelerated fixed-point iteration of :func:`m_estimate` with
-    every reweighted scatter replaced by its graph-constrained completion;
-    ``max_iter`` counts map evaluations.  The completion is warm-started
+    every reweighted scatter replaced by its graph-constrained completion,
+    and the same scale step at each accepted extrapolation: the identity
+    mean phi2(r_i) = p holds at a constrained fixed point too, since S and
+    the reweighted scatter agree on the edges and the diagonal, where
+    alone S^-1 is non-zero.  ``max_iter`` counts map evaluations.  The
+    completion is warm-started
     from the previous completion, so late evaluations need about one
     sweep each.  A complete graph gives exactly the :func:`m_estimate`
     result.

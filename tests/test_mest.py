@@ -635,8 +635,8 @@ class TestStackedSolver:
 
     @staticmethod
     def stack(outlier, graph=False):
-        # slice 1 loses definiteness; slice 2 (t:1 rows) needs more than 19
-        # map evaluations, slice 3 (t:5 rows) fewer
+        # slice 1 loses definiteness; slice 2 (t:1 rows) needs more than 12
+        # map evaluations, slice 3 (t:5 rows) 12
         return [sample(EllipticalModel(np.zeros(4), np.eye(4), "gaussian"), 100, 0),
                 near_collinear(outlier) if graph else gross_outlier(outlier),
                 sample(EllipticalModel(np.zeros(4), np.eye(4), "t:1"), 100, 1),
@@ -648,12 +648,12 @@ class TestStackedSolver:
         index = build_index(Graph.cycle(4)) if graph else None
         spec = make_spec("t:5", 4)
         data = self.stack(outlier, graph)
-        stacked = _run_chunk(lambda X: _solve(X, spec, 1e-9, 19, index), np.array(data))
+        stacked = _run_chunk(lambda X: _solve(X, spec, 1e-9, 12, index), np.array(data))
         failed = []
         for i, (X, out) in enumerate(zip(data, stacked)):
             try:
-                fit = (graphical_m_estimate(X, index, spec, max_iter=19) if graph
-                       else m_estimate(X, spec, max_iter=19))
+                fit = (graphical_m_estimate(X, index, spec, max_iter=12) if graph
+                       else m_estimate(X, spec, max_iter=12))
             except ConvergenceError as exc:
                 failed.append(i)
                 assert type(out) is ConvergenceError and str(out) == str(exc)
@@ -710,6 +710,18 @@ class TestAcceleration:
         plug = plug_in_estimate(X, build_index(Graph.cycle(10)), spec, tol=tol)
         assert plug.converged and np.array_equal(plug.mu, fit.mu)
 
+    def test_fit_large_huber_reaches_fixed_point(self):
+        # the scale step removes the near-neutral scale mode of the map;
+        # without it both fits take about 300 evaluations and the plain one
+        # stops 5e-8 (relative) away from its fixed point
+        X = cycle10_t5(4000, 61)
+        spec = make_spec("huber:1.345", 10)
+        fit = m_estimate(X, spec)
+        assert fit.iterations <= 30
+        assert graphical_m_estimate(X, build_index(Graph.cycle(10)), spec).iterations <= 30
+        ref = m_estimate(X, spec, tol=1e-13, max_iter=5000)
+        assert np.max(np.abs(fit.scatter - ref.scatter)) <= 1e-8 * np.max(np.abs(ref.scatter))
+
     def test_evaluation_count(self):
         # the plain iteration takes 55 map evaluations for both fits
         X = cycle10_t5(4000, 61)
@@ -742,6 +754,60 @@ class TestAcceleration:
             assert (out.iterations, out.residual) == (fit.iterations, fit.residual)
         mu, S, iterations = plain_fixed_point(data[2], spec, 1e-9, 500, index)
         assert np.array_equal(stacked[2].scatter, S) and stacked[2].iterations == iterations
+
+
+class TestScaleRoot:
+    """``mest._scale_root`` solves the trace identity mean phi2(s r_i) = p
+    that every fixed point meets at s = 1; the solver moves each accepted
+    SQUAREM point onto it."""
+
+    @pytest.mark.parametrize("name", ["t:1", "t:5", "huber:1.345"])
+    def test_root_meets_identity(self, name):
+        local = np.random.default_rng(23)
+        p = 5
+        spec = make_spec(name, p)
+        # chi-square and heavy-tailed radii, off scale by 1e-3 to 1e3
+        radii = np.concatenate([local.chisquare(p, (3, 400)),
+                                local.chisquare(p, (3, 400)) / local.chisquare(1, (3, 400))])
+        radii *= 10.0 ** local.uniform(-3, 3, (6, 1))
+        s = mest._scale_root(radii, spec, p)
+        for si, r in zip(s, radii):
+            assert abs(np.mean(spec.phi2(si * r)) - p) <= 1e-12 * p
+        for i in range(len(radii)):
+            assert np.array_equal(mest._scale_root(radii[i:i + 1], spec, p), s[i:i + 1])
+
+    def test_no_root_gives_one(self):
+        p = 3
+        radii = np.random.default_rng(4).chisquare(p, (3, 50))
+        # phi2 stays below p / 2, or at 2 p
+        below = EstimatorSpec("below", None, lambda v: 0.5 * p / (1.0 + np.asarray(v)))
+        above = EstimatorSpec("above", None, lambda v: 2.0 * p / np.asarray(v))
+        assert np.array_equal(mest._scale_root(radii, below, p), np.ones(3))
+        assert np.array_equal(mest._scale_root(radii, above, p), np.ones(3))
+        assert mest._scale_root(np.zeros((1, 50)), make_spec("t:5", p), p)[0] == 1.0
+
+    @pytest.mark.parametrize("graph", [False, True])
+    @pytest.mark.parametrize("name", ["t:5", "huber:1.345"])
+    def test_hand_built_spec_keeps_bits(self, graph, name):
+        index = build_index(Graph.cycle(5)) if graph else None
+        K0, S0 = chordless_cycle_shape(5, -0.3)
+        X = sample(EllipticalModel(np.zeros(5), S0, "t:5"), 300, 9)
+        spec = make_spec(name, 5)
+        hand = EstimatorSpec("hand-built", spec.u1, spec.u2)
+        a, b = (graphical_m_estimate(X, index, s) if graph else m_estimate(X, s) for s in (spec, hand))
+        assert np.array_equal(a.mu, b.mu) and np.array_equal(a.scatter, b.scatter)
+        assert (a.iterations, a.residual) == (b.iterations, b.residual)
+
+    @pytest.mark.parametrize("graph", [False, True])
+    @pytest.mark.parametrize("name", ["t:1", "t:5", "huber:1.345"])
+    def test_identity_at_convergence(self, graph, name):
+        K0, S0 = chordless_cycle_shape(5, -0.3)
+        X = sample(EllipticalModel(np.zeros(5), S0, "t:5"), 300, 9)
+        spec, tol = make_spec(name, 5), 1e-9
+        fit = (graphical_m_estimate(X, build_index(Graph.cycle(5)), spec, tol=tol) if graph
+               else m_estimate(X, spec, tol=tol))
+        Y = np.linalg.solve(np.linalg.cholesky(fit.scatter), (X - fit.mu).T)
+        assert abs(np.mean(spec.phi2(np.sum(Y * Y, axis=0))) - 5) <= tol
 
 
 class TestBlockedPass:

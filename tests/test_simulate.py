@@ -6,10 +6,16 @@ import scipy.integrate
 import scipy.stats
 
 from egm import covsel, simulate
-from egm.errors import ConvergenceError, DimensionError, PreconditionError
+from egm.errors import (
+    ConvergenceError,
+    DegenerateDataError,
+    DimensionError,
+    PreconditionError,
+    SampleSizeError,
+)
 from egm.graphs import Graph, build_index
 from egm.inference import chordless_cycle_shape, deviance
-from egm.mest import graphical_m_estimate, m_estimate, make_spec, plug_in_estimate
+from egm.mest import _validate_data, graphical_m_estimate, m_estimate, make_spec, plug_in_estimate
 from egm.simulate import (
     EllipticalModel,
     StudyReport,
@@ -241,6 +247,50 @@ class TestStudySizes:
         _, m4 = _cycle_models("gaussian")
         with pytest.raises(PreconditionError, match="distinct"):
             equivalence_study(I4, m4, make_spec("gaussian", 4), [100, 100], 3, seed=1)
+
+
+class TestStackCheck:
+    """``simulate._checked`` checks a replicate stack with one rank test and
+    raises what the replicate-by-replicate check raises first."""
+
+    @staticmethod
+    def serial(X):
+        for x in X:
+            _validate_data(x)
+
+    def raises_as_serial(self, X, kind):
+        with pytest.raises(kind) as serial:
+            self.serial(X)
+        with pytest.raises(kind) as stacked:
+            simulate._checked(X)
+        assert str(stacked.value) == str(serial.value)
+
+    def test_first_failing_replicate_first_check(self):
+        local = np.random.default_rng(3)
+        X = local.standard_normal((5, 20, 3))
+        X[3, 4, 1] = np.nan
+        X[1, :, 2] = X[1, :, 0] - X[1, :, 1]
+        self.raises_as_serial(X, DegenerateDataError)
+        good = X[1].copy()
+        X[1] = local.standard_normal((20, 3))
+        X[2, 6, 0] = np.inf
+        self.raises_as_serial(X, PreconditionError)
+        # replicate 1 fails both checks: its non-finite cell is named
+        X[1] = good
+        X[1, 0, 2] = np.inf
+        self.raises_as_serial(X, PreconditionError)
+
+    def test_too_few_rows(self):
+        X = np.random.default_rng(3).standard_normal((4, 3, 3))
+        self.raises_as_serial(X, SampleSizeError)
+        X[0, 1, 1] = -np.inf
+        self.raises_as_serial(X, PreconditionError)
+
+    def test_valid_stack_passes_unchanged(self):
+        X = np.random.default_rng(3).standard_normal((128, 500, 5))
+        assert simulate._checked(X) is X
+        ranks = np.linalg.matrix_rank(X - X.mean(axis=1, keepdims=True))
+        assert np.array_equal(ranks, [np.linalg.matrix_rank(x - x.mean(axis=0)) for x in X])
 
 
 # huber:1.0 at these sizes fails on some replicates and converges on others
