@@ -138,12 +138,15 @@ def cmd_fit(args) -> int:
     if args.family:
         s = mest.scalars_for(spec, args.family, p)
         payload["scalars"] = {"sigma1": s.sigma1, "sigma2": s.sigma2, "eta": s.eta}
-    if args.method in ("plugin", "both"):
-        payload["plugin"] = _fit_payload(
-            mest.plug_in_estimate(X, index, spec, tol=args.tol))
-    if args.method in ("graphical", "both"):
+    if args.method == "plugin":
+        payload["plugin"] = _fit_payload(mest.plug_in_estimate(X, index, spec, tol=args.tol))
+    elif args.method == "graphical":
         payload["graphical"] = _fit_payload(
             mest.graphical_m_estimate(X, index, spec, tol=args.tol))
+    else:
+        # one data check and one unconstrained fit serve both methods
+        plug, fit = mest._plug_in_and_graphical(X, index, spec, tol=args.tol)
+        payload["plugin"], payload["graphical"] = _fit_payload(plug), _fit_payload(fit)
     _emit(payload, args)
     return 0
 

@@ -179,7 +179,8 @@ def _nodewise(A, k_mask, tol, max_iter: int = 10_000, start=None):
     ``start`` rescaled by a diagonal congruence to A's diagonal and given
     A's edges where that keeps it positive definite: from such a start
     each vertex update maximizes log det W over the vertex's non-edge
-    entries, so W stays positive definite.
+    entries, so W stays positive definite.  A NaN slice of ``start``
+    therefore starts from A.
 
     Returns the stack W, one residual history per slice and {slice:
     ConvergenceError} for the slices that ran out of sweeps (W is then the

@@ -13,6 +13,11 @@ that identity at s = 1, while the map itself leaves the scale direction
 almost neutral; so the step changes no fixed point and removes the slowest
 mode of the iteration.
 
+A graph-constrained fit starts at the plug-in estimate, which the
+asymptotic equivalence of the two estimators puts O_p(1/n) from the
+graphical fixed point.  So Gaussian weights take a single evaluation, and
+the others a few, each with about one warm-started completion sweep.
+
 Built-in weight families, addressable by string:
 
 * ``gaussian``      constant weights; reproduces mean / covariance,
@@ -114,6 +119,17 @@ def _positive(x: float, what: str) -> float:
     return x
 
 
+def _integer(x, least: int) -> bool:
+    """Is ``x`` an integer, not a bool, and >= ``least``?"""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= least
+
+
+def _dimension(p, what: str) -> None:
+    """PreconditionError naming p unless it is an integer >= 1."""
+    if not _integer(p, 1):
+        raise PreconditionError(f"{what} needs an integer dimension p >= 1, got p={p!r}")
+
+
 def _parameter(text: str, prefix: str, what: str) -> float:
     """The number after ``prefix`` in ``text``, finite and > 0, else
     PreconditionError naming ``what`` and the accepted forms."""
@@ -140,11 +156,13 @@ def make_spec(text: str, p: int) -> EstimatorSpec:
     """Build an estimator spec from its string form for dimension p.
 
     Accepted forms: ``gaussian``, ``t:NU`` and ``huber:K``, with NU and K
-    finite and > 0; ``params["p"]`` records p, which data must match.
+    finite and > 0, and p an integer >= 1; ``params["p"]`` records p,
+    which data must match.
     The Huber scatter weight is rescaled by the consistency constant
     c = p / E[min(R, k^2)] = p / {p F_{p+2}(k^2) + k^2 (1 - F_p(k^2))} under
     the chi-square(p) radial law, with F_d the chi-square(d) CDF.
     """
+    _dimension(p, f"estimator spec {text!r}")
     text = text.strip()
     if text == "gaussian":
         one = lambda s: np.ones_like(np.asarray(s, dtype=float))
@@ -207,8 +225,7 @@ class RadialLaw:
     density: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if not self.p >= 1:
-            raise PreconditionError(f"radial law needs dimension p >= 1, got {self.p}")
+        _dimension(self.p, "radial law")
         total = self.expect(np.ones_like)
         if not abs(total - 1.0) <= 1e-8:  # so that NaN fails too
             raise PreconditionError(f"radial density integrates to {total!r}, not 1")
@@ -434,46 +451,72 @@ def _extrapolate(theta0, theta1, theta2):
 
 
 def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
-           index: Optional[GraphIndex] = None) -> list:
+           index: Optional[GraphIndex] = None, start: Optional[list] = None) -> list:
     """Fixed-point iteration of the M-estimating equations, accelerated by
     SQUAREM, on each slice of an (R, n, p) stack of validated data sets,
     constrained to the graph of ``index`` when that graph has an absent edge.
 
-    The map reweights location and scatter at its input; under a graph it
-    then completes the weighted scatter (:func:`egm.covsel._nodewise`),
-    started from the previous completion, to an inner tolerance that
-    follows the outer progress down to one hundredth of ``tol``.  After
-    every second map evaluation the iterate is extrapolated
-    (:func:`_extrapolate`); an accepted extrapolation is mapped from its
-    scale-corrected point S/s (:func:`_scale_root`, skipped for the
-    constant Gaussian weights), and that point starts the next cycle, while
-    a rejected one keeps the plain iterate unscaled.  So a solve whose
-    every extrapolation is rejected is the plain iteration, bit for bit.
-    Each map output is tested for convergence, its change from the
-    previous output and then its residual, so an estimate is always a map
-    output.  A slice leaves the stack once it converges or
-    runs out of budget (``max_iter`` map evaluations, or the sweeps of a
-    completion), so it takes exactly the evaluations it would take alone.
-    Returns one FitResult, or the ConvergenceError of an exhausted budget,
-    per slice.  Any other failure raises for the whole stack; a lost
-    definiteness raises ConvergenceError naming the evaluation.
+    A plain fit starts at the sample mean and covariance.  A graphical fit
+    starts at the slice's plug-in estimate (:func:`_plug_in`), one
+    FitResult per slice in ``start`` or else computed here; where that
+    fails, at the sample mean and the completion of the sample covariance
+    to 1e-2 ``tol``.  The map reweights location and scatter at its input;
+    under a graph it then completes the weighted scatter
+    (:func:`egm.covsel._nodewise`), started from the previous completion,
+    the plug-in's at first, to an inner tolerance that follows the outer
+    progress down to one hundredth of ``tol``.  After every second map
+    evaluation the iterate is extrapolated (:func:`_extrapolate`); an
+    accepted extrapolation is mapped from its scale-corrected point S/s
+    (:func:`_scale_root`, skipped for the constant Gaussian weights), and
+    that point starts the next cycle, while a rejected one keeps the plain
+    iterate unscaled.  So a solve whose every extrapolation is rejected is
+    the plain iteration, bit for bit.  Each map output is tested for
+    convergence, its change from the previous output and then its
+    residual, so an estimate is always a map output.  Both must be within
+    ``tol``, except that from a plug-in start, whose first steps are
+    already small, the change must be within ``tol``/10.  A slice leaves
+    the stack once it converges or runs out of budget (``max_iter`` map
+    evaluations, or the sweeps of a completion), so it takes exactly the
+    evaluations it would take alone.  Returns one FitResult, or the
+    ConvergenceError of an exhausted budget, per slice.  Any other failure
+    raises for the whole stack; a lost definiteness raises
+    ConvergenceError naming the evaluation.
     """
     _check_budget(tol, max_iter, "iteration")
     R, n, p = X.shape
     what = "M-estimation" if index is None else "graphical M-estimation"
     if index is not None and index.q == 0:
         index = None  # a complete graph constrains nothing
+    if index is not None and start is None:
+        try:
+            start = [f if isinstance(f, FitResult) else None
+                     for f in _plug_in(X, spec, tol, max_iter, index.k_mask)]
+        except (ConvergenceError, DefinitenessError, np.linalg.LinAlgError):
+            if R > 1:
+                raise  # for the whole stack; alone, a slice starts cold
+            start = [None]
     out, it = [None] * R, 0
     try:
         mu, S = X.mean(axis=1), np.empty((R, p, p))
         for G in _groups(R, n):
             Xc = X[G] - mu[G, None, :]
             S[G] = Xc.mT @ Xc / n
-        W, change = None, np.full(R, np.inf)
+        W, change, stop = None, np.full(R, np.inf), np.full(R, float(tol))
         if index is not None:
-            fits = _complete(S, index.k_mask, 1e-2 * tol)
-            out = [f if isinstance(f, ConvergenceError) else None for f in fits]
-            S = np.array([f.matrix if o is None else s for s, f, o in zip(S, fits, out)])
+            warm = np.array([f is not None for f in start])
+            cold = np.flatnonzero(~warm)
+            if cold.size:
+                for i, f in zip(cold, _complete(S[cold], index.k_mask, 1e-2 * tol)):
+                    if isinstance(f, ConvergenceError):
+                        out[i] = f
+                    else:
+                        S[i] = f.matrix
+            for i in np.flatnonzero(warm):
+                mu[i], S[i] = start[i].mu, start[i].scatter
+            stop[warm] = tol / 10
+            # the plug-in's completion starts the first inner completion; a
+            # NaN start leaves it cold (:func:`egm.covsel._nodewise`)
+            W = np.where(warm[:, None, None], S, np.nan)
         live = np.arange(R)  # the data set of each slice of the stacks
         scaled = spec.name != "gaussian"  # constant weights: s moves no map output
         path = []  # the inputs (mu, S) of this cycle's map evaluations
@@ -481,7 +524,7 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
             # the slices with an outcome leave; the data stack is never copied
             keep = np.array([out[r] is None for r in live], dtype=bool)
             if not keep.all():
-                live, mu, S, change = live[keep], mu[keep], S[keep], change[keep]
+                live, mu, S, change, stop = (a[keep] for a in (live, mu, S, change, stop))
                 W = None if W is None else W[keep]
                 path = [(m[keep], s[keep]) for m, s in path]
             if not live.size or it == max_iter:
@@ -508,7 +551,7 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
             change = np.maximum(np.max(np.abs(mu_new - mu), axis=1),
                                 np.max(np.abs(S_new - S), axis=(1, 2)) / scale)
             mu, S = mu_new, S_new
-            conv = [i for i in np.flatnonzero(change <= tol) if out[live[i]] is None]
+            conv = [i for i in np.flatnonzero(change <= stop) if out[live[i]] is None]
             if conv:
                 c = slice(None) if len(conv) == len(live) else conv
                 for i, r in zip(conv, _residual(X, mu[c], S[c], spec, index, live[c])):
@@ -524,16 +567,35 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
     return out
 
 
-def _fit(X, spec: EstimatorSpec, tol: float, max_iter: int,
-         index: Optional[GraphIndex] = None) -> FitResult:
-    """One fit: the public estimators' checks, then :func:`_solve` on a
-    stack of one."""
+# the completion tolerance of a plug-in estimate that starts a graphical fit
+_COMPLETION_TOL = 1e-10
+
+
+def _plug_in(X, spec: EstimatorSpec, tol: float, max_iter: int, k_mask,
+             completion_tol: float = _COMPLETION_TOL) -> list:
+    """The plug-in estimate on each slice of an (R, n, p) stack of validated
+    data sets: the unconstrained fit, its scatter completed under
+    ``k_mask``.  One FitResult, or the ConvergenceError of the fit or of
+    the completion that ran out of budget, per slice; any other failure
+    raises for the whole stack."""
+    out = _solve(X, spec, tol, max_iter)
+    ok = [i for i, f in enumerate(out) if isinstance(f, FitResult)]
+    if ok:
+        completed = _complete(np.array([out[i].scatter for i in ok]), k_mask, completion_tol)
+        for i, c in zip(ok, completed):
+            f = out[i]
+            out[i] = c if isinstance(c, ConvergenceError) else FitResult(
+                f.mu, c.matrix, f.iterations, f.converged, f.residual)
+    return out
+
+
+def _one(X, spec: EstimatorSpec, index: Optional[GraphIndex] = None) -> np.ndarray:
+    """X after the public estimators' checks, as a stack of one."""
     X = _validate_data(X)
     if index is not None and X.shape[1] != index.p:
         raise DimensionError(f"data has {X.shape[1]} columns but the graph has p={index.p}")
     _check_spec(spec, X.shape[1])
-    fit, = _results(_solve(X[None], spec, tol, max_iter, index))
-    return fit
+    return X[None]
 
 
 def m_estimate(X, spec: EstimatorSpec, tol: float = 1e-9,
@@ -568,7 +630,8 @@ def m_estimate(X, spec: EstimatorSpec, tol: float = 1e-9,
     1/n-denominator sample covariance.  An exhausted budget, or an iterate
     that loses positive definiteness, raises ConvergenceError.
     """
-    return _fit(X, spec, tol, max_iter)
+    fit, = _results(_solve(_one(X, spec), spec, tol, max_iter))
+    return fit
 
 
 def graphical_m_estimate(X, index: GraphIndex, spec: EstimatorSpec,
@@ -580,22 +643,44 @@ def graphical_m_estimate(X, index: GraphIndex, spec: EstimatorSpec,
     and the same scale step at each accepted extrapolation: the identity
     mean phi2(r_i) = p holds at a constrained fixed point too, since S and
     the reweighted scatter agree on the edges and the diagonal, where
-    alone S^-1 is non-zero.  ``max_iter`` counts map evaluations.  The
-    completion is warm-started
-    from the previous completion, so late evaluations need about one
-    sweep each.  A complete graph gives exactly the :func:`m_estimate`
-    result.
+    alone S^-1 is non-zero.
+
+    The iteration starts at :func:`plug_in_estimate` (same ``tol`` and
+    ``max_iter``), which lies O_p(1/n) from the graphical fixed point, and
+    stops once a step changes the estimate by at most ``tol``/10 and the
+    residual is at most ``tol``.  Its completion warm-starts the first
+    inner completion, and each later one starts from the previous, so
+    most evaluations need about one sweep.  Gaussian weights take a single
+    evaluation: their answer is the completion of the sample covariance.
+    ``iterations`` and ``max_iter`` count the map evaluations of the
+    graph-constrained iteration; the plug-in's own are not included.  If
+    the plug-in fails, the iteration starts from the sample mean and the
+    completed sample covariance instead, and stops at a change of ``tol``.
+    A complete graph gives exactly the :func:`m_estimate` result.
     """
-    return _fit(X, spec, tol, max_iter, index)
+    fit, = _results(_solve(_one(X, spec, index), spec, tol, max_iter, index))
+    return fit
 
 
 def plug_in_estimate(X, index: GraphIndex, spec: EstimatorSpec,
                      tol: float = 1e-9, max_iter: int = 500,
-                     completion_tol: float = 1e-10) -> FitResult:
+                     completion_tol: float = _COMPLETION_TOL) -> FitResult:
     """Unconstrained M-estimate followed by constrained completion."""
     fit = m_estimate(X, spec, tol=tol, max_iter=max_iter)
     S_P = constrain_scatter(fit.scatter, index, tol=completion_tol).matrix
     return FitResult(fit.mu, S_P, fit.iterations, fit.converged, fit.residual)
+
+
+def _plug_in_and_graphical(X, index: GraphIndex, spec: EstimatorSpec,
+                           tol: float = 1e-9, max_iter: int = 500) -> tuple:
+    """:func:`plug_in_estimate` and :func:`graphical_m_estimate` of X, which
+    share one data check and one unconstrained fit: the graphical fit
+    starts at the plug-in.  Raises what the first of the two to fail
+    raises."""
+    X = _one(X, spec, index)
+    plug, = _results(_plug_in(X, spec, tol, max_iter, index.k_mask))
+    fit, = _results(_solve(X, spec, tol, max_iter, index, [plug]))
+    return plug, fit
 
 
 def sample_cov_scalars(kappa: float, p: Optional[int] = None) -> AsymptoticScalars:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .covsel import _complete, pattern_violation
+from .covsel import pattern_violation
 from .errors import (
     ConvergenceError,
     DefinitenessError,
@@ -37,8 +37,11 @@ from .linops import check_spd
 from .mest import (
     EstimatorSpec,
     FitResult,
+    _COMPLETION_TOL,
     _check_spec,
     _family_nu,
+    _integer,
+    _plug_in,
     _solve,
     _validate_data,
     scalars_for,
@@ -64,10 +67,9 @@ _CHUNK = 128
 _REPLICATE_ERRORS = (ConvergenceError, np.linalg.LinAlgError, DefinitenessError,
                      DimensionError, PreconditionError)
 
-# the defaults of the serial calls a replicate reproduces: the estimators'
-# iteration budget and the completion tolerance of plug-in and deviance
+# the serial defaults a replicate reproduces: the estimators' iteration
+# budget, and _COMPLETION_TOL, the completion tolerance of plug-in and deviance
 _MAX_ITER = 500
-_COMPLETION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -137,17 +139,34 @@ def shape_sqrt(S) -> np.ndarray:
 def sample(model: EllipticalModel, n: int, seed) -> np.ndarray:
     """Draw n i.i.d. rows from the model, deterministically in the seed.
 
-    ``seed`` may be an integer or a sequence of integers (used by the
-    studies to derive one stream per replicate).  Gaussian rows are
-    mu + Z S^{1/2}; t rows divide Z by sqrt(chi2_nu / nu) first.
+    ``n`` is an integer >= 1 and ``seed`` an integer >= 0 or a non-empty
+    sequence of them (used by the studies to derive one stream per
+    replicate).  Gaussian rows are mu + Z S^{1/2}; t rows divide Z by
+    sqrt(chi2_nu / nu) first.
     """
+    _check_size(n)
+    _check_seed(seed)
     return _draw(model, n, seed, shape_sqrt(model.S))
 
 
+def _check_size(n) -> None:
+    """PreconditionError naming n unless it is an integer >= 1."""
+    if not _integer(n, 1):
+        raise PreconditionError(f"sample size n must be an integer >= 1, got n={n!r}")
+
+
+def _check_seed(seed, sequence: bool = True) -> None:
+    """PreconditionError naming the seed unless it is an integer >= 0 or,
+    where ``sequence`` allows, a non-empty sequence of them."""
+    parts = list(seed) if sequence and isinstance(seed, (list, tuple, np.ndarray)) else [seed]
+    if not parts or not all(_integer(s, 0) for s in parts):
+        what = "an integer >= 0" + (" or a non-empty sequence of them" if sequence else "")
+        raise PreconditionError(f"seed must be {what}, got seed={seed!r}")
+
+
 def _draw(model: EllipticalModel, n: int, seed, root) -> np.ndarray:
-    """:func:`sample` with the shape square root ``root`` computed once."""
-    if n < 1:
-        raise PreconditionError(f"sample size must be >= 1, got {n}")
+    """:func:`sample` with checked arguments and the shape square root
+    ``root`` computed once."""
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, model.p))
     nu = _family_nu(model.family)
@@ -227,20 +246,15 @@ def _check_failure_cap(failures: list, total: int) -> None:
 
 def _both_fits(X, index: GraphIndex, spec: EstimatorSpec, tol: float) -> list:
     """plug_in_estimate, then graphical_m_estimate, on each slice of X:
-    per slice the pair of (mu, scatter) estimates, or the ConvergenceError
-    of the first fit that runs out of budget."""
-    out = _solve(X, spec, tol, _MAX_ITER)
+    per slice the pair of FitResults, or the ConvergenceError of the first
+    fit that runs out of budget.  The graphical fits start at the plug-ins,
+    as graphical_m_estimate starts at the plug-in it computes itself."""
+    out = _plug_in(X, spec, tol, _MAX_ITER, index.k_mask)
     ok = [i for i, f in enumerate(out) if isinstance(f, FitResult)]
     if ok:
-        completed = _complete(np.array([out[i].scatter for i in ok]), index.k_mask,
-                              _COMPLETION_TOL)
-        for i, c in zip(ok, completed):
-            out[i] = c if isinstance(c, Exception) else (out[i].mu, c.matrix)
-    ok = [i for i, o in enumerate(out) if isinstance(o, tuple)]
-    if ok:
         sub = X if len(ok) == len(X) else X[ok]
-        for i, f in zip(ok, _solve(sub, spec, tol, _MAX_ITER, index)):
-            out[i] = f if isinstance(f, Exception) else (out[i], (f.mu, f.scatter))
+        for i, f in zip(ok, _solve(sub, spec, tol, _MAX_ITER, index, [out[i] for i in ok])):
+            out[i] = f if isinstance(f, Exception) else (out[i], f)
     return out
 
 
@@ -258,6 +272,9 @@ def equivalence_study(index: GraphIndex, model: EllipticalModel,
     ``sample(model, max(n_grid), [seed, r])``.
     """
     chunks = _chunks(replicates)
+    _check_seed(seed, sequence=False)
+    for n in n_grid:
+        _check_size(n)
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid or len(set(n_grid)) < len(n_grid):
         raise PreconditionError(f"the n grid must be non-empty and distinct, got {n_grid}")
@@ -278,9 +295,9 @@ def equivalence_study(index: GraphIndex, model: EllipticalModel,
             for n, fits in zip(n_grid, by_n):
                 if not _record(r, fits[i], failures, f"n={n}: "):
                     continue
-                (mu_p, S_p), (mu_m, S_m) = fits[i]
-                d_mu = float(np.linalg.norm(mu_p - mu_m))
-                d_S = float(np.linalg.norm(S_p - S_m, ord="fro"))
+                plug, fit = fits[i]
+                d_mu = float(np.linalg.norm(plug.mu - fit.mu))
+                d_S = float(np.linalg.norm(plug.scatter - fit.scatter, ord="fro"))
                 deltas[str(n)].append(np.sqrt(n) * (d_mu + d_S))
                 scatter_deltas[str(n)].append(np.sqrt(n) * d_S)
     _check_failure_cap(failures, replicates * len(n_grid))
@@ -307,6 +324,8 @@ def deviance_null_study(index0: GraphIndex, index1: GraphIndex,
     ``sample(model, n, [seed, r])``.
     """
     chunks = _chunks(replicates)
+    _check_seed(seed, sequence=False)
+    _check_size(n)
     _check_spec(spec, model.p)
     if pattern_violation(model.S, index0) > 1e-8:
         raise PreconditionError(

@@ -111,20 +111,27 @@ def plain_fixed_point(X, spec, tol, max_iter, index=None):
     completion and residual primitives (``mest._reweight``, ``covsel._nodewise``
     with the previous completion as its start, ``mest._residual``), so that
     a solver whose every extrapolation is rejected must equal it bit for
-    bit.  Stops at the first map output whose change and residual are both
-    within ``tol``.  Returns (mu, S, map evaluations), or None when
-    ``max_iter`` evaluations do not get there.
+    bit.  A plain fit starts at the sample mean and covariance and stops at
+    the first map output whose change and residual are both within
+    ``tol``.  Under a graph it starts at its own plain fit, the scatter
+    completed to 1e-10, and that completion starts the first inner
+    completion; it stops once the change is within ``tol``/10 and the
+    residual within ``tol``.  Returns (mu, S, map evaluations), or None
+    when ``max_iter`` evaluations do not get there.
     """
     from egm.covsel import _complete, _nodewise
     from egm.mest import _residual, _reweight
 
     X = np.asarray(X, dtype=float)[None]
-    mu = X.mean(axis=1)
-    Xc = X - mu[:, None, :]
-    S = Xc.mT @ Xc / X.shape[1]
-    if index is not None:
-        S = _complete(S, index.k_mask, 1e-2 * tol)[0].matrix[None]
-    start, change = None, np.inf
+    stop = tol
+    if index is None:
+        mu = X.mean(axis=1)
+        Xc = X - mu[:, None, :]
+        S = Xc.mT @ Xc / X.shape[1]
+    else:
+        mu, S, _ = plain_fixed_point(X[0], spec, tol, max_iter)
+        mu, S, stop = mu[None], _complete(S[None], index.k_mask, 1e-10)[0].matrix[None], tol / 10
+    start, change = S, np.inf
     for it in range(1, max_iter + 1):
         mu_new, S_new = _reweight(X, mu, S, spec)
         if index is not None:
@@ -136,7 +143,7 @@ def plain_fixed_point(X, spec, tol, max_iter, index=None):
         change = np.maximum(np.max(np.abs(mu_new - mu), axis=1),
                             np.max(np.abs(S_new - S), axis=(1, 2)) / scale)
         mu, S = mu_new, S_new
-        if change[0] <= tol and _residual(X, mu, S, spec, index)[0] <= tol:
+        if change[0] <= stop and _residual(X, mu, S, spec, index)[0] <= tol:
             return mu[0], S[0], it
     return None
 

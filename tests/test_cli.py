@@ -71,6 +71,11 @@ class TestFit:
         # loose echo of asymptotic equivalence at n=500
         assert np.max(np.abs(S_plug - S_graph)) <= 10.0 / np.sqrt(len(f["X"]))
         assert payload["scalars"]["sigma1"] > 1.0
+        # the shared plug-in changes no bit of either block
+        spec = make_spec("t:5", 4)
+        assert payload["plugin"] == cli._fit_payload(mest.plug_in_estimate(f["X"], idx, spec))
+        assert payload["graphical"] == cli._fit_payload(
+            mest.graphical_m_estimate(f["X"], idx, spec))
 
     @pytest.mark.parametrize("estimator,what", [("t:abc", "t degrees of freedom"),
                                                 ("huber:x", "huber threshold")])
@@ -528,6 +533,16 @@ class TestStudy:
                        "--replicates", replicates, "--seed", "1"])
         assert rc == 1
         assert "at least one replicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["deviance-null", "equivalence"])
+    def test_negative_seed_exit_1(self, tmp_path, capsys, kind):
+        shape, g0, g1 = self.make_cycle_fixture(tmp_path)
+        rc = cli.main(["study", "--kind", kind, "--graph", str(g0), "--graph1", str(g1),
+                       "--family", "gaussian", "--estimator", "gaussian",
+                       "--shape-csv", str(shape), "--n", "100",
+                       "--replicates", "2", "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "egm: seed must be an integer >= 0, got seed=-1\n"
 
     def test_repeated_n_exit_1(self, tmp_path, capsys):
         shape, g0, _ = self.make_cycle_fixture(tmp_path)

@@ -1,4 +1,6 @@
+import time
 import tracemalloc
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -145,6 +147,18 @@ class TestSpecs:
             nan.check_monotone()
         with pytest.raises(PreconditionError):
             m_scalars(nan, RadialLaw.chi_square(3), 3)
+
+    @pytest.mark.parametrize("build, p", [
+        (lambda p: make_spec("t:5", p), 0), (lambda p: make_spec("t:5", p), 2.5),
+        (lambda p: make_spec("huber:1.345", p), 0), (lambda p: make_spec("gaussian", p), True),
+        (RadialLaw.chi_square, 1.5), (lambda p: RadialLaw.scaled_f(p, 5.0), 2.5),
+        (lambda p: RadialLaw.from_density(scipy.stats.chi2(4).pdf, p), 4.0)])
+    def test_dimension_must_be_a_positive_integer(self, build, p):
+        # huber:1.345 at p = 0 warned of 0/0 and then blamed monotonicity
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match=f"integer dimension p >= 1, got p={p!r}$"):
+                build(p)
 
     def test_monotonicity_violation_detected(self):
         bad = EstimatorSpec("bad", lambda s: np.asarray(s, float),
@@ -363,6 +377,12 @@ class TestGraphicalMEstimate:
         expected = constrain_scatter(Xc.T @ Xc / len(X), idx, tol=1e-12).matrix
         assert np.max(np.abs(fit.mu - X.mean(axis=0))) <= 1e-8
         assert np.max(np.abs(fit.scatter - expected)) <= 1e-8
+        # the plug-in start is already the answer: one evaluation confirms it,
+        # also on rows with the cycle's dependence (3 evaluations from a cold start)
+        assert fit.iterations == 1
+        K0, S0 = chordless_cycle_shape(4, -0.3)
+        Y = sample(EllipticalModel(np.zeros(4), S0, "gaussian"), 200, 9)
+        assert graphical_m_estimate(Y, idx, make_spec("gaussian", 4), tol=1e-10).iterations == 1
 
     def test_objective_gradient_vanishes(self):
         # with u1 = u2 = rho' the fit is a critical point of
@@ -430,6 +450,24 @@ class TestGraphicalMEstimate:
         fit = graphical_m_estimate(X, build_index(Graph.cycle(5)), make_spec("t:5", 5))
         assert fit.converged
         assert len(calls) <= 60
+
+    @pytest.mark.parametrize("name", ["t:5", "huber:1.345"])
+    @pytest.mark.parametrize("n", [300, 4000])
+    @pytest.mark.parametrize("p", [5, 10])
+    def test_tight_tolerance_on_t1_rows(self, monkeypatch, p, n, name):
+        # started cold, the completion of the Cauchy rows' sample covariance
+        # cannot reach its absolute 1e-15: it ran 10,000 sweeps (1.5-3 s) and raised
+        sweeps = []
+        inverse = covsel.spd_inverse
+        monkeypatch.setattr(covsel, "spd_inverse", lambda A: sweeps.append(1) or inverse(A))
+        K0, S0 = chordless_cycle_shape(p, -0.3)
+        X = sample(EllipticalModel(np.zeros(p), S0, "t:1"), n, 9)
+        start = time.perf_counter()
+        fit = graphical_m_estimate(X, build_index(Graph.cycle(p)), make_spec(name, p), tol=1e-13)
+        elapsed = time.perf_counter() - start
+        assert fit.converged and fit.residual <= 1e-13
+        # one inverse per sweep; at most 148 here
+        assert len(sweeps) <= 400 and elapsed <= 1.0
 
     def test_ill_conditioned_scatter_warns(self):
         X = sample(EllipticalModel(np.zeros(4), np.eye(4), "t:5"), 300, 4)

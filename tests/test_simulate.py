@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from egm import covsel, simulate
+from egm import covsel, mest, simulate
 from egm.errors import (
     ConvergenceError,
     DegenerateDataError,
@@ -109,6 +109,26 @@ class TestSample:
     def test_rejects_empty(self):
         with pytest.raises(PreconditionError):
             sample(EllipticalModel(MU3, S3, "gaussian"), 0, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, [3, -1], [], "7", None, True])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(PreconditionError, match=r"seed must be an integer >= 0 .*got seed="):
+            sample(EllipticalModel(MU3, S3, "gaussian"), 10, seed)
+
+    @pytest.mark.parametrize("n", [2.5, 10.0, "10"])
+    def test_rejects_non_integer_size(self, n):
+        with pytest.raises(PreconditionError, match=r"sample size n must be an integer >= 1, got n="):
+            sample(EllipticalModel(MU3, S3, "gaussian"), n, 1)
+
+    @pytest.mark.parametrize("seed, n, what", [(-1, 100, "seed"), (2.5, 100, "seed"),
+                                               ([1, 2], 100, "seed"), (1, 2.5, "n")])
+    def test_studies_reject_bad_seed_and_size(self, seed, n, what):
+        m5, _ = _cycle_models("gaussian")
+        spec = make_spec("gaussian", 5)
+        for study in (lambda: deviance_null_study(I5, I5_CHORD, m5, spec, n, 2, seed),
+                      lambda: equivalence_study(I5, m5, spec, [n], 2, seed)):
+            with pytest.raises(PreconditionError, match=f"got {what}="):
+                study()
 
 
 class TestEquivalenceStudy:
@@ -390,14 +410,16 @@ class TestChunkFallback:
 
     @staticmethod
     def count_solves(monkeypatch):
+        # the plug-in's plain solve is called from mest, the graphical one from simulate
         calls = []
-        solve = simulate._solve
+        solve = mest._solve
 
         def counted(X, *args, **kwargs):
             calls.append(len(X))
             return solve(X, *args, **kwargs)
 
-        monkeypatch.setattr(simulate, "_solve", counted)
+        for module in (mest, simulate):
+            monkeypatch.setattr(module, "_solve", counted)
         return calls
 
     @pytest.fixture
