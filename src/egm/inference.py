@@ -29,8 +29,8 @@ from .errors import (
 )
 from .graphs import Graph, GraphIndex, build_index
 from .linops import check_spd, spd_inverse
-from .mest import (EstimatorSpec, _check_spec, _positive, _validate_data, graphical_m_estimate,
-                   m_estimate, scalars_for)
+from .mest import (_COMPLETION_TOL, _MAX_ITER, EstimatorSpec, FitResult, _check_spec, _positive,
+                   _solve, _validate_data, m_estimate, scalars_for)
 
 __all__ = [
     "DevianceReport",
@@ -160,7 +160,8 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
     once, and one stacked completion of it scores all candidates of a
     step, each under the current graph's mask with its edge cleared;
     ``refit=True`` refits the graphical M-estimator per candidate instead
-    (slow, for comparison).
+    (slow, for comparison), started at that completion at the plug-in's
+    tolerance, so each refit equals :func:`graphical_m_estimate`.
 
     Returns the final graph and a per-step audit trail.
     """
@@ -182,20 +183,24 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
     def removals(graph, mask):
         """(edge, log-determinant or ConvergenceError) of each removal from ``graph``."""
         edges = graph.sorted_edges()
-        if refit:
-            for e in edges:
-                try:
-                    index = build_index(graph.without_edge(*e))
-                    yield e, float(_logdet(graphical_m_estimate(X, index, spec, tol=tol).scatter))
-                except ConvergenceError as exc:
-                    yield e, exc
-            return
         masks = np.repeat(mask[None], len(edges), axis=0)
         for r, (a, b) in enumerate(edges):
             masks[r, a - 1, b - 1] = masks[r, b - 1, a - 1] = False
-        fits = _complete(np.broadcast_to(S, masks.shape), masks, completion_tol)
+        fits = _complete(np.broadcast_to(S, masks.shape), masks,
+                         _COMPLETION_TOL if refit else completion_tol)
         for e, f in zip(edges, fits):
-            yield e, f if isinstance(f, ConvergenceError) else float(_logdet(f.matrix))
+            if refit:
+                # the completion is the plug-in estimate that graphical_m_estimate
+                # would build and start from; where it failed, the fit starts cold
+                start = None if isinstance(f, ConvergenceError) else FitResult(
+                    fit.mu, f.matrix, fit.iterations, fit.converged, fit.residual)
+                try:
+                    f, = _solve(X[None], spec, tol, _MAX_ITER, build_index(graph.without_edge(*e)),
+                                [start])
+                except ConvergenceError as exc:
+                    f = exc
+            yield e, f if isinstance(f, ConvergenceError) else float(
+                _logdet(f.scatter if refit else f.matrix))
 
     from scipy.special import chdtrc
     # the complete graph's completion, or graphical fit, is the estimate itself

@@ -474,13 +474,14 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
     convergence, its change from the previous output and then its
     residual, so an estimate is always a map output.  Both must be within
     ``tol``, except that from a plug-in start, whose first steps are
-    already small, the change must be within ``tol``/10.  A slice leaves
-    the stack once it converges or runs out of budget (``max_iter`` map
-    evaluations, or the sweeps of a completion), so it takes exactly the
-    evaluations it would take alone.  Returns one FitResult, or the
-    ConvergenceError of an exhausted budget, per slice.  Any other failure
-    raises for the whole stack; a lost definiteness raises
-    ConvergenceError naming the evaluation.
+    already small, the change must be within ``tol``/10, its location part
+    taken relative to max(1, max|mu|) of the plug-in so that it stays
+    above rounding.  A slice leaves the stack once it converges or runs
+    out of budget (``max_iter`` map evaluations, or the sweeps of a
+    completion), so it takes exactly the evaluations it would take alone.
+    Returns one FitResult, or the ConvergenceError of an exhausted budget,
+    per slice.  Any other failure raises for the whole stack; a lost
+    definiteness raises ConvergenceError naming the evaluation.
     """
     _check_budget(tol, max_iter, "iteration")
     R, n, p = X.shape
@@ -501,7 +502,7 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
         for G in _groups(R, n):
             Xc = X[G] - mu[G, None, :]
             S[G] = Xc.mT @ Xc / n
-        W, change, stop = None, np.full(R, np.inf), np.full(R, float(tol))
+        W, change, stop, unit = None, np.full(R, np.inf), np.full(R, float(tol)), np.ones(R)
         if index is not None:
             warm = np.array([f is not None for f in start])
             cold = np.flatnonzero(~warm)
@@ -513,7 +514,10 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
                         S[i] = f.matrix
             for i in np.flatnonzero(warm):
                 mu[i], S[i] = start[i].mu, start[i].scatter
+            # the tighter stop, with the location change relative to the
+            # plug-in's location so that it stays above rounding
             stop[warm] = tol / 10
+            unit[warm] = np.maximum(1.0, np.max(np.abs(mu[warm]), axis=1))
             # the plug-in's completion starts the first inner completion; a
             # NaN start leaves it cold (:func:`egm.covsel._nodewise`)
             W = np.where(warm[:, None, None], S, np.nan)
@@ -524,7 +528,7 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
             # the slices with an outcome leave; the data stack is never copied
             keep = np.array([out[r] is None for r in live], dtype=bool)
             if not keep.all():
-                live, mu, S, change, stop = (a[keep] for a in (live, mu, S, change, stop))
+                live, mu, S, change, stop, unit = (a[keep] for a in (live, mu, S, change, stop, unit))
                 W = None if W is None else W[keep]
                 path = [(m[keep], s[keep]) for m, s in path]
             if not live.size or it == max_iter:
@@ -548,7 +552,7 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
                 for i, exc in failed.items():
                     out[live[i]] = exc
             scale = np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
-            change = np.maximum(np.max(np.abs(mu_new - mu), axis=1),
+            change = np.maximum(np.max(np.abs(mu_new - mu), axis=1) / unit,
                                 np.max(np.abs(S_new - S), axis=(1, 2)) / scale)
             mu, S = mu_new, S_new
             conv = [i for i in np.flatnonzero(change <= stop) if out[live[i]] is None]
@@ -570,9 +574,11 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
 # the completion tolerance of a plug-in estimate that starts a graphical fit
 _COMPLETION_TOL = 1e-10
 
+# the estimators' default budget of map evaluations
+_MAX_ITER = 500
 
-def _plug_in(X, spec: EstimatorSpec, tol: float, max_iter: int, k_mask,
-             completion_tol: float = _COMPLETION_TOL) -> list:
+
+def _plug_in(X, spec: EstimatorSpec, tol: float, max_iter: int, k_mask) -> list:
     """The plug-in estimate on each slice of an (R, n, p) stack of validated
     data sets: the unconstrained fit, its scatter completed under
     ``k_mask``.  One FitResult, or the ConvergenceError of the fit or of
@@ -581,7 +587,7 @@ def _plug_in(X, spec: EstimatorSpec, tol: float, max_iter: int, k_mask,
     out = _solve(X, spec, tol, max_iter)
     ok = [i for i, f in enumerate(out) if isinstance(f, FitResult)]
     if ok:
-        completed = _complete(np.array([out[i].scatter for i in ok]), k_mask, completion_tol)
+        completed = _complete(np.array([out[i].scatter for i in ok]), k_mask, _COMPLETION_TOL)
         for i, c in zip(ok, completed):
             f = out[i]
             out[i] = c if isinstance(c, ConvergenceError) else FitResult(
@@ -599,7 +605,7 @@ def _one(X, spec: EstimatorSpec, index: Optional[GraphIndex] = None) -> np.ndarr
 
 
 def m_estimate(X, spec: EstimatorSpec, tol: float = 1e-9,
-               max_iter: int = 500) -> FitResult:
+               max_iter: int = _MAX_ITER) -> FitResult:
     """Solve the simultaneous location/scatter M-estimating equations.
 
     Parameters
@@ -635,7 +641,7 @@ def m_estimate(X, spec: EstimatorSpec, tol: float = 1e-9,
 
 
 def graphical_m_estimate(X, index: GraphIndex, spec: EstimatorSpec,
-                         tol: float = 1e-9, max_iter: int = 500) -> FitResult:
+                         tol: float = 1e-9, max_iter: int = _MAX_ITER) -> FitResult:
     """Solve the graph-constrained M-estimating equations.
 
     The accelerated fixed-point iteration of :func:`m_estimate` with
@@ -647,11 +653,12 @@ def graphical_m_estimate(X, index: GraphIndex, spec: EstimatorSpec,
 
     The iteration starts at :func:`plug_in_estimate` (same ``tol`` and
     ``max_iter``), which lies O_p(1/n) from the graphical fixed point, and
-    stops once a step changes the estimate by at most ``tol``/10 and the
-    residual is at most ``tol``.  Its completion warm-starts the first
-    inner completion, and each later one starts from the previous, so
-    most evaluations need about one sweep.  Gaussian weights take a single
-    evaluation: their answer is the completion of the sample covariance.
+    stops once a step changes the estimate by at most ``tol``/10 (the
+    location relative to max(1, max|mu|)) and the residual is at most
+    ``tol``.  Its completion warm-starts the first inner completion, and
+    each later one starts from the previous, so most evaluations need
+    about one sweep.  Gaussian weights take a single evaluation: their
+    answer is the completion of the sample covariance.
     ``iterations`` and ``max_iter`` count the map evaluations of the
     graph-constrained iteration; the plug-in's own are not included.  If
     the plug-in fails, the iteration starts from the sample mean and the
@@ -663,7 +670,7 @@ def graphical_m_estimate(X, index: GraphIndex, spec: EstimatorSpec,
 
 
 def plug_in_estimate(X, index: GraphIndex, spec: EstimatorSpec,
-                     tol: float = 1e-9, max_iter: int = 500,
+                     tol: float = 1e-9, max_iter: int = _MAX_ITER,
                      completion_tol: float = _COMPLETION_TOL) -> FitResult:
     """Unconstrained M-estimate followed by constrained completion."""
     fit = m_estimate(X, spec, tol=tol, max_iter=max_iter)
@@ -672,7 +679,7 @@ def plug_in_estimate(X, index: GraphIndex, spec: EstimatorSpec,
 
 
 def _plug_in_and_graphical(X, index: GraphIndex, spec: EstimatorSpec,
-                           tol: float = 1e-9, max_iter: int = 500) -> tuple:
+                           tol: float = 1e-9, max_iter: int = _MAX_ITER) -> tuple:
     """:func:`plug_in_estimate` and :func:`graphical_m_estimate` of X, which
     share one data check and one unconstrained fit: the graphical fit
     starts at the plug-in.  Raises what the first of the two to fail

@@ -38,6 +38,7 @@ from .mest import (
     EstimatorSpec,
     FitResult,
     _COMPLETION_TOL,
+    _MAX_ITER,
     _check_spec,
     _family_nu,
     _integer,
@@ -66,10 +67,6 @@ _CHUNK = 128
 # bug and propagates
 _REPLICATE_ERRORS = (ConvergenceError, np.linalg.LinAlgError, DefinitenessError,
                      DimensionError, PreconditionError)
-
-# the serial defaults a replicate reproduces: the estimators' iteration
-# budget, and _COMPLETION_TOL, the completion tolerance of plug-in and deviance
-_MAX_ITER = 500
 
 
 @dataclass(frozen=True)

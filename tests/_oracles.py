@@ -115,7 +115,8 @@ def plain_fixed_point(X, spec, tol, max_iter, index=None):
     the first map output whose change and residual are both within
     ``tol``.  Under a graph it starts at its own plain fit, the scatter
     completed to 1e-10, and that completion starts the first inner
-    completion; it stops once the change is within ``tol``/10 and the
+    completion; it stops once the change, its location part relative to
+    max(1, max|mu|) of the plain fit, is within ``tol``/10 and the
     residual within ``tol``.  Returns (mu, S, map evaluations), or None
     when ``max_iter`` evaluations do not get there.
     """
@@ -123,7 +124,7 @@ def plain_fixed_point(X, spec, tol, max_iter, index=None):
     from egm.mest import _residual, _reweight
 
     X = np.asarray(X, dtype=float)[None]
-    stop = tol
+    stop, unit = tol, 1.0
     if index is None:
         mu = X.mean(axis=1)
         Xc = X - mu[:, None, :]
@@ -131,6 +132,7 @@ def plain_fixed_point(X, spec, tol, max_iter, index=None):
     else:
         mu, S, _ = plain_fixed_point(X[0], spec, tol, max_iter)
         mu, S, stop = mu[None], _complete(S[None], index.k_mask, 1e-10)[0].matrix[None], tol / 10
+        unit = max(1.0, np.max(np.abs(mu)))
     start, change = S, np.inf
     for it in range(1, max_iter + 1):
         mu_new, S_new = _reweight(X, mu, S, spec)
@@ -140,7 +142,7 @@ def plain_fixed_point(X, spec, tol, max_iter, index=None):
             assert not failed
             start = S_new
         scale = np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
-        change = np.maximum(np.max(np.abs(mu_new - mu), axis=1),
+        change = np.maximum(np.max(np.abs(mu_new - mu), axis=1) / unit,
                             np.max(np.abs(S_new - S), axis=(1, 2)) / scale)
         mu, S = mu_new, S_new
         if change[0] <= stop and _residual(X, mu, S, spec, index)[0] <= tol:

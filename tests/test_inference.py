@@ -208,7 +208,7 @@ class TestBackwardElimination:
         K0, S0 = chordless_cycle_shape(4, -0.4)
         X = sample(EllipticalModel(np.zeros(4), S0, "gaussian"), 2000, 3)
         calls = {"n": 0}
-        real = inf.graphical_m_estimate
+        real = inf._solve
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
@@ -216,7 +216,8 @@ class TestBackwardElimination:
                 raise inf.ConvergenceError("injected failure", residual=0.1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(inf, "graphical_m_estimate", flaky)
+        # each refit is one graph-constrained solve
+        monkeypatch.setattr(inf, "_solve", flaky)
         with pytest.raises(inf.ConvergenceError, match="removal of edge") as exc:
             backward_elimination(X, make_spec("gaussian", 4), 0.05, refit=True)
         assert isinstance(exc.value.steps, list)
@@ -229,6 +230,25 @@ class TestBackwardElimination:
         G_refit, _ = backward_elimination(X, make_spec("gaussian", 4), 0.05, refit=True)
         # with gaussian weights the graphical refit equals the plug-in path
         assert G_plug == G_refit
+
+    def test_refit_equals_graphical_m_estimate(self):
+        from egm.inference import _logdet
+        from egm.mest import graphical_m_estimate, m_estimate
+
+        K0, S0 = chordless_cycle_shape(4, -0.3)
+        X = sample(EllipticalModel(np.zeros(4), S0, "t:5"), 300, 9)
+        spec = make_spec("t:5", 4)
+        _, steps = backward_elimination(X, spec, 0.05, sigma1=1.2, refit=True)
+        assert len(steps) == 2 and steps[1]["deviance_delta"] > 0
+        # each step's deviance, from one graphical_m_estimate per removal
+        graph, ld = Graph.complete(4), _logdet(m_estimate(X, spec).scatter)
+        for step in steps:
+            lds = {e: _logdet(graphical_m_estimate(
+                X, build_index(graph.without_edge(*e)), spec).scatter) for e in graph.sorted_edges()}
+            stat, e = min((max(0.0, 300 * (v - ld) / 1.2), e) for e, v in lds.items())
+            assert step["removed_edge"] == list(e)
+            assert step["deviance_delta"] == stat
+            graph, ld = graph.without_edge(*e), lds[e]
 
 
 class TestPartialCorrelation:
