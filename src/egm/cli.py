@@ -21,7 +21,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from . import graphs, inference, mest, simulate
-from .errors import ConvergenceError
+from .errors import ConvergenceError, _results
 
 _INPUT_ERRORS = (ValueError, OSError)
 
@@ -109,7 +109,10 @@ def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("EGM_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"EGM_SEED must be an integer, got {env!r}") from None
 
 
 def _fit_payload(fit) -> dict:
@@ -145,7 +148,8 @@ def cmd_fit(args) -> int:
             mest.graphical_m_estimate(X, index, spec, tol=args.tol))
     else:
         # one data check and one unconstrained fit serve both methods
-        plug, fit = mest._plug_in_and_graphical(X, index, spec, tol=args.tol)
+        (plug, fit), = _results(mest._plug_in_and_graphical(
+            mest._one(X, spec, index), index, spec, args.tol))
         payload["plugin"], payload["graphical"] = _fit_payload(plug), _fit_payload(fit)
     _emit(payload, args)
     return 0

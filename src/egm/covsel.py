@@ -10,8 +10,9 @@ per slice, so M-estimation, the search, the deviance and the studies
 complete many matrices per LAPACK call; each slice stops sweeping when
 it would stop alone, and a single completion is a stack of one.  A slice
 that runs out of sweeps gets its own ConvergenceError while the others go
-on; any other failure, such as a non-SPD input or a lost definiteness,
-raises for the whole stack, with the error the failing slice raises alone.
+on; any other failure, such as a non-SPD input (DefinitenessError) or a
+lost definiteness on the way (ConvergenceError), raises for the whole
+stack, with the error the failing slice raises alone.
 
 The analytic derivative of that map and the asymptotic covariances built
 from it are dense p^2 x p^2 (resp. (m-q) x (m-q)) matrices, assembled from
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, PreconditionError, _results
+from .errors import ConvergenceError, DefinitenessError, DimensionError, PreconditionError, _results
 from .graphs import GraphIndex
 from .linops import _has_cholesky, check_spd, spd_inverse, vec
 
@@ -130,7 +131,8 @@ def constrain_scatter(A, index: GraphIndex, tol: float = 1e-10,
     DefinitenessError
         If A is not SPD.
     ConvergenceError
-        If the sweep budget is exhausted; carries the last residual.
+        If the sweep budget is exhausted, carrying the last residual, or
+        if the sweeps lose positive definiteness, chained to that error.
 
     Notes
     -----
@@ -164,7 +166,12 @@ def _complete(A, k_mask, tol: float, max_iter: int = 10_000) -> list:
            if done[i] else None for i in range(len(A))]
     todo = np.flatnonzero(~done)
     if todo.size:
-        W, history, errors = _nodewise(A[todo], k_mask[todo], tol, max_iter)
+        try:
+            W, history, errors = _nodewise(A[todo], k_mask[todo], tol, max_iter)
+        except (np.linalg.LinAlgError, DefinitenessError) as exc:
+            # the input was SPD: the sweeps failed, not the caller
+            raise ConvergenceError(
+                f"constrained completion lost positive definiteness: {exc}") from exc
         for i, t in enumerate(todo):
             out[t] = errors.get(i) or ConstrainedFit(
                 W[i], len(history[i]), history[i][-1], history[i], bool(cond[t]))
@@ -179,8 +186,7 @@ def _nodewise(A, k_mask, tol, max_iter: int = 10_000, start=None):
     ``start`` rescaled by a diagonal congruence to A's diagonal and given
     A's edges where that keeps it positive definite: from such a start
     each vertex update maximizes log det W over the vertex's non-edge
-    entries, so W stays positive definite.  A NaN slice of ``start``
-    therefore starts from A.
+    entries, so W stays positive definite.
 
     Returns the stack W, one residual history per slice and {slice:
     ConvergenceError} for the slices that ran out of sweeps (W is then the

@@ -161,9 +161,13 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
     step, each under the current graph's mask with its edge cleared;
     ``refit=True`` refits the graphical M-estimator per candidate instead
     (slow, for comparison), started at that completion at the plug-in's
-    tolerance, so each refit equals :func:`graphical_m_estimate`.
+    tolerance, so each refit equals :func:`graphical_m_estimate`; a
+    candidate whose completion fails fails with that error, as its
+    graphical fit would.
 
-    Returns the final graph and a per-step audit trail.
+    Returns the final graph and a per-step audit trail.  A ConvergenceError
+    carries the steps completed so far as ``steps`` and the graph they
+    reached as ``graph``.
     """
     if not 0.0 <= alpha <= 1.0:
         raise PreconditionError(f"alpha must be in [0, 1], got {alpha}")
@@ -171,14 +175,6 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
     n, p = X.shape
     _check_spec(spec, p)
     s1 = resolve_sigma1(spec, p, sigma1, family)
-
-    try:
-        fit = m_estimate(X, spec, tol=tol)
-    except ConvergenceError as exc:
-        exc.steps = []
-        exc.graph = Graph.complete(p)
-        raise
-    S = fit.scatter
 
     def removals(graph, mask):
         """(edge, log-determinant or ConvergenceError) of each removal from ``graph``."""
@@ -189,11 +185,10 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
         fits = _complete(np.broadcast_to(S, masks.shape), masks,
                          _COMPLETION_TOL if refit else completion_tol)
         for e, f in zip(edges, fits):
-            if refit:
+            if refit and not isinstance(f, ConvergenceError):
                 # the completion is the plug-in estimate that graphical_m_estimate
-                # would build and start from; where it failed, the fit starts cold
-                start = None if isinstance(f, ConvergenceError) else FitResult(
-                    fit.mu, f.matrix, fit.iterations, fit.converged, fit.residual)
+                # would build and start from; where it failed, that is the error
+                start = FitResult(fit.mu, f.matrix, fit.iterations, fit.converged, fit.residual)
                 try:
                     f, = _solve(X[None], spec, tol, _MAX_ITER, build_index(graph.without_edge(*e)),
                                 [start])
@@ -204,30 +199,33 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
 
     from scipy.special import chdtrc
     # the complete graph's completion, or graphical fit, is the estimate itself
-    current, k_mask, ld_cur = Graph.complete(p), np.ones((p, p), dtype=bool), float(_logdet(S))
-    steps = []
-    while current.edges:
-        best = None
-        for e, ld in removals(current, k_mask):
-            if isinstance(ld, ConvergenceError):
-                # keep the audit trail of the steps completed so far
-                wrapped = ConvergenceError(
-                    f"estimator failed at step {len(steps) + 1} while testing "
-                    f"removal of edge {e}: {ld}", residual=ld.residual)
-                wrapped.steps = steps
-                wrapped.graph = current
-                raise wrapped from ld
-            stat = max(0.0, n * (ld - ld_cur) / s1)
-            if best is None or (stat, e) < (best[0], best[1]):
-                best = (stat, e, ld)
-        stat, (a, b), ld = best
-        p_value = float(chdtrc(1, stat))
-        if p_value <= alpha:
-            break
-        current = current.without_edge(a, b)
-        k_mask[a - 1, b - 1] = k_mask[b - 1, a - 1] = False
-        ld_cur = ld
-        steps.append({"removed_edge": [a, b], "deviance_delta": stat, "p_value": p_value})
+    current, k_mask, steps = Graph.complete(p), np.ones((p, p), dtype=bool), []
+    try:
+        fit = m_estimate(X, spec, tol=tol)
+        S = fit.scatter
+        ld_cur = float(_logdet(S))
+        while current.edges:
+            best = None
+            for e, ld in removals(current, k_mask):
+                if isinstance(ld, ConvergenceError):
+                    raise ConvergenceError(
+                        f"estimator failed at step {len(steps) + 1} while testing "
+                        f"removal of edge {e}: {ld}", residual=ld.residual) from ld
+                stat = max(0.0, n * (ld - ld_cur) / s1)
+                if best is None or (stat, e) < (best[0], best[1]):
+                    best = (stat, e, ld)
+            stat, (a, b), ld = best
+            p_value = float(chdtrc(1, stat))
+            if p_value <= alpha:
+                break
+            current = current.without_edge(a, b)
+            k_mask[a - 1, b - 1] = k_mask[b - 1, a - 1] = False
+            ld_cur = ld
+            steps.append({"removed_edge": [a, b], "deviance_delta": stat, "p_value": p_value})
+    except ConvergenceError as exc:
+        # keep the audit trail of the steps completed so far
+        exc.steps, exc.graph = steps, current
+        raise
     return current, steps
 
 

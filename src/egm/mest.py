@@ -16,7 +16,8 @@ mode of the iteration.
 A graph-constrained fit starts at the plug-in estimate, which the
 asymptotic equivalence of the two estimators puts O_p(1/n) from the
 graphical fixed point.  So Gaussian weights take a single evaluation, and
-the others a few, each with about one warm-started completion sweep.
+the others a few, each with about one warm-started completion sweep.  It
+is the only start: a fit whose plug-in fails fails with the plug-in's error.
 
 Built-in weight families, addressable by string:
 
@@ -457,16 +458,16 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
     constrained to the graph of ``index`` when that graph has an absent edge.
 
     A plain fit starts at the sample mean and covariance.  A graphical fit
-    starts at the slice's plug-in estimate (:func:`_plug_in`), one
-    FitResult per slice in ``start`` or else computed here; where that
-    fails, at the sample mean and the completion of the sample covariance
-    to 1e-2 ``tol``.  The map reweights location and scatter at its input;
-    under a graph it then completes the weighted scatter
-    (:func:`egm.covsel._nodewise`), started from the previous completion,
-    the plug-in's at first, to an inner tolerance that follows the outer
-    progress down to one hundredth of ``tol``.  After every second map
-    evaluation the iterate is extrapolated (:func:`_extrapolate`); an
-    accepted extrapolation is mapped from its scale-corrected point S/s
+    starts at the slice's plug-in estimate (:func:`_plug_in`), one outcome
+    per slice in ``start`` or else computed here; a slice whose plug-in
+    failed fails with the plug-in's error, before any map evaluation, and
+    a plug-in that raises raises here.  The map reweights location and
+    scatter at its input; under a graph it then completes the weighted
+    scatter (:func:`egm.covsel._nodewise`), started from the previous
+    completion, the plug-in's at first, to an inner tolerance that follows
+    the outer progress down to one hundredth of ``tol``.  After every
+    second map evaluation the iterate is extrapolated (:func:`_extrapolate`);
+    an accepted extrapolation is mapped from its scale-corrected point S/s
     (:func:`_scale_root`, skipped for the constant Gaussian weights), and
     that point starts the next cycle, while a rejected one keeps the plain
     iterate unscaled.  So a solve whose every extrapolation is rejected is
@@ -488,47 +489,33 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
     what = "M-estimation" if index is None else "graphical M-estimation"
     if index is not None and index.q == 0:
         index = None  # a complete graph constrains nothing
-    if index is not None and start is None:
-        try:
-            start = [f if isinstance(f, FitResult) else None
-                     for f in _plug_in(X, spec, tol, max_iter, index.k_mask)]
-        except (ConvergenceError, DefinitenessError, np.linalg.LinAlgError):
-            if R > 1:
-                raise  # for the whole stack; alone, a slice starts cold
-            start = [None]
     out, it = [None] * R, 0
-    try:
+    if index is None:
+        live, stop = np.arange(R), tol  # the data set of each slice of the stacks
         mu, S = X.mean(axis=1), np.empty((R, p, p))
         for G in _groups(R, n):
             Xc = X[G] - mu[G, None, :]
             S[G] = Xc.mT @ Xc / n
-        W, change, stop, unit = None, np.full(R, np.inf), np.full(R, float(tol)), np.ones(R)
-        if index is not None:
-            warm = np.array([f is not None for f in start])
-            cold = np.flatnonzero(~warm)
-            if cold.size:
-                for i, f in zip(cold, _complete(S[cold], index.k_mask, 1e-2 * tol)):
-                    if isinstance(f, ConvergenceError):
-                        out[i] = f
-                    else:
-                        S[i] = f.matrix
-            for i in np.flatnonzero(warm):
-                mu[i], S[i] = start[i].mu, start[i].scatter
-            # the tighter stop, with the location change relative to the
-            # plug-in's location so that it stays above rounding
-            stop[warm] = tol / 10
-            unit[warm] = np.maximum(1.0, np.max(np.abs(mu[warm]), axis=1))
-            # the plug-in's completion starts the first inner completion; a
-            # NaN start leaves it cold (:func:`egm.covsel._nodewise`)
-            W = np.where(warm[:, None, None], S, np.nan)
-        live = np.arange(R)  # the data set of each slice of the stacks
+        W, unit = None, np.ones(R)
+    else:
+        start = _plug_in(X, spec, tol, max_iter, index.k_mask) if start is None else start
+        out = [f if isinstance(f, Exception) else None for f in start]
+        live, stop = np.flatnonzero([f is None for f in out]), tol / 10
+        mu = np.array([start[i].mu for i in live]).reshape(-1, p)
+        # the plug-in's completion starts the first inner completion
+        S = W = np.array([start[i].scatter for i in live]).reshape(-1, p, p)
+        # the location change is relative to the plug-in's location, so
+        # that the tighter stop stays above rounding
+        unit = np.maximum(1.0, np.max(np.abs(mu), axis=1))
+    try:
+        change = np.full(len(live), np.inf)
         scaled = spec.name != "gaussian"  # constant weights: s moves no map output
         path = []  # the inputs (mu, S) of this cycle's map evaluations
         while True:
             # the slices with an outcome leave; the data stack is never copied
             keep = np.array([out[r] is None for r in live], dtype=bool)
             if not keep.all():
-                live, mu, S, change, stop, unit = (a[keep] for a in (live, mu, S, change, stop, unit))
+                live, mu, S, change, unit = (a[keep] for a in (live, mu, S, change, unit))
                 W = None if W is None else W[keep]
                 path = [(m[keep], s[keep]) for m, s in path]
             if not live.size or it == max_iter:
@@ -661,9 +648,9 @@ def graphical_m_estimate(X, index: GraphIndex, spec: EstimatorSpec,
     answer is the completion of the sample covariance.
     ``iterations`` and ``max_iter`` count the map evaluations of the
     graph-constrained iteration; the plug-in's own are not included.  If
-    the plug-in fails, the iteration starts from the sample mean and the
-    completed sample covariance instead, and stops at a change of ``tol``.
-    A complete graph gives exactly the :func:`m_estimate` result.
+    the plug-in fails, the fit fails with the plug-in's error: there is no
+    other start.  A complete graph gives exactly the :func:`m_estimate`
+    result.
     """
     fit, = _results(_solve(_one(X, spec, index), spec, tol, max_iter, index))
     return fit
@@ -673,21 +660,23 @@ def plug_in_estimate(X, index: GraphIndex, spec: EstimatorSpec,
                      tol: float = 1e-9, max_iter: int = _MAX_ITER,
                      completion_tol: float = _COMPLETION_TOL) -> FitResult:
     """Unconstrained M-estimate followed by constrained completion."""
+    _one(X, spec, index)  # the data must fit the graph before any fit runs
     fit = m_estimate(X, spec, tol=tol, max_iter=max_iter)
     S_P = constrain_scatter(fit.scatter, index, tol=completion_tol).matrix
     return FitResult(fit.mu, S_P, fit.iterations, fit.converged, fit.residual)
 
 
-def _plug_in_and_graphical(X, index: GraphIndex, spec: EstimatorSpec,
-                           tol: float = 1e-9, max_iter: int = _MAX_ITER) -> tuple:
-    """:func:`plug_in_estimate` and :func:`graphical_m_estimate` of X, which
-    share one data check and one unconstrained fit: the graphical fit
-    starts at the plug-in.  Raises what the first of the two to fail
-    raises."""
-    X = _one(X, spec, index)
-    plug, = _results(_plug_in(X, spec, tol, max_iter, index.k_mask))
-    fit, = _results(_solve(X, spec, tol, max_iter, index, [plug]))
-    return plug, fit
+def _plug_in_and_graphical(X, index: GraphIndex, spec: EstimatorSpec, tol: float,
+                           max_iter: int = _MAX_ITER) -> list:
+    """:func:`plug_in_estimate` and :func:`graphical_m_estimate` on each
+    slice of an (R, n, p) stack of validated data sets, sharing one
+    unconstrained fit: the graphical fits start at the plug-ins.  Per
+    slice the pair of FitResults, or the error of the first of the two to
+    fail; any other failure raises for the whole stack."""
+    plugs = _plug_in(X, spec, tol, max_iter, index.k_mask)
+    fits = _solve(X, spec, tol, max_iter, index, plugs)
+    return [plug if isinstance(plug, Exception) else fit if isinstance(fit, Exception)
+            else (plug, fit) for plug, fit in zip(plugs, fits)]
 
 
 def sample_cov_scalars(kappa: float, p: Optional[int] = None) -> AsymptoticScalars:

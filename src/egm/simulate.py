@@ -42,7 +42,7 @@ from .mest import (
     _check_spec,
     _family_nu,
     _integer,
-    _plug_in,
+    _plug_in_and_graphical,
     _solve,
     _validate_data,
     scalars_for,
@@ -175,8 +175,9 @@ def _draw(model: EllipticalModel, n: int, seed, root) -> np.ndarray:
 
 def _chunks(replicates: int) -> list:
     """The replicate numbers 0..replicates-1 in runs of at most _CHUNK."""
-    if replicates < 1:
-        raise PreconditionError(f"a study needs at least one replicate, got {replicates}")
+    if not _integer(replicates, 1):
+        raise PreconditionError("a study needs an integer count of at least one replicate, "
+                                f"got replicates={replicates!r}")
     return [range(lo, min(lo + _CHUNK, replicates)) for lo in range(0, replicates, _CHUNK)]
 
 
@@ -241,20 +242,6 @@ def _check_failure_cap(failures: list, total: int) -> None:
             f"{FAILURE_CAP:.0%} cap; first failure: {failures[0][1]}")
 
 
-def _both_fits(X, index: GraphIndex, spec: EstimatorSpec, tol: float) -> list:
-    """plug_in_estimate, then graphical_m_estimate, on each slice of X:
-    per slice the pair of FitResults, or the ConvergenceError of the first
-    fit that runs out of budget.  The graphical fits start at the plug-ins,
-    as graphical_m_estimate starts at the plug-in it computes itself."""
-    out = _plug_in(X, spec, tol, _MAX_ITER, index.k_mask)
-    ok = [i for i, f in enumerate(out) if isinstance(f, FitResult)]
-    if ok:
-        sub = X if len(ok) == len(X) else X[ok]
-        for i, f in zip(ok, _solve(sub, spec, tol, _MAX_ITER, index, [out[i] for i in ok])):
-            out[i] = f if isinstance(f, Exception) else (out[i], f)
-    return out
-
-
 def equivalence_study(index: GraphIndex, model: EllipticalModel,
                       spec: EstimatorSpec, n_grid, replicates: int,
                       seed: int, tol: float = 1e-9) -> StudyReport:
@@ -285,7 +272,7 @@ def equivalence_study(index: GraphIndex, model: EllipticalModel,
     failures = []
     for rs in chunks:
         X_full = _data(model, n_grid[-1], seed, rs, root)
-        by_n = [_run_chunk(lambda X: _both_fits(X, index, spec, tol),
+        by_n = [_run_chunk(lambda X: _plug_in_and_graphical(X, index, spec, tol, _MAX_ITER),
                            _checked(np.ascontiguousarray(X_full[:, :n])))
                 for n in n_grid]
         for i, r in enumerate(rs):

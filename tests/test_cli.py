@@ -11,6 +11,7 @@ from egm.mest import m_estimate, make_spec
 from egm.simulate import EllipticalModel, sample
 
 from _oracles import read_data_oracle
+from test_mest import near_collinear
 
 
 def write_csv(path, X, header=None):
@@ -132,6 +133,20 @@ class TestFit:
                        "--estimator", "t:5"])
         assert rc == 2
         assert "definiteness" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["plugin", "graphical", "both"])
+    def test_lost_definiteness_in_completion_exit_2(self, tmp_path, capsys, method):
+        # the Gaussian fit is SPD; its 4-cycle completion loses definiteness
+        data = tmp_path / "X.csv"
+        write_csv(data, near_collinear(1e8))
+        graph = tmp_path / "g.g"
+        write_graph(Graph.cycle(4), graph)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = cli.main(["fit", "--data", str(data), "--graph", str(graph),
+                           "--estimator", "gaussian", "--method", method])
+        assert rc == 2
+        assert "completion lost positive definiteness" in capsys.readouterr().err
 
     def test_dimension_mismatch(self, cycle4_files, tmp_path, capsys):
         graph3 = tmp_path / "g3.g"
@@ -505,6 +520,16 @@ class TestStudy:
         cli.main(argv + ["--seed", "31"])
         via_flag = capsys.readouterr().out
         assert via_env == via_flag
+
+    def test_env_seed_not_an_integer_exit_1(self, tmp_path, capsys, monkeypatch):
+        shape, g0, g1 = self.make_cycle_fixture(tmp_path)
+        monkeypatch.setenv("EGM_SEED", "abc")
+        rc = cli.main(["study", "--kind", "deviance-null", "--graph", str(g0),
+                       "--graph1", str(g1), "--family", "gaussian", "--estimator",
+                       "gaussian", "--shape-csv", str(shape), "--n", "150",
+                       "--replicates", "5"])
+        assert rc == 1
+        assert capsys.readouterr().err == "egm: EGM_SEED must be an integer, got 'abc'\n"
 
     def test_study_missing_n_rejected(self, tmp_path, capsys):
         shape, g0, _ = self.make_cycle_fixture(tmp_path)

@@ -15,6 +15,7 @@ from egm.errors import (
     DimensionError,
     PreconditionError,
     SampleSizeError,
+    _results,
 )
 from egm.graphs import Graph, build_index
 from egm.inference import chordless_cycle_shape, deviance
@@ -485,12 +486,51 @@ class TestGraphicalMEstimate:
             fit = graphical_m_estimate(X, build_index(Graph.cycle(4)), make_spec("t:5", 4))
         assert fit.converged
 
-    def test_lost_definiteness_is_convergence_error(self):
-        with pytest.warns(RuntimeWarning, match="condition number"):
+    @pytest.mark.parametrize("name", ["gaussian", "t:5"])
+    def test_lost_definiteness_is_convergence_error(self, name):
+        # only the Gaussian plug-in reaches the completion, which warns and
+        # loses definiteness; the t:5 plug-in fit loses it first
+        gaussian = name == "gaussian"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with pytest.raises(ConvergenceError, match="definiteness") as exc:
                 graphical_m_estimate(near_collinear(1e8), build_index(Graph.cycle(4)),
-                                     make_spec("t:5", 4))
-        assert isinstance(exc.value.__cause__, DefinitenessError)
+                                     make_spec(name, 4))
+        assert any("condition number" in str(w.message) for w in caught) == gaussian
+        cause = DefinitenessError if gaussian else np.linalg.LinAlgError
+        assert type(exc.value.__cause__) is cause
+
+    @pytest.mark.parametrize("case", ["collinear gaussian", "collinear t:5", "scaled", "shifted"])
+    def test_fails_exactly_like_its_plug_in(self, monkeypatch, case):
+        # there is no other start: a failed plug-in is the graphical fit's error
+        K0, S0 = chordless_cycle_shape(5, -0.3)
+        model = EllipticalModel(np.zeros(5), S0, "t:5")
+        X, p, name = {
+            "collinear gaussian": (near_collinear(1e8), 4, "gaussian"),
+            "collinear t:5": (near_collinear(1e8), 4, "t:5"),
+            "scaled": (1e-4 * sample(model, 200, 3), 5, "t:5"),
+            "shifted": (1e6 + sample(model, 4000, 9), 5, "t:5"),
+        }[case]
+        idx, spec = build_index(Graph.cycle(p)), make_spec(name, p)
+        sweeps = []
+        inverse = covsel.spd_inverse
+        monkeypatch.setattr(covsel, "spd_inverse", lambda A: sweeps.append(1) or inverse(A))
+
+        def failure(fit):
+            sweeps.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with pytest.raises(ConvergenceError) as exc:
+                    fit()
+            # the scaled plug-in's completion runs out of its 10,000 sweeps once
+            assert len(sweeps) <= 10_100
+            e = exc.value
+            return type(e), str(e), e.residual, type(e.__cause__)
+
+        expected = failure(lambda: plug_in_estimate(X, idx, spec))
+        assert failure(lambda: graphical_m_estimate(X, idx, spec)) == expected
+        assert failure(lambda: _results(mest._plug_in_and_graphical(
+            mest._one(X, spec, idx), idx, spec, 1e-9))) == expected
 
     def test_huber_graphical_fit(self):
         idx = build_index(Graph.cycle(4))
@@ -540,6 +580,23 @@ class TestPlugIn:
         plug = plug_in_estimate(X, idx, spec, tol=1e-10, completion_tol=1e-11)
         assert np.max(np.abs((plug.scatter - plain.scatter)[idx.k_mask])) <= 1e-9
         assert np.max(np.abs(np.linalg.inv(plug.scatter)[idx.d_mask])) <= 1e-9
+
+    @pytest.mark.parametrize("text", ["gaussian", "t:5", "huber:1.345"])
+    def test_data_of_another_dimension_rejected_before_fitting(self, monkeypatch, text):
+        X = rng.standard_normal((60, 5))
+        index, spec = build_index(Graph.cycle(4)), make_spec(text, 5)
+        monkeypatch.setattr(mest, "_solve", None)  # no fit may run
+        for fit in (graphical_m_estimate, plug_in_estimate):
+            with pytest.raises(DimensionError, match="data has 5 columns but the graph has p=4"):
+                fit(X, index, spec)
+
+    def test_lost_definiteness_is_convergence_error(self):
+        # the completion of the Gaussian fit loses definiteness on an SPD input
+        with pytest.warns(RuntimeWarning, match="condition number"):
+            with pytest.raises(ConvergenceError, match="definiteness") as exc:
+                plug_in_estimate(near_collinear(1e8), build_index(Graph.cycle(4)),
+                                 make_spec("gaussian", 4))
+        assert isinstance(exc.value.__cause__, DefinitenessError)
 
     def test_gaussian_cycle_matches_likelihood_oracle(self):
         idx = build_index(Graph.cycle(4))

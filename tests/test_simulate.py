@@ -121,12 +121,14 @@ class TestSample:
             sample(EllipticalModel(MU3, S3, "gaussian"), n, 1)
 
     @pytest.mark.parametrize("seed, n, what", [(-1, 100, "seed"), (2.5, 100, "seed"),
-                                               ([1, 2], 100, "seed"), (1, 2.5, "n")])
+                                               ([1, 2], 100, "seed"), (1, 2.5, "n"),
+                                               (1, 100, "replicates")])
     def test_studies_reject_bad_seed_and_size(self, seed, n, what):
         m5, _ = _cycle_models("gaussian")
         spec = make_spec("gaussian", 5)
-        for study in (lambda: deviance_null_study(I5, I5_CHORD, m5, spec, n, 2, seed),
-                      lambda: equivalence_study(I5, m5, spec, [n], 2, seed)):
+        r = 2.5 if what == "replicates" else 2
+        for study in (lambda: deviance_null_study(I5, I5_CHORD, m5, spec, n, r, seed),
+                      lambda: equivalence_study(I5, m5, spec, [n], r, seed)):
             with pytest.raises(PreconditionError, match=f"got {what}="):
                 study()
 
