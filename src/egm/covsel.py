@@ -2,17 +2,17 @@
 
 Given an SPD matrix A and a graph G, :func:`constrain_scatter` computes
 the unique SPD matrix that agrees with A on edges and the diagonal while
-its inverse vanishes on the absent edges.  The solver is node-wise
-regression on the scatter matrix, which converges for arbitrary (also
-non-decomposable) graphs and reads only the graph's edge-and-diagonal
-mask.  It runs on (R, p, p) stacks, with one graph for the stack or one
-per slice, so M-estimation, the search, the deviance and the studies
-complete many matrices per LAPACK call; each slice stops sweeping when
-it would stop alone, and a single completion is a stack of one.  A slice
-that runs out of sweeps gets its own ConvergenceError while the others go
-on; any other failure, such as a non-SPD input (DefinitenessError) or a
-lost definiteness on the way (ConvergenceError), raises for the whole
-stack, with the error the failing slice raises alone.
+its inverse vanishes on the absent edges.  The solver takes damped Newton
+steps, on whichever side of the max-determinant problem has fewer free
+entries, for arbitrary (also non-decomposable) graphs, and reads only the
+graph's edge-and-diagonal mask.  It runs on (R, p, p) stacks, with one
+graph for the stack or one per slice, so M-estimation, the search, the
+deviance and the studies complete many matrices per LAPACK call; each
+slice stops when it would stop alone, and a single completion is a stack
+of one.  A slice that runs out of steps gets its own ConvergenceError
+while the others go on; any other failure, such as a non-SPD input
+(DefinitenessError) or a lost definiteness on the way (ConvergenceError),
+raises for the whole stack, with the error the failing slice raises alone.
 
 The analytic derivative of that map and the asymptotic covariances built
 from it are dense p^2 x p^2 (resp. (m-q) x (m-q)) matrices, assembled from
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DefinitenessError, DimensionError, PreconditionError, _results
 from .graphs import GraphIndex
-from .linops import _has_cholesky, check_spd, spd_inverse, vec
+from .linops import _cholesky_logdet, check_spd, spd_inverse, vec
 
 __all__ = [
     "AsymptoticScalars",
@@ -44,6 +44,8 @@ __all__ = [
 
 #: condition number beyond which a conditioning warning is attached
 COND_WARN = 1e12
+#: default budget of Newton steps: 3x the most that any input tried took (31)
+_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class ConstrainedFit:
 
     ``residual`` is the max-abs violation of the two defining conditions
     (entry match on edges/diagonal, inverse zeros on absent edges);
-    ``residual_history`` holds one value per completed sweep.
+    ``residual_history`` holds the start's value, then each Newton step's.
     """
 
     matrix: np.ndarray
@@ -89,12 +91,6 @@ class ConstrainedFit:
     residual: float
     residual_history: list = field(default_factory=list)
     condition_warning: bool = False
-
-
-def _residual(Sigma, Kmat, A, k_mask) -> np.ndarray:
-    """Max-abs violation of the two defining conditions, per slice of the
-    stacks, for a (p, p) or (R, p, p) edge-and-diagonal mask."""
-    return np.where(k_mask, np.abs(Sigma - A), np.abs(Kmat)).max(axis=(1, 2))
 
 
 def _check_budget(tol, max_iter: int, unit: str) -> None:
@@ -106,7 +102,7 @@ def _check_budget(tol, max_iter: int, unit: str) -> None:
 
 
 def constrain_scatter(A, index: GraphIndex, tol: float = 1e-10,
-                      max_iter: int = 10_000) -> ConstrainedFit:
+                      max_iter: int = _MAX_STEPS) -> ConstrainedFit:
     """Complete A to the graph-constrained scatter matrix.
 
     Parameters
@@ -117,9 +113,9 @@ def constrain_scatter(A, index: GraphIndex, tol: float = 1e-10,
         Graph machinery from :func:`egm.graphs.build_index`.
     tol : float
         Bound on the max-abs violation of the defining conditions and on
-        the max-abs change of the last sweep.
+        the max-abs change of the last Newton step.
     max_iter : int
-        Maximum number of full sweeps over the vertices.
+        Maximum number of Newton steps.
 
     Returns
     -------
@@ -131,118 +127,148 @@ def constrain_scatter(A, index: GraphIndex, tol: float = 1e-10,
     DefinitenessError
         If A is not SPD.
     ConvergenceError
-        If the sweep budget is exhausted, carrying the last residual, or
-        if the sweeps lose positive definiteness, chained to that error.
+        If the step budget is exhausted, carrying the last residual, or
+        if the steps lose positive definiteness, chained to that error.
 
     Notes
     -----
-    One sweep visits every vertex j in turn, solves W_nn b = A_nj on its
-    neighbours n in the current scatter W and sets the off-diagonal row
-    and column j of W to W b (Hastie, Tibshirani & Friedman, ESL 2nd ed.,
-    Alg. 17.1).  This keeps diag(W) = diag(A), matches A on j's edges and
-    zeroes the implied concentration row off them; it converges for any
-    graph, also non-decomposable (Speed & Kiiveri 1986), without a clique.
+    W maximizes log det W over the absent-edge entries, with W = A on
+    the edges and the diagonal (Dempster 1972), for any graph, also
+    non-decomposable (Speed & Kiiveri 1986); K = W^-1 maximizes the dual
+    log det K - tr(AK) over K with K = 0 on the absent edges.  Both are
+    self-concordant, so damped Newton steps stay positive definite and
+    converge quadratically without tuning (Boyd & Vandenberghe 2004,
+    9.5-9.6), on whichever side has fewer free entries.
     """
     fit, = _results(_complete(check_spd(A)[None], index.k_mask, tol, max_iter))
     return fit
 
 
-def _complete(A, k_mask, tol: float, max_iter: int = 10_000) -> list:
+def _complete(A, k_mask, tol: float, max_iter: int = _MAX_STEPS, start=None) -> list:
     """:func:`constrain_scatter` on each slice of an (R, p, p) stack, with its
     checks, warning and early exits, under ``k_mask``: one (p, p) graph or
-    one per slice.  One ConstrainedFit, or the ConvergenceError of a slice
-    that runs out of sweeps, per slice; one kernel call serves the stack."""
-    _check_budget(tol, max_iter, "sweep")
+    one per slice, and from a ``start`` stack (see :func:`_newton`).  One
+    ConstrainedFit, or the ConvergenceError of a slice that runs out of
+    steps, per slice; one kernel call serves the stack."""
+    _check_budget(tol, max_iter, "step")
     if A.shape[1:] != k_mask.shape[-2:]:
         raise PreconditionError(f"matrix is {A.shape[1:]} but the graph has p={k_mask.shape[-1]}")
     A, k_mask = check_spd(A), np.broadcast_to(k_mask, A.shape)
-    cond = np.linalg.cond(A) > COND_WARN
+    eig = np.linalg.eigvalsh(A)  # SPD: the 2-norm condition number is a ratio of these
+    cond = eig[:, -1] > COND_WARN * eig[:, 0]
     for _ in range(np.count_nonzero(cond)):
         warnings.warn("input matrix has condition number above 1e12", RuntimeWarning)
     # a complete graph, or a compliant input, is its own completion
-    res0 = _residual(A, spd_inverse(A), A, k_mask)
+    res0 = np.where(k_mask, 0.0, np.abs(spd_inverse(A))).max(axis=(1, 2))
     done = res0 <= tol
     out = [ConstrainedFit(A[i].copy(), 0, float(res0[i]), [float(res0[i])], bool(cond[i]))
            if done[i] else None for i in range(len(A))]
     todo = np.flatnonzero(~done)
     if todo.size:
         try:
-            W, history, errors = _nodewise(A[todo], k_mask[todo], tol, max_iter)
+            W, history, errors = _newton(A[todo], k_mask[todo], tol, max_iter,
+                                         None if start is None else start[todo])
         except (np.linalg.LinAlgError, DefinitenessError) as exc:
-            # the input was SPD: the sweeps failed, not the caller
+            # the input was SPD: the steps failed, not the caller
             raise ConvergenceError(
                 f"constrained completion lost positive definiteness: {exc}") from exc
         for i, t in enumerate(todo):
             out[t] = errors.get(i) or ConstrainedFit(
-                W[i], len(history[i]), history[i][-1], history[i], bool(cond[t]))
+                W[i], len(history[i]) - 1, history[i][-1], history[i], bool(cond[t]))
     return out
 
 
-def _nodewise(A, k_mask, tol, max_iter: int = 10_000, start=None):
-    """Node-wise regression sweeps (see :func:`constrain_scatter`) on an
-    (R, p, p) stack under ``k_mask``, one (p, p) graph or one per slice;
-    a slice stops once its residual and its last sweep's change are within
-    its ``tol`` (a scalar or one per slice).  Sweeps start from A, or from
-    ``start`` rescaled by a diagonal congruence to A's diagonal and given
-    A's edges where that keeps it positive definite: from such a start
-    each vertex update maximizes log det W over the vertex's non-edge
-    entries, so W stays positive definite.
-
-    Returns the stack W, one residual history per slice and {slice:
-    ConvergenceError} for the slices that ran out of sweeps (W is then the
-    last sweep's).  A lost definiteness raises.
-    """
-    _check_budget(tol, max_iter, "sweep")
+def _newton(A, k_mask, tol, max_iter: int = _MAX_STEPS, start=None):
+    """Damped Newton steps (see :func:`constrain_scatter`) on an (R, p, p)
+    stack under ``k_mask``, one (p, p) graph or one per slice, with one
+    ``tol`` or one per slice.  Slices with the same side and number of free
+    entries F step as one stack, each on its own F; the primal side needs
+    tol >= 1e-13 max|A|, as its residual stops near the rounding of K^-1.
+    M = W (dual) or K (primal) steps by M_F += t w H^-1 g: g = (M^-1 - T)_F,
+    T = 0 or A, H = _pair(M^-1, F, F), w = 1/2 off the diagonal and 1 on
+    it, and t = 1 where lambda^2 = g H^-1 g <= 1/16 or the full step keeps
+    a factor and does not lower log det M - tr(TM), else 1/(1 + lambda).
+    M starts at A or diag(A)^-1, or at ``start`` or its inverse on F where
+    that has a factor and a higher objective.  A slice stops once its
+    residual and last step (at first, the proposed one) are within tol, or
+    its residual is and rounding stops lambda.  Returns W, the residual
+    histories (the start's, then one per step) and {slice: ConvergenceError}
+    for those out of steps.  A lost definiteness, or a stalled step, raises."""
+    _check_budget(tol, max_iter, "step")
     R, p = A.shape[:2]
     tols = np.broadcast_to(np.asarray(tol, dtype=float), (R,))
-    k_mask = np.broadcast_to(k_mask, A.shape)
-    W = A.copy()
-    if start is not None:
-        d = np.sqrt(np.diagonal(A, axis1=1, axis2=2) / np.diagonal(start, axis1=1, axis2=2))
-        warm = np.where(k_mask, A, start * d[:, :, None] * d[:, None, :])
-        ok = _has_cholesky(warm)
-        W[ok] = warm[ok]
-    W_out = np.empty_like(A)
-    history, live, tol = [[] for _ in range(R)], np.arange(R), tols
-    # the others of each vertex, and the identity that pads a non-neighbour
-    others = [np.delete(np.arange(p), j) for j in range(p)]
-    eye = np.eye(p - 1)
-    for _ in range(max_iter):
-        if not live.size:
-            break
-        last = W.copy()
-        for j, o in enumerate(others):
-            W11 = W[:, o[:, None], o]
-            nb = k_mask[:, o, j]
-            M = np.where(nb[:, :, None] & nb[:, None, :], W11, eye)
-            beta = np.linalg.solve(M, np.where(nb, A[:, o, j], 0.0)[..., None])[..., 0]
-            # an elementwise product keeps every slice's bits its own
-            w12 = (W11 * beta[:, None, :]).sum(axis=-1)
-            W[:, o, j] = W[:, j, o] = w12
-        res = _residual(W, spd_inverse(W), A, k_mask)
-        for r, x in zip(live, res):
-            history[r].append(float(x))
-        # the sweep's change bounds the distance to the completion, which a
-        # small inverse-pattern residual alone does not
-        done = (res <= tol) & (np.abs(W - last).max(axis=(1, 2)) <= tol)
-        if done.any():
-            W_out[live[done]] = W[done]
-            live, A, tol, W, k_mask = (x[~done] for x in (live, A, tol, W, k_mask))
-    W_out[live] = W
-    errors = {r: ConvergenceError(
-        f"constrained completion did not reach tol={float(tols[r])} in {max_iter} "
-        f"sweeps (last residual {history[r][-1]:.3e})", residual=history[r][-1]) for r in live}
-    return W_out, history, errors
+    iu = np.triu_indices(p)
+    on = np.broadcast_to(k_mask, A.shape)[:, iu[0], iu[1]]
+    primal = (on.sum(axis=1) < (~on).sum(axis=1)) & (tols >= 1e-13 * np.abs(A).max(axis=(1, 2)))
+    free = np.where(primal[:, None], on, ~on)
+    W, history, errors = np.empty_like(A), [[] for _ in range(R)], {}
+
+    def at_F(M):
+        return M[np.arange(len(M))[:, None], F[0], F[1]]
+
+    def on_F(M, x):
+        at = np.arange(len(M))[:, None]
+        M[at, F[0], F[1]] = M[at, F[1], F[0]] = x
+        return M
+
+    for side, f in sorted(set(zip(primal.tolist(), free.sum(axis=1).tolist()))):
+        live = np.flatnonzero((primal == side) & (free.sum(axis=1) == f))
+        F = tuple(x[np.nonzero(free[live])[1]].reshape(len(live), f) for x in iu)
+        a, tol, prev = A[live], tols[live], np.full(len(live), np.inf)
+        T, w = at_F(a) if side else np.zeros(F[0].shape), np.where(F[0] == F[1], 1.0, 0.5)
+        M = np.eye(p) / np.diagonal(a, axis1=1, axis2=2)[:, None, :] if side else a.copy()
+        if start is not None:
+            warm = on_F(M.copy(), at_F(spd_inverse(start[live]) if side else start[live]))
+            ok = (_cholesky_logdet(warm) - _cholesky_logdet(M)
+                  - (T * (at_F(warm) - at_F(M)) / w).sum(axis=1) >= 0.0)
+            M[ok] = warm[ok]
+        for step in range(max_iter + 1):
+            Minv = spd_inverse(M)
+            g = at_F(Minv) - T
+            d = np.linalg.solve(_pair(Minv, F, F), g[..., None])[..., 0]
+            lam = np.sqrt(np.maximum((g * d).sum(axis=1), 0.0))
+            dM = on_F(np.zeros_like(M), w * d)
+            last = last if step else dM
+            Wk, res = Minv if side else M, np.abs(g).max(axis=1, initial=0.0)
+            change = np.abs(Wk @ last @ Wk if side else last).max(axis=(1, 2))
+            # the last step bounds the distance that a small residual does not, until
+            # rounding stops convergence, when a full step fails to halve lambda
+            conv = (res <= tol) & ((change <= tol) | ((prev <= 0.25) & (lam > prev / 2)))
+            for r, x in zip(live, res):
+                history[r].append(float(x))
+            for r in live[~conv] if step == max_iter else ():
+                errors[r] = ConvergenceError(
+                    f"constrained completion did not reach tol={float(tols[r])} in {max_iter} "
+                    f"steps (last residual {history[r][-1]:.3e})", residual=history[r][-1])
+            done = conv | (step == max_iter)
+            if done.any():
+                W[live[done]] = Wk[done]
+                live, tol, res, lam, M, T, w, d, dM, *F = (
+                    x[~done] for x in (live, tol, res, lam, M, T, w, d, dM, *F))
+            if not live.size:
+                break
+            prev, t, b = lam, np.ones_like(lam), np.flatnonzero(lam > 0.25)
+            if b.size:
+                gain = (_cholesky_logdet(M[b] + dM[b]) - _cholesky_logdet(M[b])
+                        - (T[b] * d[b]).sum(axis=1))
+                t[b] = np.where(gain >= 0.0, 1.0, 1.0 / (1.0 + lam[b]))
+            trial = M + t[:, None, None] * dM
+            last = trial - M
+            if (~last.any(axis=(1, 2)) & (res > tol)).any():  # the next would repeat it
+                raise DefinitenessError("a Newton step stalled at the edge of definiteness")
+            M = trial
+    return W, history, errors
 
 
 def _pair(T, rows, cols) -> np.ndarray:
     """Entries 1/2 (T_ik T_jl + T_il T_jk) for index-array pairs rows = (i, j)
-    and cols = (k, l): the (rows, cols) block of M_p (T x T), any square T."""
-    (i, j), (k, l) = rows, cols
-    out = T[np.ix_(i, k)] * T[np.ix_(j, l)]
-    out += T[np.ix_(i, l)] * T[np.ix_(j, k)]
-    out *= 0.5
-    return out
+    and cols = (k, l): the (rows, cols) block of M_p (T x T), any square T.
+    On an (R, p, p) stack, with (R, n) index arrays, one block per slice."""
+    p, flat = T.shape[-1], T.reshape(-1)
+    at = np.arange(0, T.size, p * p).reshape(-1, 1, 1) if T.ndim == 3 else 0
+    i, j = (np.asarray(x)[..., :, None] * p + at for x in rows)
+    k, l = (np.asarray(x)[..., None, :] for x in cols)
+    return 0.5 * (flat.take(i + k) * flat.take(j + l) + flat.take(i + l) * flat.take(j + k))
 
 
 def _rc(v, p: int):

@@ -156,14 +156,14 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
     Starting from the complete graph, each step tests every single-edge
     removal from the current graph and deletes the edge with the
     smallest deviance, unless that deviance is already significant at
-    level ``alpha``.  By default the unconstrained estimate is computed
-    once, and one stacked completion of it scores all candidates of a
-    step, each under the current graph's mask with its edge cleared;
-    ``refit=True`` refits the graphical M-estimator per candidate instead
-    (slow, for comparison), started at that completion at the plug-in's
-    tolerance, so each refit equals :func:`graphical_m_estimate`; a
-    candidate whose completion fails fails with that error, as its
-    graphical fit would.
+    level ``alpha``.  By default one stacked completion of the
+    unconstrained estimate, computed once, scores all candidates of a
+    step, each under the current graph's mask with its edge cleared and
+    started at the current graph's completion.  ``refit=True`` refits the
+    graphical M-estimator per candidate instead (slow, for comparison),
+    started at a cold completion at the plug-in's tolerance, so each
+    refit equals :func:`graphical_m_estimate`; a candidate whose
+    completion fails fails with that error, as its graphical fit would.
 
     Returns the final graph and a per-step audit trail.  A ConvergenceError
     carries the steps completed so far as ``steps`` and the graph they
@@ -176,14 +176,15 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
     _check_spec(spec, p)
     s1 = resolve_sigma1(spec, p, sigma1, family)
 
-    def removals(graph, mask):
-        """(edge, log-determinant or ConvergenceError) of each removal from ``graph``."""
+    def removals(graph, mask, W):
+        """(edge, completion from W or graphical fit) of each removal from ``graph``."""
         edges = graph.sorted_edges()
         masks = np.repeat(mask[None], len(edges), axis=0)
         for r, (a, b) in enumerate(edges):
             masks[r, a - 1, b - 1] = masks[r, b - 1, a - 1] = False
         fits = _complete(np.broadcast_to(S, masks.shape), masks,
-                         _COMPLETION_TOL if refit else completion_tol)
+                         _COMPLETION_TOL if refit else completion_tol,
+                         start=None if refit else np.broadcast_to(W, masks.shape))
         for e, f in zip(edges, fits):
             if refit and not isinstance(f, ConvergenceError):
                 # the completion is the plug-in estimate that graphical_m_estimate
@@ -194,33 +195,30 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
                                 [start])
                 except ConvergenceError as exc:
                     f = exc
-            yield e, f if isinstance(f, ConvergenceError) else float(
-                _logdet(f.scatter if refit else f.matrix))
+            if isinstance(f, ConvergenceError):
+                raise ConvergenceError(
+                    f"estimator failed at step {len(steps) + 1} while testing "
+                    f"removal of edge {e}: {f}", residual=f.residual) from f
+            yield e, f.scatter if refit else f.matrix
 
     from scipy.special import chdtrc
     # the complete graph's completion, or graphical fit, is the estimate itself
     current, k_mask, steps = Graph.complete(p), np.ones((p, p), dtype=bool), []
     try:
         fit = m_estimate(X, spec, tol=tol)
-        S = fit.scatter
+        W = S = fit.scatter
         ld_cur = float(_logdet(S))
         while current.edges:
-            best = None
-            for e, ld in removals(current, k_mask):
-                if isinstance(ld, ConvergenceError):
-                    raise ConvergenceError(
-                        f"estimator failed at step {len(steps) + 1} while testing "
-                        f"removal of edge {e}: {ld}", residual=ld.residual) from ld
-                stat = max(0.0, n * (ld - ld_cur) / s1)
-                if best is None or (stat, e) < (best[0], best[1]):
-                    best = (stat, e, ld)
-            stat, (a, b), ld = best
+            edges, scatters = zip(*removals(current, k_mask, W))
+            ld = _logdet(np.array(scatters)).tolist()
+            stat, (a, b), r = min((max(0.0, n * (x - ld_cur) / s1), e, r)
+                                  for r, (e, x) in enumerate(zip(edges, ld)))
             p_value = float(chdtrc(1, stat))
             if p_value <= alpha:
                 break
             current = current.without_edge(a, b)
             k_mask[a - 1, b - 1] = k_mask[b - 1, a - 1] = False
-            ld_cur = ld
+            ld_cur, W = ld[r], scatters[r]  # the next step's candidates start at W
             steps.append({"removed_edge": [a, b], "deviance_delta": stat, "p_value": p_value})
     except ConvergenceError as exc:
         # keep the audit trail of the steps completed so far

@@ -84,12 +84,18 @@ def spd_inverse(A) -> np.ndarray:
     return 0.5 * (out + out.mT)
 
 
+def _cholesky_logdet(S) -> np.ndarray:
+    """Per slice of a stack: log det by its Cholesky factor, nan without one."""
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:  # raised for the whole stack, so split it
+        return np.array([_cholesky_logdet(s[None])[0] if len(S) > 1 else np.nan for s in S])
+    return 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+
+
 def _has_cholesky(S) -> np.ndarray:
     """Per slice of a stack: does it have a finite Cholesky factor?"""
-    try:
-        return np.isfinite(np.linalg.cholesky(S)).all(axis=(1, 2))
-    except np.linalg.LinAlgError:  # raised for the whole stack, so split it
-        return np.array([len(S) > 1 and _has_cholesky(s[None])[0] for s in S])
+    return np.isfinite(_cholesky_logdet(S))
 
 
 def vec(A) -> np.ndarray:

@@ -16,7 +16,7 @@ mode of the iteration.
 A graph-constrained fit starts at the plug-in estimate, which the
 asymptotic equivalence of the two estimators puts O_p(1/n) from the
 graphical fixed point.  So Gaussian weights take a single evaluation, and
-the others a few, each with about one warm-started completion sweep.  It
+the others a few, each completed by a few warm-started Newton steps.  It
 is the only start: a fit whose plug-in fails fails with the plug-in's error.
 
 Built-in weight families, addressable by string:
@@ -45,7 +45,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .covsel import AsymptoticScalars, _check_budget, _complete, _nodewise, constrain_scatter
+from .covsel import AsymptoticScalars, _check_budget, _complete, _newton, constrain_scatter
 from .errors import (
     ConvergenceError,
     DefinitenessError,
@@ -463,7 +463,7 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
     failed fails with the plug-in's error, before any map evaluation, and
     a plug-in that raises raises here.  The map reweights location and
     scatter at its input; under a graph it then completes the weighted
-    scatter (:func:`egm.covsel._nodewise`), started from the previous
+    scatter (:func:`egm.covsel._newton`), started from the previous
     completion, the plug-in's at first, to an inner tolerance that follows
     the outer progress down to one hundredth of ``tol``.  After every
     second map evaluation the iterate is extrapolated (:func:`_extrapolate`);
@@ -478,7 +478,7 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
     already small, the change must be within ``tol``/10, its location part
     taken relative to max(1, max|mu|) of the plug-in so that it stays
     above rounding.  A slice leaves the stack once it converges or runs
-    out of budget (``max_iter`` map evaluations, or the sweeps of a
+    out of budget (``max_iter`` map evaluations, or the steps of a
     completion), so it takes exactly the evaluations it would take alone.
     Returns one FitResult, or the ConvergenceError of an exhausted budget,
     per slice.  Any other failure raises for the whole stack; a lost
@@ -534,7 +534,7 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
             if index is not None:
                 inner_tol = np.minimum(np.maximum(1e-2 * change, 1e-2 * tol), 1e-2)
                 # warm start from the last completion, not an extrapolated S
-                W, _, failed = _nodewise(S_new, index.k_mask, inner_tol, start=W)
+                W, _, failed = _newton(S_new, index.k_mask, inner_tol, start=W)
                 S_new = W
                 for i, exc in failed.items():
                     out[live[i]] = exc
@@ -643,8 +643,8 @@ def graphical_m_estimate(X, index: GraphIndex, spec: EstimatorSpec,
     stops once a step changes the estimate by at most ``tol``/10 (the
     location relative to max(1, max|mu|)) and the residual is at most
     ``tol``.  Its completion warm-starts the first inner completion, and
-    each later one starts from the previous, so most evaluations need
-    about one sweep.  Gaussian weights take a single evaluation: their
+    each later one starts from the previous, so most evaluations need a
+    few Newton steps.  Gaussian weights take a single evaluation: their
     answer is the completion of the sample covariance.
     ``iterations`` and ``max_iter`` count the map evaluations of the
     graph-constrained iteration; the plug-in's own are not included.  If

@@ -9,7 +9,7 @@ same seed.
 The studies fit their replicates in chunks of up to ``_CHUNK`` = 128,
 each an (R, n, p) stack that one solver call advances together, tile by
 tile of the map, while every replicate stops exactly when it would stop
-alone.  A replicate that runs out of iterations or sweeps fails on its
+alone.  A replicate that runs out of iterations or steps fails on its
 own; any other failure raises for the whole stack, and then the chunk
 reruns replicate by replicate, each a stack of one, which is the serial
 call.  A replicate's result therefore depends on neither the chunk size

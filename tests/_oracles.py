@@ -108,7 +108,7 @@ def plain_fixed_point(X, spec, tol, max_iter, index=None):
     on one (n, p) data set, written out one map evaluation at a time.
 
     Unlike the rest of this module it is built from the solver's own map,
-    completion and residual primitives (``mest._reweight``, ``covsel._nodewise``
+    completion and residual primitives (``mest._reweight``, ``covsel._newton``
     with the previous completion as its start, ``mest._residual``), so that
     a solver whose every extrapolation is rejected must equal it bit for
     bit.  A plain fit starts at the sample mean and covariance and stops at
@@ -120,7 +120,7 @@ def plain_fixed_point(X, spec, tol, max_iter, index=None):
     residual within ``tol``.  Returns (mu, S, map evaluations), or None
     when ``max_iter`` evaluations do not get there.
     """
-    from egm.covsel import _complete, _nodewise
+    from egm.covsel import _complete, _newton
     from egm.mest import _residual, _reweight
 
     X = np.asarray(X, dtype=float)[None]
@@ -138,7 +138,7 @@ def plain_fixed_point(X, spec, tol, max_iter, index=None):
         mu_new, S_new = _reweight(X, mu, S, spec)
         if index is not None:
             inner_tol = np.minimum(np.maximum(1e-2 * change, 1e-2 * tol), 1e-2)
-            S_new, _, failed = _nodewise(S_new, index.k_mask, inner_tol, start=start)
+            S_new, _, failed = _newton(S_new, index.k_mask, inner_tol, start=start)
             assert not failed
             start = S_new
         scale = np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))

@@ -4,10 +4,11 @@ import time
 import numpy as np
 import pytest
 
+from egm import covsel
 from egm.covsel import (
     AsymptoticScalars,
     _complete,
-    _nodewise,
+    _newton,
     concentration_acov,
     constrain_jacobian,
     constrain_scatter,
@@ -157,7 +158,7 @@ class TestConstrainScatter:
     def test_budget_below_one_sweep_rejected(self, max_iter):
         K, S = chordless_cycle_shape(6, -0.49)
         A = rand_spd(6, np.random.default_rng(9)) + 5 * S
-        with pytest.raises(PreconditionError, match="at least one sweep"):
+        with pytest.raises(PreconditionError, match="at least one step"):
             constrain_scatter(A, build_index(Graph.cycle(6)), max_iter=max_iter)
 
 
@@ -185,10 +186,10 @@ class TestStackedCompletion:
         A = self.inputs(local)[:4]
         W0 = np.array([rand_spd(6, local) for _ in A])
         tols = np.array([1e-4, 1e-7, 1e-10, 1e-13])
-        W, history, errors = _nodewise(A, self.GRAPH.k_mask, tols, start=W0)
+        W, history, errors = _newton(A, self.GRAPH.k_mask, tols, start=W0)
         assert not errors
         for r in range(len(A)):
-            W1, h1, e1 = _nodewise(A[r:r + 1], self.GRAPH.k_mask, tols[r], start=W0[r:r + 1])
+            W1, h1, e1 = _newton(A[r:r + 1], self.GRAPH.k_mask, tols[r], start=W0[r:r + 1])
             assert np.array_equal(W[r], W1[0])
             assert history[r] == h1[0]
         assert len(history[0]) < len(history[3])
@@ -196,11 +197,11 @@ class TestStackedCompletion:
     def test_sweep_budget_is_per_slice(self):
         A = self.inputs(np.random.default_rng(43))[:4]
         tols = np.array([1e-2, 1e-13, 1e-2, 1e-13])
-        _, history, errors = _nodewise(A, self.GRAPH.k_mask, tols, max_iter=3)
+        _, history, errors = _newton(A, self.GRAPH.k_mask, tols, max_iter=4)
         assert sorted(errors) == [1, 3]
         for r in (1, 3):
             with pytest.raises(ConvergenceError) as exc:
-                constrain_scatter(A[r], self.GRAPH, tol=1e-13, max_iter=3)
+                constrain_scatter(A[r], self.GRAPH, tol=1e-13, max_iter=4)
             assert str(errors[r]) == str(exc.value)
             assert errors[r].residual == exc.value.residual == history[r][-1]
 
@@ -219,10 +220,10 @@ class TestStackedCompletion:
         # per-slice tolerances and one budget that some slices exhaust
         tols = np.array([1e-3, 1e-14, 1e-8, 1e-14, 1e-15])
         W0 = np.array([rand_spd(6, local) for _ in A])
-        W, history, errors = _nodewise(A, masks, tols, max_iter=4, start=W0)
+        W, history, errors = _newton(A, masks, tols, max_iter=4, start=W0)
         assert errors and len(errors) < len(A)
         for r in range(len(A)):
-            W1, h1, e1 = _nodewise(A[r:r + 1], masks[r], tols[r], max_iter=4, start=W0[r:r + 1])
+            W1, h1, e1 = _newton(A[r:r + 1], masks[r], tols[r], max_iter=4, start=W0[r:r + 1])
             assert np.array_equal(W[r], W1[0])
             assert history[r] == h1[0]
             assert (r in errors) == bool(e1)
@@ -242,6 +243,25 @@ class TestStackedCompletion:
         assert np.max(np.abs((fit.matrix - A)[idx.k_mask])) <= 1e-10
         assert np.max(np.abs(np.linalg.inv(fit.matrix)[idx.d_mask])) <= 1e-10
         assert elapsed <= 0.5
+
+
+class TestNewtonSteps:
+    """One kernel inverse per Newton step, so the inverses count the steps."""
+
+    @pytest.mark.parametrize("p", [30, 50])
+    def test_strongly_correlated_long_cycle(self, monkeypatch, p):
+        # AR(0.9) sample scatters from 3p rows: node-wise sweeps took 218 (p=30)
+        # and 469 (p=50) here
+        lag = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+        X = np.random.default_rng(0).standard_normal((3 * p, p)) @ np.linalg.cholesky(0.9 ** lag).T
+        X -= X.mean(axis=0)
+        A = X.T @ X / len(X)
+        calls = []
+        inverse = covsel.spd_inverse
+        monkeypatch.setattr(covsel, "spd_inverse", lambda M: calls.append(1) or inverse(M))
+        fit = constrain_scatter(A, build_index(Graph.cycle(p)))
+        assert fit.residual <= 1e-10
+        assert len(calls) <= 40
 
 
 class TestInputChecks:

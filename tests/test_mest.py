@@ -598,6 +598,22 @@ class TestPlugIn:
                                  make_spec("gaussian", 4))
         assert isinstance(exc.value.__cause__, DefinitenessError)
 
+    @pytest.mark.parametrize("scale", [1e-4, 1e4])
+    def test_scaled_completion_ends_within_its_budget(self, monkeypatch, scale):
+        # at these scales the absolute completion tolerance may be out of
+        # reach; node-wise sweeps then ran out of 10,000 (1.6-1.9 s)
+        K0, S0 = chordless_cycle_shape(5, -0.3)
+        X = scale * sample(EllipticalModel(np.zeros(5), S0, "t:5"), 200, 3)
+        calls = []
+        inverse = covsel.spd_inverse
+        monkeypatch.setattr(covsel, "spd_inverse", lambda A: calls.append(1) or inverse(A))
+        try:
+            plug_in_estimate(X, build_index(Graph.cycle(5)), make_spec("t:5", 5))
+        except ConvergenceError as exc:
+            assert "did not reach tol" in str(exc)
+        # one inverse checks the input, one the start and one each of 100 steps
+        assert len(calls) <= 102
+
     def test_gaussian_cycle_matches_likelihood_oracle(self):
         idx = build_index(Graph.cycle(4))
         X = rng.standard_normal((500, 4))

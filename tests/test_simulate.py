@@ -394,13 +394,13 @@ class TestChunkedStudies:
 
     def test_null_study_completes_chunks_not_replicates(self, monkeypatch):
         calls = []
-        kernel = covsel._nodewise
+        kernel = covsel._newton
 
         def counted(*args, **kwargs):
             calls.append(len(args[0]))
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(covsel, "_nodewise", counted)
+        monkeypatch.setattr(covsel, "_newton", counted)
         m5, _ = _cycle_models("gaussian")
         deviance_null_study(I5, I5_CHORD, m5, make_spec("gaussian", 5), 200, 64, seed=3)
         assert len(calls) <= -(-64 // simulate._CHUNK)
