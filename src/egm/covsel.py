@@ -5,14 +5,16 @@ the unique SPD matrix that agrees with A on edges and the diagonal while
 its inverse vanishes on the absent edges.  The solver takes damped Newton
 steps, on whichever side of the max-determinant problem has fewer free
 entries, for arbitrary (also non-decomposable) graphs, and reads only the
-graph's edge-and-diagonal mask.  It runs on (R, p, p) stacks, with one
-graph for the stack or one per slice, so M-estimation, the search, the
-deviance and the studies complete many matrices per LAPACK call; each
-slice stops when it would stop alone, and a single completion is a stack
-of one.  A slice that runs out of steps gets its own ConvergenceError
-while the others go on; any other failure, such as a non-SPD input
-(DefinitenessError) or a lost definiteness on the way (ConvergenceError),
-raises for the whole stack, with the error the failing slice raises alone.
+graph's edge-and-diagonal mask.  A Newton system with more than 64 free
+entries is solved by conjugate gradients, in O(p^2) memory per matrix.
+It runs on (R, p, p) stacks, with one graph for the stack or one per
+slice, so M-estimation, the search, the deviance and the studies
+complete many matrices per LAPACK call; each slice stops when it would
+stop alone, and a single completion is a stack of one.  A slice that
+runs out of steps gets its own ConvergenceError while the others go on;
+any other failure, such as a non-SPD input (DefinitenessError) or a lost
+definiteness on the way (ConvergenceError), raises for the whole stack,
+with the error the failing slice raises alone.
 
 The analytic derivative of that map and the asymptotic covariances built
 from it are dense p^2 x p^2 (resp. (m-q) x (m-q)) matrices, assembled from
@@ -44,8 +46,11 @@ __all__ = [
 
 #: condition number beyond which a conditioning warning is attached
 COND_WARN = 1e12
-#: default budget of Newton steps: 3x the most that any input tried took (31)
-_MAX_STEPS = 100
+#: default budget of Newton steps: 3x the most that any input tried took (65)
+_MAX_STEPS = 200
+#: free entries up to which a Newton step solves its f x f Hessian densely;
+#: beyond, conjugate gradients were faster (crossover 45-150) in O(p^2) memory
+_DENSE_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -81,9 +86,12 @@ class AsymptoticScalars:
 class ConstrainedFit:
     """Result of a constrained-scatter completion.
 
-    ``residual`` is the max-abs violation of the two defining conditions
-    (entry match on edges/diagonal, inverse zeros on absent edges);
-    ``residual_history`` holds the start's value, then each Newton step's.
+    ``residual`` is the max-abs violation of the defining condition that
+    the steps do not hold exactly: max |(W^-1)_D| on the absent edges D on
+    the dual side, where W = A on the edges and the diagonal; max |W - A|
+    there on the primal side, where W = K^-1 with K_D = 0, so (W^-1)_D is
+    0 up to about eps cond(K) max|K|.  ``residual_history`` holds the
+    start's value, then each Newton step's.
     """
 
     matrix: np.ndarray
@@ -112,8 +120,8 @@ def constrain_scatter(A, index: GraphIndex, tol: float = 1e-10,
     index : GraphIndex
         Graph machinery from :func:`egm.graphs.build_index`.
     tol : float
-        Bound on the max-abs violation of the defining conditions and on
-        the max-abs change of the last Newton step.
+        Bound on the residual (see :class:`ConstrainedFit`) and on the
+        max-abs change of the last Newton step.
     max_iter : int
         Maximum number of Newton steps.
 
@@ -138,7 +146,10 @@ def constrain_scatter(A, index: GraphIndex, tol: float = 1e-10,
     log det K - tr(AK) over K with K = 0 on the absent edges.  Both are
     self-concordant, so damped Newton steps stay positive definite and
     converge quadratically without tuning (Boyd & Vandenberghe 2004,
-    9.5-9.6), on whichever side has fewer free entries.
+    9.5-9.6), on whichever side has fewer free entries.  A step with more
+    than 64 free entries solves its Newton system by conjugate gradients
+    on Hessian-vector products (Dahl, Vandenberghe & Roychowdhury 2008),
+    so its memory stays O(p^2) per matrix.
     """
     fit, = _results(_complete(check_spd(A)[None], index.k_mask, tol, max_iter))
     return fit
@@ -211,6 +222,30 @@ def _newton(A, k_mask, tol, max_iter: int = _MAX_STEPS, start=None):
         M[at, F[0], F[1]] = M[at, F[1], F[0]] = x
         return M
 
+    def direction(Minv, g, eta):
+        # H^-1 g, beyond _DENSE_MAX free entries by conjugate gradients, to a relative
+        # residual eta, preconditioned by diag(H), on H v = (M^-1 V M^-1)_F, V = on_F(w v)
+        if f <= _DENSE_MAX:  # in blocks of slices with up to 2^18 Hessian entries
+            n, d = max(1, 2 ** 18 // max(f, 1) ** 2), []
+            for c in range(0, len(g), n):
+                Fc = [x[c:c + n] for x in F]
+                d.append(np.linalg.solve(_pair(Minv[c:c + n], Fc, Fc), g[c:c + n, :, None])[..., 0])
+            return np.concatenate(d)
+        u = np.diagonal(Minv, axis1=1, axis2=2)[..., None]
+        pre = 2.0 / at_F(u * u.transpose(0, 2, 1) + Minv ** 2)
+        d, r, s = np.zeros_like(g), g, pre * g
+        rz = (r * s).sum(axis=1)
+        for _ in range(f):
+            live = np.linalg.norm(r, axis=1) > eta * np.linalg.norm(g, axis=1)
+            if not live.any():
+                return d
+            Hs = at_F(Minv @ on_F(np.zeros_like(Minv), w * s) @ Minv)
+            a = np.divide(rz, (s * Hs).sum(axis=1), out=np.zeros_like(rz), where=live)[:, None]
+            d, r, old = d + a * s, r - a * Hs, rz
+            rz = (r * pre * r).sum(axis=1)
+            s = pre * r + np.divide(rz, old, out=np.zeros_like(rz), where=live)[:, None] * s
+        return d
+
     for side, f in sorted(set(zip(primal.tolist(), free.sum(axis=1).tolist()))):
         live = np.flatnonzero((primal == side) & (free.sum(axis=1) == f))
         F = tuple(x[np.nonzero(free[live])[1]].reshape(len(live), f) for x in iu)
@@ -225,7 +260,7 @@ def _newton(A, k_mask, tol, max_iter: int = _MAX_STEPS, start=None):
         for step in range(max_iter + 1):
             Minv = spd_inverse(M)
             g = at_F(Minv) - T
-            d = np.linalg.solve(_pair(Minv, F, F), g[..., None])[..., 0]
+            d = direction(Minv, g, np.minimum(0.1, prev))
             lam = np.sqrt(np.maximum((g * d).sum(axis=1), 0.0))
             dM = on_F(np.zeros_like(M), w * d)
             last = last if step else dM

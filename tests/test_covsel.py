@@ -230,6 +230,42 @@ class TestStackedCompletion:
             if e1:
                 assert str(errors[r]) == str(e1[0]) and errors[r].residual == e1[0].residual
 
+    def test_iterative_steps_keep_the_bits(self, monkeypatch):
+        # every Newton system solved by conjugate gradients
+        monkeypatch.setattr(covsel, "_DENSE_MAX", 0)
+        self.test_stack_equals_single_calls()
+        self.test_per_slice_tolerance_and_start()
+        self.test_mixed_graphs_equal_one_graph_calls()
+
+    def test_iterative_steps_agree_with_direct_solves(self, monkeypatch):
+        local = np.random.default_rng(47)
+        A = np.array([rand_spd(6, local, spread=2.0) for _ in self.MIXED])
+        masks = np.array([idx.k_mask for idx in self.MIXED])
+        direct = _complete(A, masks, 1e-12)
+        monkeypatch.setattr(covsel, "_DENSE_MAX", 0)
+        for fit, ref in zip(_complete(A, masks, 1e-12), direct):
+            assert fit.residual <= 1e-12
+            assert np.max(np.abs(fit.matrix - ref.matrix)) <= 1e-12 * np.max(np.abs(ref.matrix))
+
+    def test_blocked_direct_solves_keep_the_bits(self, monkeypatch):
+        # search-step candidates with 63 free entries on the dual side: 66
+        # slices fill a block of 2^18 entries
+        local = np.random.default_rng(49)
+        pairs = [(i, j) for i in range(1, 17) for j in range(i + 1, 17)]
+        G = Graph.from_edges(16, [pairs[k] for k in local.permutation(120)[:58]])
+        graphs = [build_index(G.without_edge(*e)) for e in G.sorted_edges()]
+        graphs = [graphs[r % len(graphs)] for r in range(70)]
+        A = np.array([rand_spd(16, local) for _ in graphs])
+        blocks = []
+        pair = covsel._pair
+        monkeypatch.setattr(covsel, "_pair", lambda T, rows, cols: blocks.append(len(T)) or pair(T, rows, cols))
+        fits = _complete(A, np.array([idx.k_mask for idx in graphs]), 1e-10)
+        assert blocks[:2] == [66, 4]
+        for fit, a, idx in zip(fits, A, graphs):
+            alone = constrain_scatter(a, idx)
+            assert np.array_equal(fit.matrix, alone.matrix)
+            assert fit.residual_history == alone.residual_history
+
     def test_cocktail_party_graph(self):
         # K_24 minus a perfect matching has 2^12 = 4096 maximal cliques
         p = 24
@@ -262,6 +298,29 @@ class TestNewtonSteps:
         fit = constrain_scatter(A, build_index(Graph.cycle(p)))
         assert fit.residual <= 1e-10
         assert len(calls) <= 40
+
+
+class TestIterativeNewtonSystems:
+    """Beyond covsel._DENSE_MAX free entries no step forms its Hessian."""
+
+    def test_half_dense_graph_forms_no_large_block(self, monkeypatch):
+        # p=40 with about half the edges: q and p + |E| both near 400, where a
+        # dense Hessian per step is a 400 x 400 block
+        local = np.random.default_rng(48)
+        p = 40
+        G = Graph.from_edges(p, [(i, j) for i in range(1, p + 1) for j in range(i + 1, p + 1)
+                                 if local.random() < 0.5])
+        idx = build_index(G)
+        A = rand_spd(p, local)
+        sizes = []
+        pair = covsel._pair
+        monkeypatch.setattr(covsel, "_pair", lambda T, rows, cols: sizes.append(
+            np.shape(rows[0])[-1] * np.shape(cols[0])[-1]) or pair(T, rows, cols))
+        fit = constrain_scatter(A, idx)
+        assert min(idx.q, p + len(G.edges)) > covsel._DENSE_MAX
+        assert max(sizes, default=0) <= covsel._DENSE_MAX ** 2
+        assert np.max(np.abs((fit.matrix - A)[idx.k_mask])) <= 1e-10
+        assert np.max(np.abs(np.linalg.inv(fit.matrix)[idx.d_mask])) <= 1e-10
 
 
 class TestInputChecks:
