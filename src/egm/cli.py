@@ -180,7 +180,7 @@ def cmd_search(args) -> int:
     sigma1 = inference.resolve_sigma1(spec, p, args.sigma1, args.family)
     try:
         final, steps = inference.backward_elimination(
-            X, spec, args.alpha, sigma1=sigma1, refit=args.refit, tol=args.tol)
+            X, spec, args.alpha, sigma1=sigma1, tol=args.tol)
     except ConvergenceError as exc:
         # keep the partial audit trail available to the caller
         _emit({
@@ -307,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, required=True, help="significance level")
     sp.add_argument("--sigma1", type=float)
     sp.add_argument("--family")
-    sp.add_argument("--refit", action="store_true",
-                    help="refit the graphical M-estimator per candidate")
     sp.add_argument("--graph-out", help="also write the final graph file here")
     sp.set_defaults(handler=cmd_search)
 

@@ -29,8 +29,7 @@ from .errors import (
 )
 from .graphs import Graph, GraphIndex, build_index
 from .linops import check_spd, spd_inverse
-from .mest import (_COMPLETION_TOL, _MAX_ITER, EstimatorSpec, FitResult, _check_spec, _positive,
-                   _solve, _validate_data, m_estimate, scalars_for)
+from .mest import EstimatorSpec, _check_spec, _positive, _validate_data, m_estimate, scalars_for
 
 __all__ = [
     "DevianceReport",
@@ -145,25 +144,41 @@ def resolve_sigma1(spec: EstimatorSpec, p: int, sigma1, family) -> float:
         "sigma1 is required for a non-gaussian estimator: pass sigma1 or a data family")
 
 
+def _removal_bounds(W, i, j):
+    """The bounds of :func:`backward_elimination` on the log-det gain of removing
+    each edge (i[r], j[r]), 0-based, from the graph completed by W; and W^-1."""
+    U = spd_inverse(W)
+    u, d = U[i, j], np.diag(U)
+    a, b = u * W[i, j], u * u * W[i, i] * W[j, j]
+    q, upper = (1.0 - a) ** 2 - b, np.full(len(u), np.inf)
+    upper[q > 0.0] = -np.log(q[q > 0.0]) - 2.0 * a[q > 0.0]
+    return -np.log1p(-u * u / (d[i] * d[j])), upper, U
+
+
 def backward_elimination(X, spec: EstimatorSpec, alpha: float,
                          sigma1: Optional[float] = None,
                          family: Optional[str] = None,
-                         refit: bool = False,
                          tol: float = 1e-9,
                          completion_tol: float = 1e-10):
     """Backward model search by repeated single-edge deviance tests.
 
-    Starting from the complete graph, each step tests every single-edge
-    removal from the current graph and deletes the edge with the
-    smallest deviance, unless that deviance is already significant at
-    level ``alpha``.  By default one stacked completion of the
-    unconstrained estimate, computed once, scores all candidates of a
-    step, each under the current graph's mask with its edge cleared and
-    started at the current graph's completion.  ``refit=True`` refits the
-    graphical M-estimator per candidate instead (slow, for comparison),
-    started at a cold completion at the plug-in's tolerance, so each
-    refit equals :func:`graphical_m_estimate`; a candidate whose
-    completion fails fails with that error, as its graphical fit would.
+    Starting from the complete graph, each step deletes the edge whose
+    removal has the smallest deviance, n / sigma1 times the log-det gain of
+    its completion of the unconstrained estimate S over the current graph's
+    completion W, unless that deviance is significant at level ``alpha``.
+    With U = W^-1 and u = U_ij, removing (i, j) gains at least
+    -log(1 - u^2 / (U_ii U_jj)), the best point of W + t(E_ij + E_ji) (exact
+    at the complete graph; Whittaker 1990, ch. 6), and at most
+    -log((1 - a)^2 - b) - 2a, a = u W_ij, b = u^2 W_ii W_jj: the dual value
+    (Dempster 1972) at U - u(E_ij + E_ji), positive definite exactly where
+    1 - a > sqrt(b), that is where (1 - a)^2 > b, as |a| <= sqrt(b); elsewhere
+    inf.  One stacked completion per step, started at W, scores every
+    removal whose lower bound is within a margin of the least upper bound;
+    no other can win.  The margin,
+    8 completion_tol sum|U| + 1e-9 (1 + least upper bound), covers rounding
+    and the completions' error: they hold S within ``completion_tol`` on
+    their fixed entries, moving a log det by about completion_tol sum|U|.
+    So each step's edge, deviance and stop are those of scoring them all.
 
     Returns the final graph and a per-step audit trail.  A ConvergenceError
     carries the steps completed so far as ``steps`` and the graph they
@@ -176,49 +191,36 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
     _check_spec(spec, p)
     s1 = resolve_sigma1(spec, p, sigma1, family)
 
-    def removals(graph, mask, W):
-        """(edge, completion from W or graphical fit) of each removal from ``graph``."""
-        edges = graph.sorted_edges()
-        masks = np.repeat(mask[None], len(edges), axis=0)
-        for r, (a, b) in enumerate(edges):
-            masks[r, a - 1, b - 1] = masks[r, b - 1, a - 1] = False
-        fits = _complete(np.broadcast_to(S, masks.shape), masks,
-                         _COMPLETION_TOL if refit else completion_tol,
-                         start=None if refit else np.broadcast_to(W, masks.shape))
-        for e, f in zip(edges, fits):
-            if refit and not isinstance(f, ConvergenceError):
-                # the completion is the plug-in estimate that graphical_m_estimate
-                # would build and start from; where it failed, that is the error
-                start = FitResult(fit.mu, f.matrix, fit.iterations, fit.converged, fit.residual)
-                try:
-                    f, = _solve(X[None], spec, tol, _MAX_ITER, build_index(graph.without_edge(*e)),
-                                [start])
-                except ConvergenceError as exc:
-                    f = exc
-            if isinstance(f, ConvergenceError):
-                raise ConvergenceError(
-                    f"estimator failed at step {len(steps) + 1} while testing "
-                    f"removal of edge {e}: {f}", residual=f.residual) from f
-            yield e, f.scatter if refit else f.matrix
-
     from scipy.special import chdtrc
-    # the complete graph's completion, or graphical fit, is the estimate itself
+    # the complete graph's completion is the estimate itself
     current, k_mask, steps = Graph.complete(p), np.ones((p, p), dtype=bool), []
     try:
-        fit = m_estimate(X, spec, tol=tol)
-        W = S = fit.scatter
+        W = S = m_estimate(X, spec, tol=tol).scatter
         ld_cur = float(_logdet(S))
         while current.edges:
-            edges, scatters = zip(*removals(current, k_mask, W))
-            ld = _logdet(np.array(scatters)).tolist()
-            stat, (a, b), r = min((max(0.0, n * (x - ld_cur) / s1), e, r)
-                                  for r, (e, x) in enumerate(zip(edges, ld)))
+            edges = current.sorted_edges()
+            i, j = np.array(edges).T - 1
+            lower, upper, U = _removal_bounds(W, i, j)
+            margin = 8.0 * completion_tol * np.abs(U).sum() + 1e-9 * (1.0 + upper.min())
+            keep = np.flatnonzero(~(lower > upper.min() + margin))  # a nan bound is kept
+            masks, at = np.repeat(k_mask[None], len(keep), axis=0), np.arange(len(keep))
+            masks[at, i[keep], j[keep]] = masks[at, j[keep], i[keep]] = False
+            fits = _complete(np.broadcast_to(S, masks.shape), masks, completion_tol,
+                             start=np.broadcast_to(W, masks.shape))
+            for r, f in zip(keep, fits):
+                if isinstance(f, ConvergenceError):
+                    raise ConvergenceError(
+                        f"estimator failed at step {len(steps) + 1} while testing "
+                        f"removal of edge {edges[r]}: {f}", residual=f.residual) from f
+            ld = _logdet(np.array([f.matrix for f in fits])).tolist()
+            stat, (a, b), r = min((max(0.0, n * (x - ld_cur) / s1), edges[k], r)
+                                  for r, (k, x) in enumerate(zip(keep, ld)))
             p_value = float(chdtrc(1, stat))
             if p_value <= alpha:
                 break
             current = current.without_edge(a, b)
             k_mask[a - 1, b - 1] = k_mask[b - 1, a - 1] = False
-            ld_cur, W = ld[r], scatters[r]  # the next step's candidates start at W
+            ld_cur, W = ld[r], fits[r].matrix  # the next step's candidates start at W
             steps.append({"removed_edge": [a, b], "deviance_delta": stat, "p_value": p_value})
     except ConvergenceError as exc:
         # keep the audit trail of the steps completed so far

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import scipy.optimize
 
+from egm.errors import _results
 from egm.graphs import Graph
 
 
@@ -194,3 +195,44 @@ def read_data_oracle(path, header=False):
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.array(rows, dtype=float)
+
+
+def backward_elimination_oracle(X, spec, alpha, sigma1=None, family=None, tol=1e-9,
+                                completion_tol=1e-10):
+    """The backward search that scores every single-edge removal at every
+    step: one stacked ``covsel._complete`` of the unconstrained M-estimate
+    per step, each removal started at the current graph's completion, and
+    the removal of least deviance taken unless significant at ``alpha``.
+    It is built from the search's own completion and log det, so a search
+    that leaves out only removals that cannot win must equal it bit for
+    bit.  Returns the final graph and the audit trail."""
+    from scipy.special import chdtrc
+
+    from egm.covsel import _complete
+    from egm.inference import _logdet, resolve_sigma1
+    from egm.mest import m_estimate
+
+    n, p = X.shape
+    s1 = resolve_sigma1(spec, p, sigma1, family)
+    graph, k_mask, steps = Graph.complete(p), np.ones((p, p), dtype=bool), []
+    W = S = m_estimate(X, spec, tol=tol).scatter
+    ld_cur = float(_logdet(S))
+    while graph.edges:
+        edges = graph.sorted_edges()
+        masks = np.repeat(k_mask[None], len(edges), axis=0)
+        for r, (a, b) in enumerate(edges):
+            masks[r, a - 1, b - 1] = masks[r, b - 1, a - 1] = False
+        scatters = [f.matrix for f in _results(_complete(
+            np.broadcast_to(S, masks.shape), masks, completion_tol,
+            start=np.broadcast_to(W, masks.shape)))]
+        ld = _logdet(np.array(scatters)).tolist()
+        stat, (a, b), r = min((max(0.0, n * (x - ld_cur) / s1), e, r)
+                              for r, (e, x) in enumerate(zip(edges, ld)))
+        p_value = float(chdtrc(1, stat))
+        if p_value <= alpha:
+            break
+        graph = graph.without_edge(a, b)
+        k_mask[a - 1, b - 1] = k_mask[b - 1, a - 1] = False
+        ld_cur, W = ld[r], scatters[r]
+        steps.append({"removed_edge": [a, b], "deviance_delta": stat, "p_value": p_value})
+    return graph, steps

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from egm.covsel import AsymptoticScalars
+from egm.covsel import AsymptoticScalars, _complete
 from egm.errors import DefinitenessError, DimensionError, NestingError, PreconditionError
 from egm.graphs import Graph, build_index
 from egm.inference import (
+    _logdet,
+    _removal_bounds,
     are_chordless_cycle,
     asv_partial_correlation,
     backward_elimination,
@@ -15,10 +19,11 @@ from egm.inference import (
     resolve_sigma1,
 )
 from egm.linops import commutation_matrix, kron, mat, spd_inverse, symmetrization_matrix, vec
-from egm.mest import make_spec
+from egm.mest import m_estimate, make_spec
 from egm.simulate import EllipticalModel, sample
 
-from _oracles import fd_directional, rand_spd, random_symmetric_direction
+from _oracles import (backward_elimination_oracle, fd_directional, rand_spd, random_graph,
+                      random_symmetric_direction)
 
 rng = np.random.default_rng(31415)
 
@@ -203,52 +208,137 @@ class TestBackwardElimination:
             assert step["p_value"] > 0.05
 
     def test_mid_search_failure_carries_step_context(self, monkeypatch):
+        """A removal whose completion fails fails the search, naming the step
+        and the edge, with the steps done and the graph they reached.  A
+        candidate that is never completed can no longer fail a step."""
         import egm.inference as inf
 
         K0, S0 = chordless_cycle_shape(4, -0.4)
         X = sample(EllipticalModel(np.zeros(4), S0, "gaussian"), 2000, 3)
         calls = {"n": 0}
-        real = inf._solve
+        real = inf._complete
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
-            if calls["n"] > 8:
-                raise inf.ConvergenceError("injected failure", residual=0.1)
-            return real(*args, **kwargs)
+            fits = real(*args, **kwargs)
+            if calls["n"] > 1:
+                fits[0] = inf.ConvergenceError("injected failure", residual=0.1)
+            return fits
 
-        # each refit is one graph-constrained solve
-        monkeypatch.setattr(inf, "_solve", flaky)
-        with pytest.raises(inf.ConvergenceError, match="removal of edge") as exc:
-            backward_elimination(X, make_spec("gaussian", 4), 0.05, refit=True)
-        assert isinstance(exc.value.steps, list)
-        assert exc.value.graph.p == 4
+        # one stacked completion per step: the second step's first removal fails
+        monkeypatch.setattr(inf, "_complete", flaky)
+        with pytest.raises(inf.ConvergenceError, match="step 2 while testing removal of edge") as exc:
+            backward_elimination(X, make_spec("gaussian", 4), 0.05)
+        assert isinstance(exc.value.steps, list) and len(exc.value.steps) == 1
+        assert exc.value.graph.p == 4 and len(exc.value.graph.edges) == 5
 
-    def test_refit_variant_runs(self):
-        K0, S0 = chordless_cycle_shape(4, -0.4)
-        X = sample(EllipticalModel(np.zeros(4), S0, "gaussian"), 2000, 3)
-        G_plug, _ = backward_elimination(X, make_spec("gaussian", 4), 0.05)
-        G_refit, _ = backward_elimination(X, make_spec("gaussian", 4), 0.05, refit=True)
-        # with gaussian weights the graphical refit equals the plug-in path
-        assert G_plug == G_refit
+    @pytest.fixture
+    def completed(self, monkeypatch):
+        """The size of each stack that the search hands to its completion."""
+        import egm.inference as inf
 
-    def test_refit_equals_graphical_m_estimate(self):
-        from egm.inference import _logdet
-        from egm.mest import graphical_m_estimate, m_estimate
+        sizes, real = [], inf._complete
+        monkeypatch.setattr(inf, "_complete", lambda *a, **k: sizes.append(len(a[0])) or real(*a, **k))
+        return sizes
 
-        K0, S0 = chordless_cycle_shape(4, -0.3)
-        X = sample(EllipticalModel(np.zeros(4), S0, "t:5"), 300, 9)
-        spec = make_spec("t:5", 4)
-        _, steps = backward_elimination(X, spec, 0.05, sigma1=1.2, refit=True)
-        assert len(steps) == 2 and steps[1]["deviance_delta"] > 0
-        # each step's deviance, from one graphical_m_estimate per removal
-        graph, ld = Graph.complete(4), _logdet(m_estimate(X, spec).scatter)
-        for step in steps:
-            lds = {e: _logdet(graphical_m_estimate(
-                X, build_index(graph.without_edge(*e)), spec).scatter) for e in graph.sorted_edges()}
-            stat, e = min((max(0.0, 300 * (v - ld) / 1.2), e) for e, v in lds.items())
-            assert step["removed_edge"] == list(e)
-            assert step["deviance_delta"] == stat
-            graph, ld = graph.without_edge(*e), lds[e]
+    def test_completes_at_most_a_quarter_of_the_removals(self, completed):
+        K0, S0 = chordless_cycle_shape(8, -0.3)
+        X = sample(EllipticalModel(np.zeros(8), S0, "gaussian"), 500, 12)
+        G, steps = backward_elimination(X, make_spec("gaussian", 8), 0.05)
+        # each step scores the removals of the 28 - k edges left after k steps
+        removals = sum(28 - k for k in range(len(completed)))
+        assert len(completed) == len(steps) + 1
+        assert sum(completed) <= 0.25 * removals
+
+    def test_without_a_positive_definite_dual_point_completes_every_removal(self, completed):
+        # equicorrelated concentration 0.8 at p=5: no U - U_ij(E_ij + E_ji) is
+        # positive definite, so every upper bound is inf and nothing is left out
+        W = spd_inverse(0.2 * np.eye(5) + 0.8)
+        Z = np.random.default_rng(5).standard_normal((400, 5))
+        Z -= Z.mean(axis=0)
+        X = Z @ np.linalg.inv(np.linalg.cholesky(Z.T @ Z / 400)).T @ np.linalg.cholesky(W).T
+        i, j = np.triu_indices(5, 1)
+        assert np.isinf(_removal_bounds(W, i, j)[1]).all()
+        G, steps = backward_elimination(X, make_spec("gaussian", 5), 0.05)
+        assert completed == [10] and steps == [] and G == Graph.complete(5)
+
+    PARITY = [  # (p, shape's c, rows' family, n, estimator, sigma1, seed)
+        (5, -0.3, "gaussian", 300, "gaussian", None, 1),
+        (6, 0.2, "gaussian", 400, "gaussian", None, 2),
+        (8, -0.3, "gaussian", 500, "gaussian", None, 3),
+        (10, -0.25, "gaussian", 300, "gaussian", None, 4),
+        (5, -0.3, "t:5", 300, "t:5", 1.2, 5),
+        (7, 0.25, "t:5", 400, "t:5", 1.2, 6),
+        (9, -0.3, "t:5", 300, "t:5", 1.2, 7),
+        (10, -0.3, "t:5", 250, "t:5", 1.2, 8),
+        (5, -0.4, "t:5", 300, "huber:1.345", 1.1, 9),
+        (6, -0.3, "gaussian", 300, "huber:1.345", 1.05, 10),
+        (8, 0.2, "t:5", 400, "huber:1.345", 1.1, 11),
+        (10, -0.3, "t:3", 300, "huber:1.345", 1.1, 12),
+    ]
+
+    @pytest.mark.parametrize("p, c, family, n, estimator, sigma1, seed", PARITY)
+    def test_equals_scoring_every_removal(self, p, c, family, n, estimator, sigma1, seed):
+        X = sample(EllipticalModel(np.zeros(p), chordless_cycle_shape(p, c)[1], family), n, seed)
+        spec = make_spec(estimator, p)
+        assert (backward_elimination(X, spec, 0.05, sigma1=sigma1)
+                == backward_elimination_oracle(X, spec, 0.05, sigma1=sigma1))
+
+    @pytest.mark.parametrize("estimator", ["gaussian", "t:5"])
+    def test_equals_scoring_every_removal_on_near_ties(self, estimator):
+        # rows stacked with their rotations along the cycle: the removals in
+        # one orbit have deviances that agree up to rounding
+        K0, S0 = chordless_cycle_shape(8, -0.3)
+        X = sample(EllipticalModel(np.zeros(8), S0, "gaussian"), 60, 13)
+        X = np.vstack([np.roll(X, k, axis=1) for k in range(8)])
+        spec = make_spec(estimator, 8)
+        # at the complete graph the lower bounds are the deviances: four or more tie
+        i, j = np.triu_indices(8, 1)
+        first = np.sort(_removal_bounds(m_estimate(X, spec).scatter, i, j)[0])
+        assert first[3] - first[0] <= 1e-9 * first[0]
+        assert (backward_elimination(X, spec, 0.05, sigma1=1.0)
+                == backward_elimination_oracle(X, spec, 0.05, sigma1=1.0))
+
+
+class TestRemovalBounds:
+    """The search's bounds on the log-det gain of each single-edge removal."""
+
+    @staticmethod
+    def gains(A, graph, tol=1e-12):
+        """Completion W of A under ``graph``, its edges and each removal's exact gain."""
+        W = _complete(A[None], build_index(graph).k_mask, tol)[0].matrix
+        edges = graph.sorted_edges()
+        masks = np.repeat(build_index(graph).k_mask[None], len(edges), axis=0)
+        for r, (a, b) in enumerate(edges):
+            masks[r, a - 1, b - 1] = masks[r, b - 1, a - 1] = False
+        fits = _complete(np.broadcast_to(A, masks.shape), masks, tol)
+        return W, np.array(edges).T - 1, _logdet(np.array([f.matrix for f in fits])) - _logdet(W)
+
+    @settings(max_examples=200)
+    @given(p=st.integers(4, 10), seed=st.integers(0, 2**32 - 1),
+           spread=st.sampled_from([0.5, 1.0, 3.0]), density=st.sampled_from([0.4, 0.7, 1.0]))
+    def test_bracket_the_exact_gain(self, p, seed, spread, density):
+        rng = np.random.default_rng(seed)
+        A, graph = rand_spd(p, rng, spread), random_graph(p, rng, density)
+        assume(graph.edges)
+        W, (i, j), exact = self.gains(A, graph)
+        lower, upper, _ = _removal_bounds(W, i, j)
+        slack = 1e-10 * (1.0 + np.abs(exact))
+        assert np.all(lower <= exact + slack)
+        assert np.all(exact <= upper + slack)
+
+    @pytest.mark.parametrize("p", [4, 7, 10])
+    def test_lower_bound_is_exact_at_the_complete_graph(self, p):
+        # partial correlations of size 0.05-0.1 keep every gain far above the
+        # rounding of a log det, so that the gains compare relatively
+        rng = np.random.default_rng(p)
+        K = np.triu(rng.choice([-1.0, 1.0], (p, p)) * rng.uniform(0.05, 0.1, (p, p)), 1)
+        d = rng.uniform(0.5, 2.0, p)
+        A = spd_inverse(d[:, None] * (np.eye(p) + K + K.T) * d)
+        W, (i, j), exact = self.gains(A, Graph.complete(p))
+        lower, upper, _ = _removal_bounds(W, i, j)
+        assert np.allclose(lower, exact, rtol=1e-10, atol=0)
+        assert np.all(exact <= upper)
 
 
 class TestPartialCorrelation:
