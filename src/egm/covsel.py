@@ -164,13 +164,16 @@ def _complete(A, k_mask, tol: float, max_iter: int = _MAX_STEPS, start=None) -> 
     _check_budget(tol, max_iter, "step")
     if A.shape[1:] != k_mask.shape[-2:]:
         raise PreconditionError(f"matrix is {A.shape[1:]} but the graph has p={k_mask.shape[-1]}")
-    A, k_mask = check_spd(A), np.broadcast_to(k_mask, A.shape)
-    eig = np.linalg.eigvalsh(A)  # SPD: the 2-norm condition number is a ratio of these
-    cond = eig[:, -1] > COND_WARN * eig[:, 0]
+    A = np.asarray(A, dtype=float)
+    # a broadcast stack repeats one matrix: check, test and invert it once
+    one = check_spd(A[:1] if len(A) > 1 and A.strides[0] == 0 else A)
+    A, k_mask = np.broadcast_to(one, A.shape), np.broadcast_to(k_mask, A.shape)
+    eig = np.linalg.eigvalsh(one)  # SPD: the 2-norm condition number is a ratio of these
+    cond = np.broadcast_to(eig[:, -1] > COND_WARN * eig[:, 0], len(A))
     for _ in range(np.count_nonzero(cond)):
         warnings.warn("input matrix has condition number above 1e12", RuntimeWarning)
     # a complete graph, or a compliant input, is its own completion
-    res0 = np.where(k_mask, 0.0, np.abs(spd_inverse(A))).max(axis=(1, 2))
+    res0 = np.where(k_mask, 0.0, np.abs(spd_inverse(one))).max(axis=(1, 2))
     done = res0 <= tol
     out = [ConstrainedFit(A[i].copy(), 0, float(res0[i]), [float(res0[i])], bool(cond[i]))
            if done[i] else None for i in range(len(A))]
@@ -425,21 +428,17 @@ def edge_basis_gram(V, index: GraphIndex) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
-def concentration_acov(V, index: GraphIndex, scalars: AsymptoticScalars,
-                       pattern_tol: float = 1e-8) -> np.ndarray:
+def concentration_acov(V, index: GraphIndex, scalars: AsymptoticScalars) -> np.ndarray:
     """Asymptotic covariance of the free concentration entries.
 
-    Valid when the inverse of V carries the graph's zero pattern; raises
-    otherwise.  Equals 2*s1*{Gamma^T (V x V) Gamma}^{-1} + s2*u u^T with
-    u the free entries of the inverse, and has full rank.
+    Valid when the inverse of V carries the graph's zero pattern, to 1e-8
+    max-abs; raises otherwise.  Equals 2*s1*{Gamma^T (V x V) Gamma}^{-1}
+    + s2*u u^T with u the free entries of the inverse, and has full rank.
     """
     V = check_spd(V)
     scalars.check_bounds(index.p)
-    if pattern_violation(V, index) > pattern_tol:
-        raise PreconditionError(
-            "inverse of V violates the graph zero pattern beyond "
-            f"{pattern_tol:g}"
-        )
+    if pattern_violation(V, index) > 1e-8:
+        raise PreconditionError("inverse of V violates the graph zero pattern beyond 1e-08")
     U = spd_inverse(V)
     G = edge_basis_gram(V, index)
     u = vec(U)[index.K]

@@ -29,7 +29,8 @@ from .errors import (
 )
 from .graphs import Graph, GraphIndex, build_index
 from .linops import check_spd, spd_inverse
-from .mest import EstimatorSpec, _check_spec, _positive, _validate_data, m_estimate, scalars_for
+from .mest import (_COMPLETION_TOL, EstimatorSpec, _check_spec, _positive, _validate_data,
+                   m_estimate, scalars_for)
 
 __all__ = [
     "DevianceReport",
@@ -89,20 +90,20 @@ def _logdet(A):
 
 
 def deviance(S_hat, index0: GraphIndex, index1: GraphIndex, n: int,
-             sigma1: float = 1.0, completion_tol: float = 1e-10) -> DevianceReport:
+             sigma1: float = 1.0) -> DevianceReport:
     """Deviance test of the smaller model ``index0`` inside ``index1``.
 
     Requires the edge set of graph 0 to be a proper subset of graph 1's.
-    The statistic is clamped at zero against completion round-off; it is
-    exactly zero when the inverse of ``S_hat`` already carries graph 0's
-    zero pattern.
+    Both completions run to 1e-10.  The statistic is clamped at zero
+    against completion round-off; it is exactly zero when the inverse of
+    ``S_hat`` already carries graph 0's zero pattern.
     """
     _check_nesting(index0, index1, sigma1)
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise PreconditionError(f"sample size n must be an integer >= 1, got {n!r}")
     from scipy.special import chdtrc
     S_hat = check_spd(S_hat)
-    stat, = _deviance_stack(S_hat[None], index0, index1, n, sigma1, completion_tol)
+    stat, = _deviance_stack(S_hat[None], index0, index1, n, sigma1)
     df = index0.q - index1.q
     return DevianceReport(stat, df, sigma1, float(chdtrc(df, stat)), n)
 
@@ -119,14 +120,13 @@ def _check_nesting(index0: GraphIndex, index1: GraphIndex, sigma1: float) -> Non
     _positive(sigma1, "sigma1")
 
 
-def _deviance_stack(S, index0: GraphIndex, index1: GraphIndex, n: int,
-                    sigma1: float, completion_tol: float) -> list:
+def _deviance_stack(S, index0: GraphIndex, index1: GraphIndex, n: int, sigma1: float) -> list:
     """The clamped deviance statistic of each slice of an (R, p, p) stack of
     scatter estimates, for graphs already checked to be properly nested;
     raises what :func:`deviance` raises for the first slice that fails.
     One completion call serves both graphs."""
     masks = np.repeat(np.array([index0.k_mask, index1.k_mask]), len(S), axis=0)
-    fits = _results(_complete(np.concatenate([S, S]), masks, completion_tol))
+    fits = _results(_complete(np.concatenate([S, S]), masks, _COMPLETION_TOL))
     ld = _logdet(np.array([f.matrix for f in fits])).reshape(2, -1)
     return [max(0.0, n * (float(a) - float(b)) / sigma1) for a, b in zip(*ld)]
 
@@ -158,8 +158,7 @@ def _removal_bounds(W, i, j):
 def backward_elimination(X, spec: EstimatorSpec, alpha: float,
                          sigma1: Optional[float] = None,
                          family: Optional[str] = None,
-                         tol: float = 1e-9,
-                         completion_tol: float = 1e-10):
+                         tol: float = 1e-9):
     """Backward model search by repeated single-edge deviance tests.
 
     Starting from the complete graph, each step deletes the edge whose
@@ -175,9 +174,9 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
     inf.  One stacked completion per step, started at W, scores every
     removal whose lower bound is within a margin of the least upper bound;
     no other can win.  The margin,
-    8 completion_tol sum|U| + 1e-9 (1 + least upper bound), covers rounding
-    and the completions' error: they hold S within ``completion_tol`` on
-    their fixed entries, moving a log det by about completion_tol sum|U|.
+    8e-10 sum|U| + 1e-9 (1 + least upper bound), covers rounding and the
+    completions' error: they hold S within 1e-10 on their fixed entries,
+    moving a log det by about 1e-10 sum|U|.
     So each step's edge, deviance and stop are those of scoring them all.
 
     Returns the final graph and a per-step audit trail.  A ConvergenceError
@@ -201,11 +200,11 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
             edges = current.sorted_edges()
             i, j = np.array(edges).T - 1
             lower, upper, U = _removal_bounds(W, i, j)
-            margin = 8.0 * completion_tol * np.abs(U).sum() + 1e-9 * (1.0 + upper.min())
+            margin = 8.0 * _COMPLETION_TOL * np.abs(U).sum() + 1e-9 * (1.0 + upper.min())
             keep = np.flatnonzero(~(lower > upper.min() + margin))  # a nan bound is kept
             masks, at = np.repeat(k_mask[None], len(keep), axis=0), np.arange(len(keep))
             masks[at, i[keep], j[keep]] = masks[at, j[keep], i[keep]] = False
-            fits = _complete(np.broadcast_to(S, masks.shape), masks, completion_tol,
+            fits = _complete(np.broadcast_to(S, masks.shape), masks, _COMPLETION_TOL,
                              start=np.broadcast_to(W, masks.shape))
             for r, f in zip(keep, fits):
                 if isinstance(f, ConvergenceError):

@@ -6,12 +6,14 @@ asymptotic scalars (sigma1, sigma2, eta) of the three classical cases:
 sample covariance, elliptical maximum likelihood, and general monotone
 M-estimators.
 
-The solver accelerates the fixed-point map by SQUAREM (Varadhan & Roland
-2008) and moves every accepted extrapolation along its scale ray, S -> S/s,
-onto the trace identity mean phi2(s r_i) = p.  Every fixed point meets
-that identity at s = 1, while the map itself leaves the scale direction
-almost neutral; so the step changes no fixed point and removes the slowest
-mode of the iteration.
+Each evaluation of the fixed-point map takes one Newton-like step.  It
+first moves the scatter along its scale ray, S -> S/s, by one Newton step
+on the trace identity mean phi2(s r_i) = p, which every fixed point meets
+at s = 1 while the map itself leaves the scale direction almost neutral.
+It then over-relaxes the map's output by the Newton factors of its shape
+and location blocks at an elliptical fixed point.  All three factors come
+from the sample radii and the weight functions alone, so the step changes
+no fixed point and removes the slowest modes of the iteration.
 
 A graph-constrained fit starts at the plug-in estimate, which the
 asymptotic equivalence of the two estimators puts O_p(1/n) from the
@@ -45,7 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .covsel import AsymptoticScalars, _check_budget, _complete, _newton, constrain_scatter
+from .covsel import AsymptoticScalars, _check_budget, _complete, _newton
 from .errors import (
     ConvergenceError,
     DefinitenessError,
@@ -317,7 +319,7 @@ def _groups(R: int, n: int) -> list:
     return [slice(t, t + g) for t in range(0, R, g)]
 
 
-def _reweight(X, mu, S, spec, center=None, live=None, rescale=None):
+def _reweight(X, mu, S, spec, center=None, live=None, step=False):
     """The fixed-point map at (mu, S), per slice of the stacks X[live]
     (R, n, p), mu (R, p) and S (R, p, p), X[live] never copied whole: the
     u1-weighted mean and the u2-weighted scatter about ``center``, by
@@ -327,19 +329,19 @@ def _reweight(X, mu, S, spec, center=None, live=None, rescale=None):
     ``_BLOCK`` rows.  Each group passes over its blocks for the radii,
     then for both weights and the weighted row sums, then for the weighted
     scatter about the new mean.  So temporaries are bounded by the tile,
-    apart from one radius per row, and blocks depend on n alone: a slice
-    keeps its stack-of-one bits.
+    apart from a few numbers per row, and blocks depend on n alone: a
+    slice keeps its stack-of-one bits.
 
-    With ``rescale``, a flag per slice, a flagged slice is mapped at
-    (mu, S / s) instead, s from :func:`_scale_root` on its radii, and the
-    scales s (1 where not flagged) are returned as a third array.
+    With ``step``, each slice is mapped at (mu, S / s) instead, and the
+    factors (s, omega, omega1) of :func:`_factors`, from its radii at
+    (mu, S), are returned as a third array (3, R).
     """
     n, p = X.shape[1:]
     live = np.arange(len(X)) if live is None else live
     blocks = [slice(a, a + _BLOCK) for a in range(0, n, _BLOCK)]
     # inverting the p x p factor once beats a general solve for n columns
     L_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (S + S.mT)))
-    mu_new, scatter, scales = np.empty_like(mu), np.empty_like(S), np.ones(len(live))
+    mu_new, scatter, factors = np.empty_like(mu), np.empty_like(S), np.ones((3, len(live)))
     for G in _groups(len(live), n):
         # a run of consecutive slices is a view, any other tile a copy
         t = live[G]
@@ -348,78 +350,59 @@ def _reweight(X, mu, S, spec, center=None, live=None, rescale=None):
         for b in blocks:
             Y = L_inv[G] @ (Xt[:, b] - mu[G, None, :]).mT
             np.einsum("rij,rij->rj", Y, Y, out=radii[:, b])
-        if rescale is not None and rescale[G].any():
-            # the radii at S/s are s r; all n radii of a slice enter its root
-            i = np.flatnonzero(rescale[G])
-            scales[G.start + i] = _scale_root(radii[i], spec, p)
-            radii *= scales[G, None]
+        if step:
+            # the radii at S/s are s r
+            factors[:, G] = _factors(radii, spec, p)
+            radii *= factors[0, G, None]
         w2, sums, totals = [], [], []
         for b in blocks:
             r = radii[:, b]
             w1 = spec.u1(r)
             w2.append(spec.u2(r))
+            # with the step the mean is mu plus that of the rows centred at mu,
+            # so that its rounding does not grow with the offset of the data
+            Xb = Xt[:, b] - mu[G, None, :] if step else Xt[:, b]
             # einsum adds the rows in order, as numpy's strided sum does; at
             # p = 1 numpy sums pairwise, so the mean there keeps that sum
-            sums.append(np.einsum("rn,rni->ri", w1, Xt[:, b]) if p > 1
-                        else (w1[..., None] * Xt[:, b]).sum(axis=1))
+            sums.append(np.einsum("rn,rni->ri", w1, Xb) if p > 1
+                        else (w1[..., None] * Xb).sum(axis=1))
             totals.append(w1.sum(axis=1))
-        mu_new[G] = reduce(add, sums) / reduce(add, totals)[:, None]
+        mu_new[G] = reduce(add, sums) / reduce(add, totals)[:, None] + (mu[G] if step else 0.0)
         c = (mu_new if center is None else center)[G, None, :]
         parts = []
         for b, w in zip(blocks, w2):
             Xc = Xt[:, b] - c
             parts.append((w[..., None] * Xc).mT @ Xc)
         scatter[G] = reduce(add, parts) / n
-    return (mu_new, scatter) if rescale is None else (mu_new, scatter, scales)
+    return (mu_new, scatter, factors) if step else (mu_new, scatter)
 
 
-# the scale root is sought in [2^-60, 2^60], as m_scalars brackets its root
-_SPAN = 2.0 ** 60
-
-
-def _scale_root(radii, spec: EstimatorSpec, p: int) -> np.ndarray:
-    """Per row of ``radii`` (k, n), the n squared radii r_i of one slice:
-    the scale s > 0 with mean phi2(s r_i) = p to 1e-13 p, phi2(v) =
-    v u2(v); 1 where no root lies in [2^-60, 2^60].  This is the sample
-    form of the consistency equation of :func:`m_scalars`: every fixed
-    point of the M-estimating equations, plain or graph-constrained, meets
-    it at s = 1.
-
-    From s = 1 the first step is the ratio s p / mean phi2(s r), exact for
-    a linear phi2, and the next are secant steps.  A step that leaves the
-    bracket of a sign change, or that does not halve it, bisects it; one
-    that points away from a root not yet bracketed moves by a factor of 4
-    instead.  Each row runs on its own numbers, so its root does not
-    depend on the other rows.
-    """
-    def gap(s, rows):
-        v = s[:, None] * (radii if len(rows) == len(radii) else radii[rows])
-        return (v * spec.u2(v)).mean(axis=1) - p
-
-    k = len(radii)
-    out, rows = np.ones(k), np.arange(k)
-    s, s_old, f_old = np.ones(k), np.full(k, np.nan), np.full(k, np.nan)
-    lo, hi, width = np.zeros(k), np.full(k, np.inf), np.full(k, np.inf)
-    f = gap(s, rows)
-    for _ in range(200):
-        lo, hi = np.where(f < 0, s, lo), np.where(f > 0, s, hi)
-        done = (np.abs(f) <= 1e-13 * p) | (hi - lo <= 4 * np.finfo(float).eps * lo)
-        out[rows[done]] = s[done]
-        keep = ~done & (((f < 0) & (s < _SPAN)) | ((f > 0) & (s > 1 / _SPAN)))
-        if not keep.any():
-            break
-        rows, s, f, s_old, f_old, lo, hi, width = (
-            a[keep] for a in (rows, s, f, s_old, f_old, lo, hi, width))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.where(np.isnan(s_old), p * s / (f + p), s - f * (s - s_old) / (f - f_old))
-        bracketed = (lo > 0) & (hi < np.inf)
-        bisect = bracketed & ((hi - lo > 0.5 * width) | ~((lo < c) & (c < hi)))
-        away = ~bracketed & ~((lo < c) & (c < hi))  # NaN included
-        c = np.where(bisect, 0.5 * (lo + hi), np.where(away, np.where(f < 0, 4 * s, s / 4), c))
-        width = np.where(bracketed, hi - lo, np.inf)
-        s_old, f_old, s = s, f, np.clip(c, 1 / _SPAN, _SPAN)
-        f = gap(s, rows)
-    return out
+def _factors(radii, spec: EstimatorSpec, p: int) -> np.ndarray:
+    """Per row of ``radii`` (k, n), the squared radii r_i of one slice at
+    (mu, S), the factors (s, omega, omega1) of the solver's step from u1
+    and u2 alone, with derivatives along the scale ray by central
+    differences (r -> (1 +- 1e-4) r): p gamma2 = mean r_i phi2'(r_i),
+    phi2(v) = v u2(v), and d1 = mean r_i u1'(r_i).  s = 1 - (mean
+    phi2(r_i) - p) / (p gamma2), one Newton step on the trace identity
+    mean phi2(s r_i) = p, is kept in [1/2, 2] (wider steps on a flat phi2,
+    as Huber's at small n, led fits onto a data point), 1 where 0/0.
+    omega = (p + 2) / (p + 2 gamma2) and omega1 = 1 / (1 + 2 d1 / (p mean
+    u1(r_i))), the Newton factors of the shape and location blocks of the
+    map at an elliptical fixed point, are 1 where not finite or not > 0.
+    Each row runs on its own numbers, independent of the other rows."""
+    n, h = radii.shape[1], 1e-4
+    at = ((1.0 + h) * radii, (1.0 - h) * radii, radii)
+    u2 = [spec.u2(v) for v in at]
+    u1 = u2 if spec.u1 is spec.u2 else [spec.u1(v) for v in at]  # t weights: u1 = u2
+    # sums, not means: n cancels from omega1, and the rest divide by it once
+    g2 = (at[0] * u2[0] - at[1] * u2[1]).sum(axis=1) / (2.0 * h * n)
+    d1 = (u1[0] - u1[1]).sum(axis=1) / (2.0 * h)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.clip(1.0 - ((radii * u2[2]).sum(axis=1) / n - p) / g2, 0.5, 2.0)
+        w = np.stack([(p + 2.0) / (p + 2.0 * g2 / p),
+                      1.0 / (1.0 + 2.0 * d1 / (p * u1[2].sum(axis=1)))])
+    return np.stack([np.where(np.isnan(s), 1.0, s),
+                     *np.where(np.isfinite(w) & (w > 0.0), w, 1.0)])
 
 
 def _residual(X, mu, S, spec, index: Optional[GraphIndex] = None, live=None) -> np.ndarray:
@@ -434,55 +417,35 @@ def _residual(X, mu, S, spec, index: Optional[GraphIndex] = None, live=None) -> 
     return res
 
 
-def _extrapolate(theta0, theta1, theta2):
-    """SQUAREM step (Varadhan & Roland 2008, scheme SqS3) from three
-    successive fixed-point iterates (mu, S), per slice of the stacks: with
-    r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0, the point
-    theta0 - 2 a r + a^2 v at a = -max(|r|/|v|, 1).  A slice whose
-    extrapolated S has no finite Cholesky factor takes theta2 itself.
-    Returns the points and the flags of the slices whose step it took."""
-    (m0, S0), (m1, S1), (m2, S2) = theta0, theta1, theta2
-    r, v = (m1 - m0, S1 - S0), (m2 - 2.0 * m1 + m0, S2 - 2.0 * S1 + S0)
-    rr, vv = ((x * x).sum(axis=1) + (y * y).sum(axis=(1, 2)) for x, y in (r, v))
-    a = -np.sqrt(np.maximum(1.0, np.divide(rr, vv, out=np.ones_like(rr), where=vv > 0)))
-    mu = m0 - 2.0 * a[:, None] * r[0] + (a * a)[:, None] * v[0]
-    S = S0 - 2.0 * a[:, None, None] * r[1] + (a * a)[:, None, None] * v[1]
-    ok = _has_cholesky(S)
-    return np.where(ok[:, None], mu, m2), np.where(ok[:, None, None], S, S2), ok
-
-
 def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
            index: Optional[GraphIndex] = None, start: Optional[list] = None) -> list:
-    """Fixed-point iteration of the M-estimating equations, accelerated by
-    SQUAREM, on each slice of an (R, n, p) stack of validated data sets,
-    constrained to the graph of ``index`` when that graph has an absent edge.
+    """Relaxed fixed-point iteration of the M-estimating equations on each
+    slice of an (R, n, p) stack of validated data sets, constrained to the
+    graph of ``index`` when that graph has an absent edge.
 
     A plain fit starts at the sample mean and covariance.  A graphical fit
     starts at the slice's plug-in estimate (:func:`_plug_in`), one outcome
     per slice in ``start`` or else computed here; a slice whose plug-in
-    failed fails with the plug-in's error, before any map evaluation, and
-    a plug-in that raises raises here.  The map reweights location and
-    scatter at its input; under a graph it then completes the weighted
-    scatter (:func:`egm.covsel._newton`), started from the previous
-    completion, the plug-in's at first, to an inner tolerance that follows
-    the outer progress down to one hundredth of ``tol``.  After every
-    second map evaluation the iterate is extrapolated (:func:`_extrapolate`);
-    an accepted extrapolation is mapped from its scale-corrected point S/s
-    (:func:`_scale_root`, skipped for the constant Gaussian weights), and
-    that point starts the next cycle, while a rejected one keeps the plain
-    iterate unscaled.  So a solve whose every extrapolation is rejected is
-    the plain iteration, bit for bit.  Each map output is tested for
-    convergence, its change from the previous output and then its
-    residual, so an estimate is always a map output.  Both must be within
-    ``tol``, except that from a plug-in start, whose first steps are
-    already small, the change must be within ``tol``/10, its location part
-    taken relative to max(1, max|mu|) of the plug-in so that it stays
-    above rounding.  A slice leaves the stack once it converges or runs
-    out of budget (``max_iter`` map evaluations, or the steps of a
-    completion), so it takes exactly the evaluations it would take alone.
-    Returns one FitResult, or the ConvergenceError of an exhausted budget,
-    per slice.  Any other failure raises for the whole stack; a lost
-    definiteness raises ConvergenceError naming the evaluation.
+    failed fails with the plug-in's error, before any map evaluation, and a
+    plug-in that raises raises here.  Each evaluation maps (mu, S) at
+    (mu, S/s) to F and moves to mu + omega1 (F_mu - mu) and
+    S/s + omega (F_S - S/s) (:func:`_factors`), or to F for Gaussian
+    weights and where that S has no Cholesky factor: so a solve whose every
+    relaxation is rejected is the plain iteration with the scale step, bit
+    for bit.  Under a graph the scatter is then completed
+    (:func:`egm.covsel._newton`) from the previous completion, the
+    plug-in's at first, to an inner tolerance that follows the outer
+    progress down to tol/100.  An iterate converges once its change,
+    divided by the larger relaxation factor so that it measures the plain
+    map's step, and then its residual are within ``tol``; from a plug-in
+    start, whose first steps are already small, the change must be within
+    ``tol``/10, its location part taken relative to max(1, max|mu|) of the
+    plug-in so that it stays above rounding.  A slice leaves the stack once
+    it converges or runs out of budget (``max_iter`` map evaluations, or
+    the steps of a completion), so it takes exactly the evaluations it
+    would take alone.  Returns one FitResult, or the ConvergenceError of an
+    exhausted budget, per slice.  Any other failure raises for the whole
+    stack, a lost definiteness as a ConvergenceError naming the evaluation.
     """
     _check_budget(tol, max_iter, "iteration")
     R, n, p = X.shape
@@ -509,38 +472,35 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
         unit = np.maximum(1.0, np.max(np.abs(mu), axis=1))
     try:
         change = np.full(len(live), np.inf)
-        scaled = spec.name != "gaussian"  # constant weights: s moves no map output
-        path = []  # the inputs (mu, S) of this cycle's map evaluations
+        step = spec.name != "gaussian"  # constant weights: F is the fixed point
         while True:
             # the slices with an outcome leave; the data stack is never copied
             keep = np.array([out[r] is None for r in live], dtype=bool)
             if not keep.all():
                 live, mu, S, change, unit = (a[keep] for a in (live, mu, S, change, unit))
                 W = None if W is None else W[keep]
-                path = [(m[keep], s[keep]) for m, s in path]
             if not live.size or it == max_iter:
                 break
             it += 1
-            if len(path) < 2:
-                path.append((mu, S))
-                mu_new, S_new = _reweight(X, mu, S, spec, live=live)
+            if step:
+                mu_F, S_F, (s, omega, omega1) = _reweight(X, mu, S, spec, live=live, step=True)
+                S_s = S / s[:, None, None]
+                S_new = S_s + omega[:, None, None] * (S_F - S_s)
+                ok = _has_cholesky(S_new)
+                mu_new = np.where(ok[:, None], mu + omega1[:, None] * (mu_F - mu), mu_F)
+                S_new = np.where(ok[:, None, None], S_new, S_F)
+                factor = np.where(ok, np.maximum(omega, omega1), 1.0)
             else:
-                # an accepted step is mapped from its scale-corrected point,
-                # and that point starts the next cycle
-                mu_x, S_x, accepted = _extrapolate(*path, (mu, S))
-                mu_new, S_new, s = _reweight(X, mu_x, S_x, spec, live=live,
-                                             rescale=accepted & scaled)
-                path = [(mu_x, S_x / s[:, None, None])]
+                (mu_new, S_new), factor = _reweight(X, mu, S, spec, live=live), 1.0
             if index is not None:
                 inner_tol = np.minimum(np.maximum(1e-2 * change, 1e-2 * tol), 1e-2)
-                # warm start from the last completion, not an extrapolated S
                 W, _, failed = _newton(S_new, index.k_mask, inner_tol, start=W)
                 S_new = W
                 for i, exc in failed.items():
                     out[live[i]] = exc
             scale = np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
             change = np.maximum(np.max(np.abs(mu_new - mu), axis=1) / unit,
-                                np.max(np.abs(S_new - S), axis=(1, 2)) / scale)
+                                np.max(np.abs(S_new - S), axis=(1, 2)) / scale) / factor
             mu, S = mu_new, S_new
             conv = [i for i in np.flatnonzero(change <= stop) if out[live[i]] is None]
             if conv:
@@ -565,16 +525,17 @@ _COMPLETION_TOL = 1e-10
 _MAX_ITER = 500
 
 
-def _plug_in(X, spec: EstimatorSpec, tol: float, max_iter: int, k_mask) -> list:
+def _plug_in(X, spec: EstimatorSpec, tol: float, max_iter: int, k_mask,
+             completion_tol: float = _COMPLETION_TOL) -> list:
     """The plug-in estimate on each slice of an (R, n, p) stack of validated
     data sets: the unconstrained fit, its scatter completed under
-    ``k_mask``.  One FitResult, or the ConvergenceError of the fit or of
-    the completion that ran out of budget, per slice; any other failure
-    raises for the whole stack."""
+    ``k_mask`` to ``completion_tol``.  One FitResult, or the
+    ConvergenceError of the fit or of the completion that ran out of
+    budget, per slice; any other failure raises for the whole stack."""
     out = _solve(X, spec, tol, max_iter)
     ok = [i for i, f in enumerate(out) if isinstance(f, FitResult)]
     if ok:
-        completed = _complete(np.array([out[i].scatter for i in ok]), k_mask, _COMPLETION_TOL)
+        completed = _complete(np.array([out[i].scatter for i in ok]), k_mask, completion_tol)
         for i, c in zip(ok, completed):
             f = out[i]
             out[i] = c if isinstance(c, ConvergenceError) else FitResult(
@@ -609,13 +570,15 @@ def m_estimate(X, spec: EstimatorSpec, tol: float = 1e-9,
 
     Notes
     -----
-    Fixed-point iteration, accelerated by SQUAREM: the map takes the
-    reweighted mean and the reweighted scatter at the current radii, and
-    every second map output is extrapolated along the last two steps
-    unless that loses positive definiteness.  An accepted extrapolation is
-    first rescaled, S -> S/s, so that its radii meet the trace identity
-    mean phi2(s r_i) = p that holds at every fixed point; this removes the
-    map's slowest, near-neutral scale mode.  Each evaluation passes over
+    Relaxed fixed-point iteration: the map takes the reweighted mean and
+    the reweighted scatter at the current radii.  Each evaluation first
+    rescales S -> S/s by one Newton step on the trace identity
+    mean phi2(s r_i) = p that holds at every fixed point, which removes the
+    map's slowest, near-neutral scale mode.  It then over-relaxes the
+    map's output by the Newton factors of the scatter and location blocks
+    at an elliptical fixed point, unless the relaxed scatter loses
+    positive definiteness; the change test divides by the larger factor,
+    so it measures the plain map's step.  Each evaluation passes over
     the data in tiles of at most 8192 rows, counted over the data sets of
     a stacked call (a study stacks up to 128 replicates), so temporaries
     are bounded by the tile, neither by n nor by the stack.  Gaussian
@@ -631,12 +594,12 @@ def graphical_m_estimate(X, index: GraphIndex, spec: EstimatorSpec,
                          tol: float = 1e-9, max_iter: int = _MAX_ITER) -> FitResult:
     """Solve the graph-constrained M-estimating equations.
 
-    The accelerated fixed-point iteration of :func:`m_estimate` with
-    every reweighted scatter replaced by its graph-constrained completion,
-    and the same scale step at each accepted extrapolation: the identity
-    mean phi2(r_i) = p holds at a constrained fixed point too, since S and
-    the reweighted scatter agree on the edges and the diagonal, where
-    alone S^-1 is non-zero.
+    The relaxed fixed-point iteration of :func:`m_estimate` with every
+    relaxed scatter replaced by its graph-constrained completion, and the
+    same scale step at each evaluation: the identity mean phi2(r_i) = p
+    holds at a constrained fixed point too, since S and the reweighted
+    scatter agree on the edges and the diagonal, where alone S^-1 is
+    non-zero.
 
     The iteration starts at :func:`plug_in_estimate` (same ``tol`` and
     ``max_iter``), which lies O_p(1/n) from the graphical fixed point, and
@@ -659,11 +622,12 @@ def graphical_m_estimate(X, index: GraphIndex, spec: EstimatorSpec,
 def plug_in_estimate(X, index: GraphIndex, spec: EstimatorSpec,
                      tol: float = 1e-9, max_iter: int = _MAX_ITER,
                      completion_tol: float = _COMPLETION_TOL) -> FitResult:
-    """Unconstrained M-estimate followed by constrained completion."""
-    _one(X, spec, index)  # the data must fit the graph before any fit runs
-    fit = m_estimate(X, spec, tol=tol, max_iter=max_iter)
-    S_P = constrain_scatter(fit.scatter, index, tol=completion_tol).matrix
-    return FitResult(fit.mu, S_P, fit.iterations, fit.converged, fit.residual)
+    """Unconstrained M-estimate (:func:`m_estimate`, same ``tol`` and
+    ``max_iter``), its scatter completed under ``index`` to
+    ``completion_tol``."""
+    fit, = _results(_plug_in(_one(X, spec, index), spec, tol, max_iter, index.k_mask,
+                             completion_tol))
+    return fit
 
 
 def _plug_in_and_graphical(X, index: GraphIndex, spec: EstimatorSpec, tol: float,

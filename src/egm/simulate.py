@@ -37,7 +37,6 @@ from .linops import check_spd
 from .mest import (
     EstimatorSpec,
     FitResult,
-    _COMPLETION_TOL,
     _MAX_ITER,
     _check_spec,
     _family_nu,
@@ -325,8 +324,7 @@ def deviance_null_study(index0: GraphIndex, index1: GraphIndex,
         ok = [i for i, f in enumerate(out) if isinstance(f, FitResult)]
         if ok:
             S = np.array([out[i].scatter for i in ok])
-            for i, stat in zip(ok, _deviance_stack(S, index0, index1, n, scalars.sigma1,
-                                                   _COMPLETION_TOL)):
+            for i, stat in zip(ok, _deviance_stack(S, index0, index1, n, scalars.sigma1)):
                 out[i] = stat
         return out
 

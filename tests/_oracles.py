@@ -105,16 +105,18 @@ def random_symmetric_direction(p, rng):
 
 
 def plain_fixed_point(X, spec, tol, max_iter, index=None):
-    """The unaccelerated fixed-point iteration of the M-estimating equations
-    on one (n, p) data set, written out one map evaluation at a time.
+    """The unrelaxed fixed-point iteration of the M-estimating equations
+    on one (n, p) data set, written out one map evaluation at a time: each
+    evaluation maps (mu, S) at its scale-corrected point (mu, S/s), for
+    every weight but the constant Gaussian one, and takes that map output.
 
     Unlike the rest of this module it is built from the solver's own map,
-    completion and residual primitives (``mest._reweight``, ``covsel._newton``
-    with the previous completion as its start, ``mest._residual``), so that
-    a solver whose every extrapolation is rejected must equal it bit for
-    bit.  A plain fit starts at the sample mean and covariance and stops at
-    the first map output whose change and residual are both within
-    ``tol``.  Under a graph it starts at its own plain fit, the scatter
+    completion and residual primitives (``mest._reweight`` with its scale
+    step, ``covsel._newton`` with the previous completion as its start,
+    ``mest._residual``), so that a solver whose every relaxation is
+    rejected must equal it bit for bit.  A plain fit starts at the sample
+    mean and covariance and stops at the first map output whose change and
+    residual are both within ``tol``.  Under a graph it starts at its own plain fit, the scatter
     completed to 1e-10, and that completion starts the first inner
     completion; it stops once the change, its location part relative to
     max(1, max|mu|) of the plain fit, is within ``tol``/10 and the
@@ -136,7 +138,7 @@ def plain_fixed_point(X, spec, tol, max_iter, index=None):
         unit = max(1.0, np.max(np.abs(mu)))
     start, change = S, np.inf
     for it in range(1, max_iter + 1):
-        mu_new, S_new = _reweight(X, mu, S, spec)
+        mu_new, S_new = _reweight(X, mu, S, spec, step=spec.name != "gaussian")[:2]
         if index is not None:
             inner_tol = np.minimum(np.maximum(1e-2 * change, 1e-2 * tol), 1e-2)
             S_new, _, failed = _newton(S_new, index.k_mask, inner_tol, start=start)
