@@ -216,8 +216,9 @@ def _round2(x: float) -> float:
 def cmd_are_table(args) -> int:
     p_list = args.p_list or DEFAULT_P_LIST
     c_list = args.c_list or DEFAULT_C_LIST
-    table = [[_round2(inference.are_chordless_cycle(p, c).are) for p in p_list]
-             for c in c_list]
+    inference._check_cycles(p_list, c_list)  # the first bad cell in row order raises
+    columns = [inference._are_cycle_table(p, c_list) for p in p_list]
+    table = [[_round2(r.are) for r in row] for row in zip(*columns)]
     if args.format == "json" or args.output:
         _emit({"command": "are-table", "p": p_list, "c": c_list, "are": table}, args)
     if args.format == "csv":

@@ -319,8 +319,8 @@ def _derivative_block(U, index: GraphIndex):
     edges (both triangles), and L = J[dv, kv] for the completion derivative
     J at the point whose inverse is U.  J[kv] is M_p[kv] and J[:, dv] = 0.
     L = -1/2 B^-1 _pair(U, D, kv) on rows (i, j) and (j, i) for (i, j) in
-    D = index.D, with the q x q constraint system B = _pair(U, D, D); warns
-    when B is ill-conditioned.
+    D = index.D, by one solve of the q x q constraint system B = _pair(U, D,
+    D); raises DefinitenessError unless B > 0, and warns if ill-conditioned.
     """
     p = index.p
     on_k = index.k_mask.ravel(order="F")
@@ -330,13 +330,32 @@ def _derivative_block(U, index: GraphIndex):
     i, j = D = _rc(index.D, p)
     B = _pair(U, D, D)
     eigs = np.linalg.eigvalsh(B)
-    if eigs[0] <= 0 or eigs[-1] / eigs[0] > COND_WARN:
+    if not eigs[0] > 0:
+        raise DefinitenessError("constraint system is not positive definite")
+    if eigs[-1] / eigs[0] > COND_WARN:
         warnings.warn("constraint system is ill-conditioned", RuntimeWarning)
-    L_inv = np.linalg.inv(np.linalg.cholesky(B))
-    X = L_inv.T @ (L_inv @ _pair(U, D, _rc(kv, p)))
+    X = np.linalg.solve(B, _pair(U, D, _rc(kv, p)))
     slot = np.empty((p, p), dtype=int)
     slot[i, j] = slot[j, i] = np.arange(len(i))
     return kv, dv, -0.5 * X[slot[_rc(dv, p)]]
+
+
+def _assemble(kv, dv, M, LM, L=None, scale=1.0, v=None, s2=0.0) -> np.ndarray:
+    """The p^2 x p^2 matrix with blocks M at (kv, kv), LM at (dv, kv), else 0;
+    given L, the symmetric scale [[M, LM^T], [LM, LM L^T]] + s2 v v^T, v in
+    vec order.  Filled in [kv, dv] order in place, then one gather."""
+    n, order = kv.size, np.concatenate([kv, dv])
+    W = np.zeros((order.size, order.size))
+    W[:n, :n], W[n:, :n] = M, LM
+    if L is not None:
+        W[:n, n:] = LM.T
+        np.matmul(LM, L.T, out=W[n:, n:])
+        W *= scale
+        W += np.outer(s2 * v[order], v[order])
+        W += W.T.copy()  # the bits of 0.5 (W + W^T), with one temporary
+        W *= 0.5
+    inv = np.argsort(order)
+    return W[np.ix_(inv, inv)]
 
 
 def constrain_jacobian(A, index: GraphIndex, tol: float = 1e-12) -> np.ndarray:
@@ -346,18 +365,15 @@ def constrain_jacobian(A, index: GraphIndex, tol: float = 1e-12) -> np.ndarray:
 
         M_p - M_p Q_D^T {Q_D M_p (U x U) Q_D^T}^{-1} Q_D (U x U) M_p,
 
-    and reduces to M_p when the graph is complete.  The inner q x q
-    system is solved by a symmetric (Cholesky) factorization; a warning
-    is raised when it is ill-conditioned.
+    and reduces to M_p when the graph is complete.  The inner q x q system
+    is solved once; a DefinitenessError unless it is positive definite, a
+    warning when it is ill-conditioned.
     """
     p = index.p
     # a complete graph needs no completion: the derivative is M_p
     U = spd_inverse(constrain_scatter(A, index, tol=tol).matrix) if index.q else None
     kv, dv, L = _derivative_block(U, index)
-    J = np.zeros((p * p, p * p))
-    J[np.ix_(kv, kv)] = _pair(np.eye(p), _rc(kv, p), _rc(kv, p))
-    J[np.ix_(dv, kv)] = L
-    return J
+    return _assemble(kv, dv, _pair(np.eye(p), _rc(kv, p), _rc(kv, p)), L)
 
 
 def scatter_acov(V, scalars: AsymptoticScalars) -> np.ndarray:
@@ -404,15 +420,7 @@ def constrained_scatter_acov(V, index: GraphIndex, scalars: AsymptoticScalars,
     VG = constrain_scatter(V, index, tol=1e-12).matrix if form == "general" else V
     kv, dv, L = _derivative_block(spd_inverse(VG), index)
     M = _pair(V, _rc(kv, p), _rc(kv, p))
-    LM = L @ M
-    W = np.zeros((p * p, p * p))
-    W[np.ix_(kv, kv)] = M
-    W[np.ix_(dv, kv)] = LM
-    W[np.ix_(kv, dv)] = LM.T
-    W[np.ix_(dv, dv)] = LM @ L.T
-    vG = vec(VG)
-    W = 2.0 * scalars.sigma1 * W + scalars.sigma2 * np.outer(vG, vG)
-    return 0.5 * (W + W.T)
+    return _assemble(kv, dv, M, L @ M, L, 2.0 * scalars.sigma1, vec(VG), scalars.sigma2)
 
 
 def edge_basis_gram(V, index: GraphIndex) -> np.ndarray:
@@ -425,7 +433,7 @@ def edge_basis_gram(V, index: GraphIndex) -> np.ndarray:
     K = _rc(index.K, index.p)
     w = np.where(K[0] == K[1], 1.0, 2.0)
     G = w[:, None] * _pair(V, K, K) * w[None, :]
-    return 0.5 * (G + G.T)
+    return 0.5 * (G + G.mT)
 
 
 def concentration_acov(V, index: GraphIndex, scalars: AsymptoticScalars) -> np.ndarray:

@@ -14,12 +14,10 @@ edge-and-diagonal mask, so no clique is ever enumerated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError
-from .linops import selection_matrix
 
 __all__ = [
     "Graph",
@@ -116,11 +114,6 @@ class GraphIndex:
     K: np.ndarray
     k_mask: np.ndarray = field(repr=False)
     d_mask: np.ndarray = field(repr=False)
-
-    # dense reference operators selecting D and K from vec(A), built on first
-    # access (no solver reads them)
-    Q_D = cached_property(lambda self: selection_matrix(self.D, self.p))
-    Q_K = cached_property(lambda self: selection_matrix(self.K, self.p))
 
     @property
     def p(self) -> int:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .covsel import AsymptoticScalars, _complete, edge_basis_gram, pattern_violation
+from .covsel import AsymptoticScalars, _complete, edge_basis_gram
 from .errors import (
     ConvergenceError,
     DefinitenessError,
@@ -262,17 +262,17 @@ def _dpi_row_matrix(K, i, j) -> np.ndarray:
         -(pi_ij / (2 K_ii)) E_ii - (pi_ji / (2 K_jj)) E_jj
         - (E_ij + E_ji) / (2 sqrt(K_ii K_jj)),
 
-    a symmetric matrix built without any p^2 x p^2 intermediate.  With
-    index arrays i and j the rows come as a stack, one matrix per pair.
+    a symmetric matrix built without any p^2 x p^2 intermediate.  Index
+    arrays i and j, or an (R, p, p) stack of K, give a stack of rows.
     """
-    p = K.shape[0]
-    d = np.diag(K)
-    pi_ij = -K[i, j] / np.sqrt(d[i] * d[j])
-    half = 0.5 / np.sqrt(d[i] * d[j])
+    p = K.shape[-1]
+    d = np.diagonal(K, axis1=-2, axis2=-1)
     i, j = np.asarray(i), np.asarray(j)
-    X = np.zeros(i.shape + (p, p))
-    at = np.arange(i.size).reshape(i.shape)
-    for rows, cols, value in ((i, i, 0.5 * pi_ij / d[i]), (j, j, 0.5 * pi_ij / d[j]),
+    pi_ij = -K[..., i, j] / np.sqrt(d[..., i] * d[..., j])
+    half = 0.5 / np.sqrt(d[..., i] * d[..., j])
+    X = np.zeros(pi_ij.shape + (p, p))
+    at = np.arange(pi_ij.size).reshape(pi_ij.shape)
+    for rows, cols, value in ((i, i, 0.5 * pi_ij / d[..., i]), (j, j, 0.5 * pi_ij / d[..., j]),
                               (i, j, half), (j, i, half)):
         # accumulated in this order, as the diagonal rows (i = j) need
         np.subtract.at(X.reshape(-1, p, p), (at, rows, cols), value)
@@ -286,7 +286,7 @@ def asv_partial_correlation(V, index: Optional[GraphIndex],
     With ``index`` None the estimate comes from the unconstrained
     scatter; otherwise from the graph-constrained one, which requires
     the inverse of V to carry the graph's zero pattern.  ``position`` is
-    a 1-based (i, j) pair with i != j.
+    a 1-based (i, j) pair with i != j.  A stack of one of :func:`_asv_stack`.
     """
     V = check_spd(V)
     p = V.shape[0]
@@ -294,16 +294,45 @@ def asv_partial_correlation(V, index: Optional[GraphIndex],
     i, j = position
     if not (1 <= i <= p and 1 <= j <= p) or i == j:
         raise DimensionError(f"position {position} is not an off-diagonal entry of a {p}x{p} matrix")
-    K = spd_inverse(V)
-    X = _dpi_row_matrix(K, i - 1, j - 1)
+    return _asv_stack(V[None], spd_inverse(V[None]), index, scalars.sigma1, i - 1, j - 1)[0]
+
+
+def _asv_stack(V, K, index: Optional[GraphIndex], sigma1: float, i: int, j: int) -> list:
+    """:func:`asv_partial_correlation`, one float per slice of an (R, p, p)
+    stack of checked V with inverses K, under one graph or none, at one
+    0-based position i != j: 2 sigma1 <X, K X K> for the derivative row X,
+    or 2 sigma1 w^T G^-1 w, w = X on the graph and G its edge-basis Gram."""
+    X = _dpi_row_matrix(K, i, j)
     if index is None:
-        return float(2.0 * scalars.sigma1 * np.sum(X * (K @ X @ K)))
-    if pattern_violation(V, index) > 1e-8:
+        return [float(2.0 * sigma1 * np.sum(x * y)) for x, y in zip(X, K @ X @ K)]
+    if V.shape[1:] != index.k_mask.shape:
+        raise DimensionError(f"graph has p={index.p} but V is {'x'.join(map(str, V.shape[1:]))}")
+    if np.abs(K[:, index.d_mask]).max(initial=0.0) > 1e-8:
         raise PreconditionError("inverse of V violates the graph zero pattern")
-    j, i = np.divmod(index.K, p)
-    w = np.where(i == j, X[i, i], X[i, j] + X[j, i])
-    Gm = edge_basis_gram(V, index)
-    return float(2.0 * scalars.sigma1 * w @ np.linalg.solve(Gm, w))
+    c, r = np.divmod(index.K, index.p)
+    w = np.where(r == c, X[:, r, r], X[:, r, c] + X[:, c, r])
+    x = np.linalg.solve(edge_basis_gram(V, index), w[..., None])[..., 0]
+    return [float(2.0 * sigma1 * a @ b) for a, b in zip(w, x)]
+
+
+def _check_cycles(ps, cs) -> None:
+    """The checks of :func:`chordless_cycle_shape` on each (p, c) cell, c by
+    c, so the first bad cell in table row order raises; a nan c is bad."""
+    for c in cs:
+        for p in ps:
+            if p < 4:
+                raise PreconditionError(f"the chordless cycle model needs p >= 4, got {p}")
+            if not abs(c) < 0.5:
+                raise DefinitenessError(
+                    f"|c| = {abs(c)} >= 1/2 makes the cycle concentration singular")
+
+
+def _cycle_shapes(p: int, cs):
+    """The stacks K and S of :func:`chordless_cycle_shape` at each c of ``cs``, checked first."""
+    _check_cycles([p], cs)
+    K, at = np.repeat(np.eye(p)[None], len(cs), axis=0), np.arange(p)
+    K[:, at, (at + 1) % p] = K[:, (at + 1) % p, at] = np.array([[-c] for c in cs])
+    return K, spd_inverse(K)
 
 
 def chordless_cycle_shape(p: int, c: float):
@@ -314,15 +343,7 @@ def chordless_cycle_shape(p: int, c: float):
     the cycle equals c.  Its eigenvalues are 1 - 2c cos(2 pi k / p),
     positive exactly when |c| < 1/2.
     """
-    if p < 4:
-        raise PreconditionError(f"the chordless cycle model needs p >= 4, got {p}")
-    if abs(c) >= 0.5:
-        raise DefinitenessError(f"|c| = {abs(c)} >= 1/2 makes the cycle concentration singular")
-    K = np.eye(p)
-    for i in range(p):
-        K[i, (i + 1) % p] = -c
-        K[(i + 1) % p, i] = -c
-    return K, spd_inverse(K)
+    return tuple(M[0] for M in _cycle_shapes(p, [c]))
 
 
 def are_chordless_cycle(p: int, c: float) -> AreResult:
@@ -330,11 +351,16 @@ def are_chordless_cycle(p: int, c: float) -> AreResult:
 
     The ratio of unconstrained to constrained asymptotic variance at
     edge (1, 2); it does not depend on sigma1, sigma2 or the scale of
-    the shape matrix.
+    the shape matrix.  A stack of one of :func:`_are_cycle_table`.
     """
-    K, S = chordless_cycle_shape(p, c)
-    index = build_index(Graph.cycle(p))
-    unit = AsymptoticScalars(1.0, 0.0, 1.0)
-    asv_u = asv_partial_correlation(S, None, unit, (1, 2))
-    asv_c = asv_partial_correlation(S, index, unit, (1, 2))
-    return AreResult(p, c, asv_u, asv_c, asv_u / asv_c)
+    return _are_cycle_table(p, [c])[0]
+
+
+def _are_cycle_table(p: int, cs) -> list:
+    """:func:`are_chordless_cycle` at each c of ``cs``, checked before any is
+    computed, by one graph index, one stacked inverse K of the shapes, which
+    also serves the pattern check, and both variances, each cell to the bit."""
+    S = _cycle_shapes(p, cs)[1]
+    K = spd_inverse(S)
+    u, g = (_asv_stack(S, K, index, 1.0, 0, 1) for index in (None, build_index(Graph.cycle(p))))
+    return [AreResult(p, c, a, b, a / b) for c, a, b in zip(cs, u, g)]

@@ -1,9 +1,9 @@
 """Matrix-calculus primitives for symmetric-matrix differentiation.
 
 Everything here works on dense float64 arrays.  The structural matrices
-(Kronecker, commutation, symmetrization, duplication, selection) have up
-to p^4 entries and no solver builds them: they are reference operators
-for the tests and for ``GraphIndex``'s on-demand dense operators.
+(Kronecker, commutation, symmetrization, duplication) have up to p^4
+entries and no solver builds them: they are reference operators for the
+tests.
 Positions are 0-based: entry (i, j) of a p x p matrix sits at position
 j * p + i of vec(A).
 
@@ -27,7 +27,6 @@ __all__ = [
     "commutation_matrix",
     "symmetrization_matrix",
     "duplication_matrix",
-    "selection_matrix",
     "check_symmetric",
     "check_spd",
     "spd_inverse",
@@ -154,17 +153,3 @@ def duplication_matrix(p: int) -> tuple[np.ndarray, np.ndarray]:
     counts = D.sum(axis=0)
     D_plus = (D / counts).T
     return D, D_plus
-
-
-def selection_matrix(v, p: int) -> np.ndarray:
-    """The len(v) x p^2 matrix picking the entries at the 0-based vec
-    positions ``v`` out of vec(A) for a p x p matrix A.  The positions
-    must be strictly increasing, so the rows follow the vec(A) order."""
-    v = np.asarray(v, dtype=int)
-    if np.any(np.diff(v) <= 0):
-        raise DimensionError("vec positions must be strictly increasing")
-    if v.size and not (0 <= v[0] and v[-1] < p * p):
-        raise DimensionError(f"vec positions out of range for p={p}")
-    Q = np.zeros((v.size, p * p))
-    Q[np.arange(v.size), v] = 1.0
-    return Q

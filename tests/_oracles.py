@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths under test: the
 constrained completion is re-derived by generic numerical optimization,
 derivatives by central differences, distributional facts by Monte
 Carlo or classical closed forms, the fixed-point map in one pass over all
-rows, and data files by a ``csv.reader`` scan.
+rows, data files by a ``csv.reader`` scan, and the efficiency table one
+cell at a time on 2-D arrays.  The dense selection operators live here
+too, as no solver reads them.
 """
 
 import csv
@@ -13,7 +15,7 @@ import math
 import numpy as np
 import scipy.optimize
 
-from egm.errors import _results
+from egm.errors import DimensionError, _results
 from egm.graphs import Graph
 
 
@@ -238,3 +240,74 @@ def backward_elimination_oracle(X, spec, alpha, sigma1=None, family=None, tol=1e
         ld_cur, W = ld[r], scatters[r]
         steps.append({"removed_edge": [a, b], "deviance_delta": stat, "p_value": p_value})
     return graph, steps
+
+
+def selection_matrix(v, p):
+    """The len(v) x p^2 matrix picking the entries at the 0-based vec
+    positions ``v`` out of vec(A) for a p x p matrix A.  The positions
+    must be strictly increasing, so the rows follow the vec(A) order."""
+    v = np.asarray(v, dtype=int)
+    if np.any(np.diff(v) <= 0):
+        raise DimensionError("vec positions must be strictly increasing")
+    if v.size and not (0 <= v[0] and v[-1] < p * p):
+        raise DimensionError(f"vec positions out of range for p={p}")
+    Q = np.zeros((v.size, p * p))
+    Q[np.arange(v.size), v] = 1.0
+    return Q
+
+
+def Q_D(index):
+    """The dense operator selecting a graph's absent edges D from vec(A)."""
+    return selection_matrix(index.D, index.p)
+
+
+def Q_K(index):
+    """The dense operator selecting a graph's edges and diagonal K from vec(A)."""
+    return selection_matrix(index.K, index.p)
+
+
+def asv_oracle(V, index, sigma1, position):
+    """``egm.inference.asv_partial_correlation`` one matrix at a time, on 2-D
+    arrays: the checked V's inverse K, its derivative row X at the 1-based
+    ``position``, and 2 sigma1 <X, K X K> without a graph, or 2 sigma1 w^T
+    G^-1 w with w the free entries of X and G the edge-basis Gram matrix
+    of V under one, after the zero-pattern check on a second inverse."""
+    from egm.covsel import edge_basis_gram, pattern_violation
+    from egm.errors import PreconditionError
+    from egm.inference import _dpi_row_matrix
+    from egm.linops import check_spd, spd_inverse
+
+    V = check_spd(V)
+    p = V.shape[0]
+    K = spd_inverse(V)
+    X = _dpi_row_matrix(K, position[0] - 1, position[1] - 1)
+    if index is None:
+        return float(2.0 * sigma1 * np.sum(X * (K @ X @ K)))
+    if pattern_violation(V, index) > 1e-8:
+        raise PreconditionError("inverse of V violates the graph zero pattern")
+    j, i = np.divmod(index.K, p)
+    w = np.where(i == j, X[i, i], X[i, j] + X[j, i])
+    return float(2.0 * sigma1 * w @ np.linalg.solve(edge_basis_gram(V, index), w))
+
+
+def are_cell_oracle(p, c):
+    """One cell of the efficiency table by itself: the cycle concentration
+    built entry by entry (after the checks of
+    ``egm.inference.chordless_cycle_shape``), its 2-D inverse S, and two
+    :func:`asv_oracle` calls at edge (1, 2)."""
+    from egm.errors import DefinitenessError, PreconditionError
+    from egm.graphs import build_index
+    from egm.inference import AreResult
+    from egm.linops import spd_inverse
+
+    if p < 4:
+        raise PreconditionError(f"the chordless cycle model needs p >= 4, got {p}")
+    if not abs(c) < 0.5:
+        raise DefinitenessError(f"|c| = {abs(c)} >= 1/2 makes the cycle concentration singular")
+    K = np.eye(p)
+    for i in range(p):
+        K[i, (i + 1) % p] = K[(i + 1) % p, i] = -c
+    S = spd_inverse(K)
+    asv_u = asv_oracle(S, None, 1.0, (1, 2))
+    asv_c = asv_oracle(S, build_index(Graph.cycle(p)), 1.0, (1, 2))
+    return AreResult(p, c, asv_u, asv_c, asv_u / asv_c)

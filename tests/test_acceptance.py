@@ -24,6 +24,8 @@ from egm.mest import m_scalars, make_spec, mle_scalars, radial_for_family, \
 from egm.simulate import EllipticalModel, deviance_null_study, equivalence_study
 
 from _oracles import (
+    Q_D,
+    Q_K,
     fd_directional,
     hg_optimization_oracle,
     rand_spd,
@@ -236,7 +238,7 @@ def test_criterion_7_structural_identities():
         assert np.max(np.abs(Kp @ Kp - np.eye(p * p))) <= 1e-12
         assert np.max(np.abs(Kp.T @ Kp - np.eye(p * p))) <= 1e-12
         idx = build_index(random_graph(p, rng))
-        for Q in (idx.Q_D, idx.Q_K):
+        for Q in (Q_D(idx), Q_K(idx)):
             if Q.shape[0]:
                 assert np.max(np.abs(Q @ Q.T - np.eye(Q.shape[0]))) <= 1e-12
 

@@ -10,7 +10,7 @@ from egm.inference import are_chordless_cycle, chordless_cycle_shape
 from egm.mest import m_estimate, make_spec
 from egm.simulate import EllipticalModel, sample
 
-from _oracles import read_data_oracle
+from _oracles import are_cell_oracle, read_data_oracle
 from test_mest import near_collinear
 
 
@@ -453,13 +453,24 @@ class TestAreTable:
         x = 1.005
         if step:
             x = float(np.nextafter(1.005, 2.0 if step > 0 else 0.0))
-        monkeypatch.setattr(cli.inference, "are_chordless_cycle",
-                            lambda p, c: type("R", (), {"are": x})())
+        monkeypatch.setattr(cli.inference, "_are_cycle_table",
+                            lambda p, cs: [type("R", (), {"are": x})() for c in cs])
         argv = ["are-table", "--c-list", "-0.05", "--p-list", "4"]
         rc, payload = run_json(capsys, argv + ["--format", "json"])
         assert rc == 0 and payload["are"] == [[1.01]]
         assert cli.main(argv + ["--format", "csv"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "-0.05,1.01"
+
+    @pytest.mark.parametrize("p_list, c_list", [(["5", "3"], ["0.1", "0.6"]),
+                                                (["5", "4"], ["0.1", "0.6"]),
+                                                (["3", "5"], ["0.6", "0.1"])])
+    def test_first_bad_cell_in_row_order_names_the_error(self, capsys, p_list, c_list):
+        with pytest.raises(ValueError) as first:
+            for c in map(float, c_list):
+                for p in map(int, p_list):
+                    are_cell_oracle(p, c)
+        assert cli.main(["are-table", "--p-list", *p_list, "--c-list", *c_list]) == 1
+        assert capsys.readouterr().err == f"egm: {first.value}\n"
 
 
 class TestStudy:

@@ -1,5 +1,6 @@
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from egm import covsel
 from egm.covsel import (
     AsymptoticScalars,
     _complete,
+    _derivative_block,
     _newton,
     concentration_acov,
     constrain_jacobian,
@@ -32,6 +34,8 @@ from egm.linops import (
 from egm.mest import make_spec
 
 from _oracles import (
+    Q_D,
+    Q_K,
     fd_directional,
     hg_optimization_oracle,
     rand_spd,
@@ -388,13 +392,52 @@ class TestConstrainJacobian:
         U = spd_inverse(fit.matrix)
         Mp = symmetrization_matrix(p)
         Dp, Dp_plus = duplication_matrix(p)
-        QtK = index.Q_K @ Dp  # selects K from v(A)
+        QtK = Q_K(index) @ Dp  # selects K from v(A)
         MpG = Dp @ QtK.T @ QtK @ Dp_plus
         UU = kron(U, U)
-        QD = index.Q_D
+        QD = Q_D(index)
         B = QD @ UU @ Mp @ QD.T
         variant = MpG - Mp @ QD.T @ np.linalg.solve(B, QD @ UU @ MpG)
         assert np.max(np.abs(variant - constrain_jacobian(A, index))) <= 1e-9
+
+
+    def test_indefinite_constraint_system_is_typed(self):
+        # U = diag(1, -1, 1, 1) makes B = diag(1/2, -1/2) on the 4-cycle's absent edges
+        with pytest.raises(DefinitenessError, match="constraint system"):
+            _derivative_block(np.diag([1.0, -1.0, 1.0, 1.0]), CYCLE4)
+
+
+class TestDenseReference:
+    """The assembled derivative and general-form covariance against their
+    dense Kronecker formulas."""
+
+    @pytest.mark.parametrize("p", [5, 8])
+    def test_match_the_kronecker_formulas(self, p):
+        local = np.random.default_rng(p)
+        s = AsymptoticScalars(1.4, 0.2)
+        for graph in (Graph.cycle(p), random_graph(p, local, 0.4)):
+            index, V = build_index(graph), rand_spd(p, local)
+            VG = constrain_scatter(V, index, tol=1e-12).matrix
+            UU, Mp, QD = kron(spd_inverse(VG), spd_inverse(VG)), symmetrization_matrix(p), Q_D(index)
+            J = Mp - Mp @ QD.T @ np.linalg.solve(QD @ Mp @ UU @ QD.T, QD @ UU @ Mp)
+            W = 2.0 * s.sigma1 * J @ kron(V, V) @ J.T + s.sigma2 * np.outer(vec(VG), vec(VG))
+            got_J = constrain_jacobian(V, index)
+            got_W = constrained_scatter_acov(V, index, s, form="general")
+            assert np.max(np.abs(got_J - J)) <= 1e-13 * np.max(np.abs(J))
+            assert np.max(np.abs(got_W - W)) <= 1e-13 * np.max(np.abs(W))
+            assert np.array_equal(got_W, got_W.T)
+
+    def test_general_form_peak_memory(self):
+        # the blocks are filled, scaled and symmetrized in place: at p=30 the
+        # peak stays near two copies of the 900 x 900 result
+        V, index = rand_spd(30, np.random.default_rng(30)), build_index(Graph.cycle(30))
+        tracemalloc.start()
+        try:
+            W = constrained_scatter_acov(V, index, AsymptoticScalars(1.4, 0.2), form="general")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * W.nbytes
 
 
 class TestScatterAcov:
@@ -520,13 +563,13 @@ class TestConcentrationAcov:
         WVG = constrained_scatter_acov(S, idx, s)
         U = spd_inverse(S)
         UU = kron(U, U)
-        push = idx.Q_K @ (UU @ WVG @ UU) @ idx.Q_K.T
+        push = Q_K(idx) @ (UU @ WVG @ UU) @ Q_K(idx).T
         assert np.max(np.abs(push - concentration_acov(S, idx, s))) <= 1e-8
 
     def test_gram_matches_dense_construction(self):
         K, S = chordless_cycle_shape(4, -0.2)
         Dp, _ = duplication_matrix(4)
-        Gamma = Dp @ (CYCLE4.Q_K @ Dp).T
+        Gamma = Dp @ (Q_K(CYCLE4) @ Dp).T
         dense = Gamma.T @ kron(S, S) @ Gamma
         assert np.allclose(edge_basis_gram(S, CYCLE4), dense, atol=1e-12)
 

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from egm import inference
 from egm.covsel import AsymptoticScalars, _complete
 from egm.errors import DefinitenessError, DimensionError, NestingError, PreconditionError
 from egm.graphs import Graph, build_index
 from egm.inference import (
+    _are_cycle_table,
     _logdet,
     _removal_bounds,
     are_chordless_cycle,
@@ -22,8 +24,8 @@ from egm.linops import commutation_matrix, kron, mat, spd_inverse, symmetrizatio
 from egm.mest import m_estimate, make_spec
 from egm.simulate import EllipticalModel, sample
 
-from _oracles import (backward_elimination_oracle, fd_directional, rand_spd, random_graph,
-                      random_symmetric_direction)
+from _oracles import (are_cell_oracle, asv_oracle, backward_elimination_oracle, fd_directional,
+                      rand_spd, random_graph, random_symmetric_direction)
 
 rng = np.random.default_rng(31415)
 
@@ -491,6 +493,21 @@ class TestAsvPartialCorrelation:
         r = (2 - 1) * 4 + (1 - 1)  # vec index of entry (1, 2)
         assert abs(asv_partial_correlation(V, None, UNIT, (1, 2)) - W[r, r]) <= 1e-10
 
+    @settings(max_examples=60)
+    @given(p=st.integers(3, 8), seed=st.integers(0, 2**32 - 1),
+           density=st.sampled_from([0.3, 0.6, 1.0]), sigma1=st.sampled_from([0.4, 1.0, 2.5]),
+           data=st.data())
+    def test_stack_of_one_keeps_the_bits_of_the_2d_path(self, p, seed, density, sigma1, data):
+        local = np.random.default_rng(seed)
+        index = build_index(random_graph(p, local, density))
+        V = rand_spd(p, local)
+        VG = _complete(V[None], index.k_mask, 1e-12)[0].matrix  # carries the zero pattern
+        i, j = data.draw(st.permutations(range(1, p + 1)))[:2]
+        s = AsymptoticScalars(sigma1, 0.0)
+        for M, idx in ((V, None), (VG, None), (VG, index)):
+            got = asv_partial_correlation(M, idx, s, (i, j))
+            assert got.hex() == asv_oracle(M, idx, sigma1, (i, j)).hex()
+
 
 class TestAreChordlessCycle:
     def test_reference_cells(self):
@@ -519,6 +536,36 @@ class TestAreChordlessCycle:
         b = (asv_partial_correlation(7.3 * S, None, UNIT, (1, 2))
              / asv_partial_correlation(7.3 * S, idx, UNIT, (1, 2)))
         assert abs(a - b) <= 1e-10
+
+    @staticmethod
+    def bits(r):
+        return (r.p, r.c) + tuple(x.hex() for x in (r.asv_unconstrained, r.asv_constrained, r.are))
+
+    def test_table_kernel_keeps_every_cell_bit_for_bit(self):
+        # the 91 default cells, one kernel call per p, and off-grid cells
+        cs = [0.0, -0.05, -0.1, -0.2, -0.3, -0.4, -0.49]
+        for p, c_list in [(p, cs) for p in (4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 20, 30, 50)] + [
+                (60, cs), (5, [0.0, 0.45, -0.499]), (60, [0.0, 0.45, -0.499]), (4, [-0.3])]:
+            want = [self.bits(are_cell_oracle(p, c)) for c in c_list]
+            assert [self.bits(r) for r in _are_cycle_table(p, c_list)] == want
+            assert [self.bits(are_chordless_cycle(p, c)) for c in c_list] == want
+
+    @pytest.mark.parametrize("p, cs, error", [
+        (3, [0.1], PreconditionError), (5, [0.1, 0.6], DefinitenessError),
+        (5, [0.1, -0.5], DefinitenessError), (6, [float("nan")], DefinitenessError),
+        (3, [0.6], PreconditionError)])
+    def test_table_kernel_checks_every_cell_before_it_computes(self, monkeypatch, p, cs, error):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("computed before every cell was checked")
+
+        monkeypatch.setattr(inference, "spd_inverse", forbidden)
+        monkeypatch.setattr(inference, "build_index", forbidden)
+        with pytest.raises(error) as exc:
+            _are_cycle_table(p, cs)
+        with pytest.raises(error) as cell:
+            for c in cs:
+                are_cell_oracle(p, c)
+        assert str(exc.value) == str(cell.value)
 
     def test_same_at_every_cycle_edge(self):
         p, c = 7, -0.35

@@ -8,10 +8,11 @@ from egm.linops import (
     duplication_matrix,
     kron,
     mat,
-    selection_matrix,
     symmetrization_matrix,
     vec,
 )
+
+from _oracles import selection_matrix
 
 rng = np.random.default_rng(1234)
 

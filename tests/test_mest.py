@@ -36,7 +36,7 @@ from egm.mest import (
 from egm.mest import _BLOCK, _reweight, _solve
 from egm.simulate import EllipticalModel, _run_chunk, deviance_null_study, sample
 
-from _oracles import hg_optimization_oracle, plain_fixed_point, rand_spd, reweight_oracle
+from _oracles import Q_K, hg_optimization_oracle, plain_fixed_point, rand_spd, reweight_oracle
 
 rng = np.random.default_rng(808)
 
@@ -393,7 +393,7 @@ class TestGraphicalMEstimate:
         idx = build_index(Graph.cycle(p))
         fit = graphical_m_estimate(X, idx, make_spec("t:5", p), tol=1e-11)
         Dp, Dp_plus = duplication_matrix(p)
-        QtK = idx.Q_K @ Dp  # selects K from v(A)
+        QtK = Q_K(idx) @ Dp  # selects K from v(A)
 
         def objective(theta):
             mu, kfree = theta[:p], theta[p:]
