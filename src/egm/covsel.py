@@ -315,47 +315,47 @@ def _rc(v, p: int):
 
 
 def _derivative_block(U, index: GraphIndex):
-    """Vec positions kv of the edge and diagonal entries, dv of the absent
-    edges (both triangles), and L = J[dv, kv] for the completion derivative
-    J at the point whose inverse is U.  J[kv] is M_p[kv] and J[:, dv] = 0.
-    L = -1/2 B^-1 _pair(U, D, kv) on rows (i, j) and (j, i) for (i, j) in
-    D = index.D, by one solve of the q x q constraint system B = _pair(U, D,
-    D); raises DefinitenessError unless B > 0, and warns if ill-conditioned.
-    """
+    """Vec positions kv of the edges and diagonal, the slot r of each vec
+    position's representative in [index.K, index.D], and L = J[D, kv], one row
+    per absent edge, for the completion derivative J at the point whose
+    inverse is U: J = J[r][:, r] on the representatives, J[kv] = M_p[kv], and
+    J is 0 on the other columns.  L = -1/2 B^-1 _pair(U, D, kv) by one
+    Cholesky factor C of B = _pair(U, D, D), else a DefinitenessError; warns
+    if cond(B) > COND_WARN, by bounds from C^-1 unless they straddle it."""
     p = index.p
-    on_k = index.k_mask.ravel(order="F")
-    kv, dv = np.flatnonzero(on_k), np.flatnonzero(~on_k)
+    kv = np.flatnonzero(index.k_mask.ravel(order="F"))
+    rep, r = np.concatenate([index.K, index.D]), np.empty(p * p, dtype=np.intp)
+    r[rep] = r[rep % p * p + rep // p] = np.arange(rep.size)  # (i, j) and (j, i)
     if index.q == 0:
-        return kv, dv, np.zeros((0, kv.size))
-    i, j = D = _rc(index.D, p)
+        return kv, r, np.zeros((0, kv.size))
+    D = _rc(index.D, p)
     B = _pair(U, D, D)
-    eigs = np.linalg.eigvalsh(B)
-    if not eigs[0] > 0:
-        raise DefinitenessError("constraint system is not positive definite")
-    if eigs[-1] / eigs[0] > COND_WARN:
+    try:
+        if not np.isfinite(B).all():
+            raise np.linalg.LinAlgError
+        Ci = _tril_inverse(np.linalg.cholesky(B))
+    except np.linalg.LinAlgError:
+        raise DefinitenessError("constraint system is not positive definite") from None
+    # lambda_max is in [max B_ii, |B|_1] and 1/lambda_min in [max (B^-1)_ii, tr B^-1], with
+    # B^-1 = C^-T C^-1; where these straddle COND_WARN (a margin of 2 for rounding), eigvalsh
+    inv = np.einsum("ij,ij->j", Ci, Ci)
+    lo, hi = B.diagonal().max() * inv.max(), np.abs(B).sum(axis=0).max() * inv.sum()
+    if lo <= 2.0 * COND_WARN and hi > 0.5 * COND_WARN:
+        eigs = np.linalg.eigvalsh(B)
+        lo = 4.0 * COND_WARN if eigs[-1] > COND_WARN * eigs[0] else 0.0
+    if lo > 2.0 * COND_WARN:
         warnings.warn("constraint system is ill-conditioned", RuntimeWarning)
-    X = np.linalg.solve(B, _pair(U, D, _rc(kv, p)))
-    slot = np.empty((p, p), dtype=int)
-    slot[i, j] = slot[j, i] = np.arange(len(i))
-    return kv, dv, -0.5 * X[slot[_rc(dv, p)]]
+    return kv, r, -0.5 * (Ci.T @ (Ci @ _pair(U, D, _rc(kv, p))))
 
 
-def _assemble(kv, dv, M, LM, L=None, scale=1.0, v=None, s2=0.0) -> np.ndarray:
-    """The p^2 x p^2 matrix with blocks M at (kv, kv), LM at (dv, kv), else 0;
-    given L, the symmetric scale [[M, LM^T], [LM, LM L^T]] + s2 v v^T, v in
-    vec order.  Filled in [kv, dv] order in place, then one gather."""
-    n, order = kv.size, np.concatenate([kv, dv])
-    W = np.zeros((order.size, order.size))
-    W[:n, :n], W[n:, :n] = M, LM
-    if L is not None:
-        W[:n, n:] = LM.T
-        np.matmul(LM, L.T, out=W[n:, n:])
-        W *= scale
-        W += np.outer(s2 * v[order], v[order])
-        W += W.T.copy()  # the bits of 0.5 (W + W^T), with one temporary
-        W *= 0.5
-    inv = np.argsort(order)
-    return W[np.ix_(inv, inv)]
+def _tril_inverse(C) -> np.ndarray:
+    """Lower-triangular C^-1 as [[A, 0], [E, F]]^-1 = [[A^-1, 0], [-F^-1 E A^-1, F^-1]]."""
+    if len(C) <= 64:
+        return np.linalg.inv(C)
+    h, out = len(C) // 2, np.zeros_like(C)
+    out[:h, :h], out[h:, h:] = _tril_inverse(C[:h, :h]), _tril_inverse(C[h:, h:])
+    out[h:, :h] = -out[h:, h:] @ C[h:, :h] @ out[:h, :h]
+    return out
 
 
 def constrain_jacobian(A, index: GraphIndex, tol: float = 1e-12) -> np.ndarray:
@@ -366,14 +366,16 @@ def constrain_jacobian(A, index: GraphIndex, tol: float = 1e-12) -> np.ndarray:
         M_p - M_p Q_D^T {Q_D M_p (U x U) Q_D^T}^{-1} Q_D (U x U) M_p,
 
     and reduces to M_p when the graph is complete.  The inner q x q system
-    is solved once; a DefinitenessError unless it is positive definite, a
+    is factored once; a DefinitenessError unless it is positive definite, a
     warning when it is ill-conditioned.
     """
     p = index.p
     # a complete graph needs no completion: the derivative is M_p
     U = spd_inverse(constrain_scatter(A, index, tol=tol).matrix) if index.q else None
-    kv, dv, L = _derivative_block(U, index)
-    return _assemble(kv, dv, _pair(np.eye(p), _rc(kv, p), _rc(kv, p)), L)
+    kv, r, L = _derivative_block(U, index)
+    K = _rc(index.K, p)
+    JK = np.vstack([_pair(np.eye(p), K, K), L[:, np.searchsorted(kv, index.K)]])
+    return np.hstack([JK, np.zeros((len(JK), index.q))]).take(r, axis=0).take(r, axis=1)
 
 
 def scatter_acov(V, scalars: AsymptoticScalars) -> np.ndarray:
@@ -401,26 +403,34 @@ def constrained_scatter_acov(V, index: GraphIndex, scalars: AsymptoticScalars,
     The result is 2 s1 J (V x V) J^T + s2 vec(V_G) vec(V_G)^T with J the
     completion derivative at V_G.  ``form`` selects V_G: "general" takes
     the completion of V; "reduced" takes V itself, valid when the inverse
-    of V already has the graph's zero pattern; "auto" picks "reduced"
-    exactly in that case.  With M = M_p(V x V) on the edge and diagonal
-    entries and L from ``_derivative_block``, J (V x V) J^T has the blocks
-    M, M L^T, L M and L M L^T, so every column stays tangent to the graph.
+    of V has the graph's zero pattern (absent-edge partial correlations
+    within 1e-10); "auto" picks "reduced" exactly then.  With M = M_p(V x V)
+    on the edges and diagonal and L from ``_derivative_block``, J (V x V) J^T
+    has the blocks M, M L^T, L M and L M L^T, each formed once per unordered
+    pair and gathered, so every column stays tangent to the graph.
     """
     V = check_spd(V)
     p = index.p
     scalars.check_bounds(p)
     if form not in ("auto", "general", "reduced"):
         raise PreconditionError(f"unknown form {form!r}")
-    pattern_ok = pattern_violation(V, index) <= 1e-10 * max(1.0, float(np.max(np.abs(V))))
+    if V.shape != (p, p):
+        raise DimensionError(f"graph has p={p} but V is {'x'.join(map(str, V.shape))}")
+    U = spd_inverse(V)
+    d = np.sqrt(np.diagonal(U))
+    pattern_ok = not (np.abs(U) > 1e-10 * np.outer(d, d))[index.d_mask].any()
     if form == "reduced" and not pattern_ok:
         raise PreconditionError("reduced form requires the inverse zero pattern to hold")
-    if form == "auto":
-        form = "reduced" if pattern_ok else "general"
-
-    VG = constrain_scatter(V, index, tol=1e-12).matrix if form == "general" else V
-    kv, dv, L = _derivative_block(spd_inverse(VG), index)
-    M = _pair(V, _rc(kv, p), _rc(kv, p))
-    return _assemble(kv, dv, M, L @ M, L, 2.0 * scalars.sigma1, vec(VG), scalars.sigma2)
+    general = form == "general" or form == "auto" and not pattern_ok
+    VG = constrain_scatter(V, index, tol=1e-12).matrix if general else V
+    kv, r, L = _derivative_block(spd_inverse(VG) if general else U, index)
+    k, M = np.searchsorted(kv, index.K), _pair(V, _rc(kv, p), _rc(kv, p))
+    LM = L @ M
+    v = vec(VG)[np.concatenate([index.K, index.D])]
+    C = 2.0 * scalars.sigma1 * np.block([[M[np.ix_(k, k)], LM[:, k].T], [LM[:, k], LM @ L.T]])
+    C += np.outer(scalars.sigma2 * v, v)
+    C = 0.5 * (C + C.T)
+    return C.take(r, axis=0).take(r, axis=1)
 
 
 def edge_basis_gram(V, index: GraphIndex) -> np.ndarray:

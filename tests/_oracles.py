@@ -4,9 +4,10 @@ Everything here deliberately avoids the code paths under test: the
 constrained completion is re-derived by generic numerical optimization,
 derivatives by central differences, distributional facts by Monte
 Carlo or classical closed forms, the fixed-point map in one pass over all
-rows, data files by a ``csv.reader`` scan, and the efficiency table one
-cell at a time on 2-D arrays.  The dense selection operators live here
-too, as no solver reads them.
+rows, data files by a ``csv.reader`` scan, the efficiency table one
+cell at a time on 2-D arrays, and the completion derivative and its
+covariance with every row and column filled from an LU solve.  The dense
+selection operators live here too, as no solver reads them.
 """
 
 import csv
@@ -311,3 +312,66 @@ def are_cell_oracle(p, c):
     asv_u = asv_oracle(S, None, 1.0, (1, 2))
     asv_c = asv_oracle(S, build_index(Graph.cycle(p)), 1.0, (1, 2))
     return AreResult(p, c, asv_u, asv_c, asv_u / asv_c)
+
+
+def _assemble_oracle(kv, dv, M, LM, L=None, scale=1.0, v=None, s2=0.0):
+    """The p^2 x p^2 matrix with blocks M at (kv, kv), LM at (dv, kv), else 0;
+    given L, the symmetric scale [[M, LM^T], [LM, LM L^T]] + s2 v v^T, v in
+    vec order: every row and column filled, in [kv, dv] order, then one
+    gather back to vec order."""
+    n, order = kv.size, np.concatenate([kv, dv])
+    W = np.zeros((order.size, order.size))
+    W[:n, :n], W[n:, :n] = M, LM
+    if L is not None:
+        W[:n, n:] = LM.T
+        np.matmul(LM, L.T, out=W[n:, n:])
+        W *= scale
+        W += np.outer(s2 * v[order], v[order])
+        W += W.T.copy()
+        W *= 0.5
+    inv = np.argsort(order)
+    return W[np.ix_(inv, inv)]
+
+
+def _derivative_block_oracle(U, index):
+    """Vec positions kv (edges and diagonal) and dv (absent edges), both
+    triangles, and L = J[dv, kv]: -1/2 B^-1 _pair(U, D, kv) by one LU solve
+    of B = _pair(U, D, D), repeated on the rows (i, j) and (j, i)."""
+    from egm.covsel import _pair, _rc
+
+    p = index.p
+    on_k = index.k_mask.ravel(order="F")
+    kv, dv = np.flatnonzero(on_k), np.flatnonzero(~on_k)
+    if index.q == 0:
+        return kv, dv, np.zeros((0, kv.size))
+    i, j = D = _rc(index.D, p)
+    X = np.linalg.solve(_pair(U, D, D), _pair(U, D, _rc(kv, p)))
+    slot = np.empty((p, p), dtype=int)
+    slot[i, j] = slot[j, i] = np.arange(len(i))
+    return kv, dv, -0.5 * X[slot[_rc(dv, p)]]
+
+
+def jacobian_oracle(A, index, tol=1e-12):
+    """``egm.covsel.constrain_jacobian`` with every row and column of the
+    p^2 x p^2 result computed, from an LU solve of the constraint system."""
+    from egm.covsel import _pair, _rc, constrain_scatter
+    from egm.linops import spd_inverse
+
+    p = index.p
+    U = spd_inverse(constrain_scatter(A, index, tol=tol).matrix) if index.q else None
+    kv, dv, L = _derivative_block_oracle(U, index)
+    return _assemble_oracle(kv, dv, _pair(np.eye(p), _rc(kv, p), _rc(kv, p)), L)
+
+
+def general_acov_oracle(V, index, scalars):
+    """``egm.covsel.constrained_scatter_acov(form="general")`` with every row
+    and column of the p^2 x p^2 result computed, from an LU solve of the
+    constraint system."""
+    from egm.covsel import _pair, _rc, constrain_scatter
+    from egm.linops import spd_inverse, vec
+
+    p = index.p
+    VG = constrain_scatter(V, index, tol=1e-12).matrix
+    kv, dv, L = _derivative_block_oracle(spd_inverse(VG), index)
+    M = _pair(V, _rc(kv, p), _rc(kv, p))
+    return _assemble_oracle(kv, dv, M, L @ M, L, 2.0 * scalars.sigma1, vec(VG), scalars.sigma2)

@@ -1,6 +1,7 @@
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +38,9 @@ from _oracles import (
     Q_D,
     Q_K,
     fd_directional,
+    general_acov_oracle,
     hg_optimization_oracle,
+    jacobian_oracle,
     rand_spd,
     random_graph,
     random_symmetric_direction,
@@ -407,6 +410,72 @@ class TestConstrainJacobian:
             _derivative_block(np.diag([1.0, -1.0, 1.0, 1.0]), CYCLE4)
 
 
+class TestConditionWarning:
+    """The constraint system's condition warning against its eigenvalues,
+    whether the bounds from its factor decide or straddle 1e12."""
+
+    # on the 4-cycle, U = diag(1, 1, c, 1) makes B = diag(c, 1) / 2 with bounds [c, c + 1];
+    # on 6 isolated nodes, U = diag(1, ..., 1, t) makes B = diag(1 (x10), t (x5)) / 2 with
+    # bounds [1/t, 10 + 5/t], which straddle 1e12 at 1/t = 3e11 and 1.5e12
+    CASES = {
+        "well": (4, Graph.cycle(4).edges, [1.0, 1.0, 1e9, 1.0], False, False),
+        "far above": (4, Graph.cycle(4).edges, [1.0, 1.0, 1e14, 1.0], True, False),
+        "just below": (4, Graph.cycle(4).edges, [1.0, 1.0, 0.99e12, 1.0], False, True),
+        "just above": (4, Graph.cycle(4).edges, [1.0, 1.0, 1.01e12, 1.0], True, True),
+        "loose below": (6, [], [1.0] * 5 + [1 / 3e11], False, True),
+        "loose above": (6, [], [1.0] * 5 + [1 / 1.5e12], True, True),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_warning_follows_the_eigenvalues(self, case, monkeypatch):
+        p, edges, u, warn, exact = self.CASES[case]
+        index, U = build_index(Graph.from_edges(p, edges)), np.diag(u)
+        eigs = np.linalg.eigvalsh(Q_D(index) @ symmetrization_matrix(p) @ kron(U, U) @ Q_D(index).T)
+        assert (eigs[-1] / eigs[0] > covsel.COND_WARN) == warn
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda B: calls.append(B) or eigvalsh(B))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            _derivative_block(U, index)
+        assert [str(w.message) for w in seen] == ["constraint system is ill-conditioned"] * warn
+        assert len(calls) == exact
+
+    def test_rotated_input_warns_like_its_eigenvalues(self):
+        index = build_index(Graph.cycle(6))
+        Q = np.linalg.qr(np.random.default_rng(6).standard_normal((6, 6)))[0]
+        for scale, warn in ((1e3, False), (1e12, False), (1e14, True)):
+            U = Q @ np.diag(np.geomspace(1.0, scale, 6)) @ Q.T
+            eigs = np.linalg.eigvalsh(Q_D(index) @ symmetrization_matrix(6) @ kron(U, U)
+                                      @ Q_D(index).T)
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                _derivative_block(U, index)
+            assert bool(seen) == (eigs[-1] / eigs[0] > covsel.COND_WARN) == warn
+
+    @pytest.mark.parametrize("U", [np.diag([1.0, -1.0, 1.0, 1.0]), np.diag([1.0, np.nan, 1.0, 1.0]),
+                                   np.diag([1.0, 1.0, np.inf, 1.0]), np.full((4, 4), -np.inf)])
+    def test_indefinite_or_non_finite_system_is_typed(self, U):
+        with pytest.raises(DefinitenessError, match="constraint system is not positive definite"):
+            _derivative_block(U, CYCLE4)
+
+
+class TestAssemblyOracle:
+    """J and the general-form covariance against the reference that fills
+    every row and column from an LU solve of the constraint system."""
+
+    @pytest.mark.parametrize("p", [5, 8, 12, 30])
+    def test_match_the_full_assembly(self, p):
+        local = np.random.default_rng(100 + p)
+        s = AsymptoticScalars(1.4, 0.2)
+        for graph in (Graph.cycle(p), random_graph(p, local, 0.3), random_graph(p, local, 0.7)):
+            index, V = build_index(graph), rand_spd(p, local)
+            J, W = constrain_jacobian(V, index), constrained_scatter_acov(V, index, s, form="general")
+            J_ref, W_ref = jacobian_oracle(V, index), general_acov_oracle(V, index, s)
+            assert np.max(np.abs(J - J_ref)) <= 1e-15 * np.max(np.abs(J_ref))
+            assert np.max(np.abs(W - W_ref)) <= 1e-15 * np.max(np.abs(W_ref))
+            assert np.array_equal(W, W.T)
+
+
 class TestDenseReference:
     """The assembled derivative and general-form covariance against their
     dense Kronecker formulas."""
@@ -510,6 +579,19 @@ class TestConstrainedScatterAcov:
                                      AsymptoticScalars(1.0, 0.2))
         assert np.allclose(W, W.T, atol=1e-12)
         assert np.linalg.eigvalsh(W).min() >= -1e-10
+
+    @pytest.mark.parametrize("a", [1e-6, 1e-3, 1.0, 1e3, 1e5, 1e6])
+    def test_pattern_test_is_scale_free(self, a):
+        # the absent-edge partial correlations of V^-1 decide, whatever the scale of V
+        idx, s = build_index(Graph.cycle(5)), AsymptoticScalars(1.0, 0.2)
+        V = a * rand_spd(5, np.random.default_rng(1))
+        assert np.array_equal(constrained_scatter_acov(V, idx, s),
+                              constrained_scatter_acov(V, idx, s, form="general"))
+        with pytest.raises(PreconditionError, match="reduced form"):
+            constrained_scatter_acov(V, idx, s, form="reduced")
+        VG = constrain_scatter(V, idx, tol=1e-12 / a).matrix
+        assert np.array_equal(constrained_scatter_acov(VG, idx, s),
+                              constrained_scatter_acov(VG, idx, s, form="reduced"))
 
     def test_matches_monte_carlo_gaussian_cycle(self):
         # MC covariance of sqrt(n) vec(completion(cov_hat) - S) on the 4-cycle.
