@@ -11,10 +11,9 @@ It runs on (R, p, p) stacks, with one graph for the stack or one per
 slice, so M-estimation, the search, the deviance and the studies
 complete many matrices per LAPACK call; each slice stops when it would
 stop alone, and a single completion is a stack of one.  A slice that
-runs out of steps gets its own ConvergenceError while the others go on;
-any other failure, such as a non-SPD input (DefinitenessError) or a lost
-definiteness on the way (ConvergenceError), raises for the whole stack,
-with the error the failing slice raises alone.
+runs out of steps or loses definiteness on the way gets its own
+ConvergenceError, the one it raises alone, while the others go on; only a
+non-SPD input (DefinitenessError) raises for the whole stack.
 
 The analytic derivative of that map and the asymptotic covariances built
 from it are dense p^2 x p^2 (resp. (m-q) x (m-q)) matrices, assembled from
@@ -30,7 +29,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DefinitenessError, DimensionError, PreconditionError, _results
 from .graphs import GraphIndex
-from .linops import _cholesky_logdet, check_spd, spd_inverse, vec
+from .linops import _cholesky_logdet, _per_slice, check_spd, spd_inverse, vec
 
 __all__ = [
     "AsymptoticScalars",
@@ -159,8 +158,8 @@ def _complete(A, k_mask, tol: float, max_iter: int = _MAX_STEPS, start=None) -> 
     """:func:`constrain_scatter` on each slice of an (R, p, p) stack, with its
     checks, warning and early exits, under ``k_mask``: one (p, p) graph or
     one per slice, and from a ``start`` stack (see :func:`_newton`).  One
-    ConstrainedFit, or the ConvergenceError of a slice that runs out of
-    steps, per slice; one kernel call serves the stack."""
+    ConstrainedFit, or the ConvergenceError of a slice that runs out of steps
+    or loses definiteness, per slice; one kernel call serves the stack."""
     _check_budget(tol, max_iter, "step")
     if A.shape[1:] != k_mask.shape[-2:]:
         raise PreconditionError(f"matrix is {A.shape[1:]} but the graph has p={k_mask.shape[-1]}")
@@ -179,15 +178,14 @@ def _complete(A, k_mask, tol: float, max_iter: int = _MAX_STEPS, start=None) -> 
            if done[i] else None for i in range(len(A))]
     todo = np.flatnonzero(~done)
     if todo.size:
-        try:
-            W, history, errors = _newton(A[todo], k_mask[todo], tol, max_iter,
-                                         None if start is None else start[todo])
-        except (np.linalg.LinAlgError, DefinitenessError) as exc:
-            # the input was SPD: the steps failed, not the caller
-            raise ConvergenceError(
-                f"constrained completion lost positive definiteness: {exc}") from exc
+        W, history, errors = _newton(A[todo], k_mask[todo], tol, max_iter,
+                                     None if start is None else start[todo])
         for i, t in enumerate(todo):
-            out[t] = errors.get(i) or ConstrainedFit(
+            exc = errors.get(i)
+            if isinstance(exc, (DefinitenessError, np.linalg.LinAlgError)):  # the steps failed
+                exc = ConvergenceError(f"constrained completion lost positive definiteness: {exc}")
+                exc.__cause__ = errors[i]
+            out[t] = exc or ConstrainedFit(
                 W[i], len(history[i]) - 1, history[i][-1], history[i], bool(cond[t]))
     return out
 
@@ -202,12 +200,13 @@ def _newton(A, k_mask, tol, max_iter: int = _MAX_STEPS, start=None):
     T = 0 or A, H = _pair(M^-1, F, F), w = 1/2 off the diagonal and 1 on
     it, and t = 1 where lambda^2 = g H^-1 g <= 1/16 or the full step keeps
     a factor and does not lower log det M - tr(TM), else 1/(1 + lambda).
-    M starts at A or diag(A)^-1, or at ``start`` or its inverse on F where
-    that has a factor and a higher objective.  A slice stops once its
-    residual and last step (at first, the proposed one) are within tol, or
-    its residual is and rounding stops lambda.  Returns W, the residual
-    histories (the start's, then one per step) and {slice: ConvergenceError}
-    for those out of steps.  A lost definiteness, or a stalled step, raises."""
+    M starts at A or diag(A)^-1, or at ``start`` or its inverse (I without
+    one) on F where that has a factor and a higher objective.  A slice stops
+    once its residual and last step (at first, the proposed one) are within
+    tol, or its residual is and rounding stops lambda.  Returns W, the
+    residual histories (the start's, then one per step) and {slice: error}: a
+    ConvergenceError out of steps, a DefinitenessError for an M without a
+    factor or a stalled step, or the LinAlgError of a singular H."""
     _check_budget(tol, max_iter, "step")
     R, p = A.shape[:2]
     tols = np.broadcast_to(np.asarray(tol, dtype=float), (R,))
@@ -232,7 +231,11 @@ def _newton(A, k_mask, tol, max_iter: int = _MAX_STEPS, start=None):
             n, d = max(1, 2 ** 18 // max(f, 1) ** 2), []
             for c in range(0, len(g), n):
                 Fc = [x[c:c + n] for x in F]
-                d.append(np.linalg.solve(_pair(Minv[c:c + n], Fc, Fc), g[c:c + n, :, None])[..., 0])
+                sol, singular = _per_slice(np.linalg.solve, _pair(Minv[c:c + n], Fc, Fc),
+                                           g[c:c + n, :, None])
+                d.append(sol[..., 0])
+                if singular:
+                    bad.update((c + i, exc) for i, exc in singular.items())
             return np.concatenate(d)
         u = np.diagonal(Minv, axis1=1, axis2=2)[..., None]
         pre = 2.0 / at_F(u * u.transpose(0, 2, 1) + Minv ** 2)
@@ -256,12 +259,14 @@ def _newton(A, k_mask, tol, max_iter: int = _MAX_STEPS, start=None):
         T, w = at_F(a) if side else np.zeros(F[0].shape), np.where(F[0] == F[1], 1.0, 0.5)
         M = np.eye(p) / np.diagonal(a, axis1=1, axis2=2)[:, None, :] if side else a.copy()
         if start is not None:
-            warm = on_F(M.copy(), at_F(spd_inverse(start[live]) if side else start[live]))
+            K = _per_slice(spd_inverse, start[live])[0] if side else start[live]
+            warm = on_F(M.copy(), at_F(K))
             ok = (_cholesky_logdet(warm) - _cholesky_logdet(M)
                   - (T * (at_F(warm) - at_F(M)) / w).sum(axis=1) >= 0.0)
             M[ok] = warm[ok]
+        stalled = np.zeros(len(live), dtype=bool)  # the last step left M as it was
         for step in range(max_iter + 1):
-            Minv = spd_inverse(M)
+            Minv, bad = _per_slice(spd_inverse, M)
             g = at_F(Minv) - T
             d = direction(Minv, g, np.minimum(0.1, prev))
             lam = np.sqrt(np.maximum((g * d).sum(axis=1), 0.0))
@@ -278,8 +283,14 @@ def _newton(A, k_mask, tol, max_iter: int = _MAX_STEPS, start=None):
                 errors[r] = ConvergenceError(
                     f"constrained completion did not reach tol={float(tols[r])} in {max_iter} "
                     f"steps (last residual {history[r][-1]:.3e})", residual=history[r][-1])
-            done = conv | (step == max_iter)
+            done = conv | stalled | (step == max_iter)
+            for i, exc in bad.items():  # M without a factor, or a singular Newton system
+                errors[live[i]] = exc
+                done[i] = True
             if done.any():
+                for r in live[stalled]:
+                    errors[r] = DefinitenessError(
+                        "a Newton step stalled at the edge of definiteness")
                 W[live[done]] = Wk[done]
                 live, tol, res, lam, M, T, w, d, dM, *F = (
                     x[~done] for x in (live, tol, res, lam, M, T, w, d, dM, *F))
@@ -292,8 +303,7 @@ def _newton(A, k_mask, tol, max_iter: int = _MAX_STEPS, start=None):
                 t[b] = np.where(gain >= 0.0, 1.0, 1.0 / (1.0 + lam[b]))
             trial = M + t[:, None, None] * dM
             last = trial - M
-            if (~last.any(axis=(1, 2)) & (res > tol)).any():  # the next would repeat it
-                raise DefinitenessError("a Newton step stalled at the edge of definiteness")
+            stalled = (res > tol) & ~last.any(axis=(1, 2))
             M = trial
     return W, history, errors
 
@@ -330,12 +340,10 @@ def _derivative_block(U, index: GraphIndex):
         return kv, r, np.zeros((0, kv.size))
     D = _rc(index.D, p)
     B = _pair(U, D, D)
-    try:
-        if not np.isfinite(B).all():
-            raise np.linalg.LinAlgError
-        Ci = _tril_inverse(np.linalg.cholesky(B))
-    except np.linalg.LinAlgError:
-        raise DefinitenessError("constraint system is not positive definite") from None
+    C, bad = _per_slice(np.linalg.cholesky, B[None])
+    if bad or not np.isfinite(C).all():
+        raise DefinitenessError("constraint system is not positive definite")
+    Ci = _tril_inverse(C[0])
     # lambda_max is in [max B_ii, |B|_1] and 1/lambda_min in [max (B^-1)_ii, tr B^-1], with
     # B^-1 = C^-T C^-1; where these straddle COND_WARN (a margin of 2 for rounding), eigvalsh
     inv = np.einsum("ij,ij->j", Ci, Ci)

@@ -103,7 +103,7 @@ def deviance(S_hat, index0: GraphIndex, index1: GraphIndex, n: int,
         raise PreconditionError(f"sample size n must be an integer >= 1, got {n!r}")
     from scipy.special import chdtrc
     S_hat = check_spd(S_hat)
-    stat, = _deviance_stack(S_hat[None], index0, index1, n, sigma1)
+    stat, = _results(_deviance_stack(S_hat[None], index0, index1, n, sigma1))
     df = index0.q - index1.q
     return DevianceReport(stat, df, sigma1, float(chdtrc(df, stat)), n)
 
@@ -121,14 +121,17 @@ def _check_nesting(index0: GraphIndex, index1: GraphIndex, sigma1: float) -> Non
 
 
 def _deviance_stack(S, index0: GraphIndex, index1: GraphIndex, n: int, sigma1: float) -> list:
-    """The clamped deviance statistic of each slice of an (R, p, p) stack of
-    scatter estimates, for graphs already checked to be properly nested;
-    raises what :func:`deviance` raises for the first slice that fails.
+    """Per slice of an (R, p, p) stack of scatter estimates, for graphs
+    already checked to be properly nested: the clamped deviance statistic,
+    or the ConvergenceError that :func:`deviance` raises for that slice.
     One completion call serves both graphs."""
     masks = np.repeat(np.array([index0.k_mask, index1.k_mask]), len(S), axis=0)
-    fits = _results(_complete(np.concatenate([S, S]), masks, _COMPLETION_TOL))
-    ld = _logdet(np.array([f.matrix for f in fits])).reshape(2, -1)
-    return [max(0.0, n * (float(a) - float(b)) / sigma1) for a, b in zip(*ld)]
+    fits = _complete(np.concatenate([S, S]), masks, _COMPLETION_TOL)
+    eye = np.eye(S.shape[-1])  # holds the place of a failed completion
+    ld = _logdet(np.array([getattr(f, "matrix", eye) for f in fits])).reshape(2, -1)
+    return [a if isinstance(a, Exception) else b if isinstance(b, Exception)
+            else max(0.0, n * (float(x) - float(y)) / sigma1)
+            for a, b, x, y in zip(fits[:len(S)], fits[len(S):], *ld)]
 
 
 def resolve_sigma1(spec: EstimatorSpec, p: int, sigma1, family) -> float:
@@ -181,7 +184,9 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
 
     Returns the final graph and a per-step audit trail.  A ConvergenceError
     carries the steps completed so far as ``steps`` and the graph they
-    reached as ``graph``.
+    reached as ``graph``.  A candidate completion that runs out of steps or
+    loses positive definiteness fails the search "while testing removal of
+    edge (a, b)".
     """
     if not 0.0 <= alpha <= 1.0:
         raise PreconditionError(f"alpha must be in [0, 1], got {alpha}")

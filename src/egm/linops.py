@@ -9,9 +9,10 @@ j * p + i of vec(A).
 
 The checks and :func:`spd_inverse` also take (R, p, p) stacks.  numpy's
 stacked factorizations call the same LAPACK routine per slice as the 2-D
-call, so a slice of a stacked result has the bits of the 2-D result.  A
-stack fails as a whole: if one slice fails a check or a factorization,
-the call raises the error that slice raises alone.
+call, so a slice of a stacked result has the bits of the 2-D result.  The
+public checks fail as a whole: if one slice fails a check or a
+factorization, the call raises the error that slice raises alone.  The
+solvers' private :func:`_per_slice` gives each slice its own error instead.
 """
 
 from __future__ import annotations
@@ -83,13 +84,32 @@ def spd_inverse(A) -> np.ndarray:
     return 0.5 * (out + out.mT)
 
 
+def _per_slice(fn, A, *rest):
+    """``fn(A, *rest)`` on (R, ...) stacks, and {slice: the error it raises
+    alone}.  Only if the stacked call raises (a LinAlgError or a
+    DefinitenessError) is each slice called alone, as a stack of one, with
+    I in place of its A where that raises."""
+    try:
+        return fn(A, *rest), {}
+    except (np.linalg.LinAlgError, DefinitenessError):  # raised for the whole stack, so split it
+        out, errors = [], {}
+    for i in range(len(A)):
+        one = [x[i:i + 1] for x in rest]
+        try:
+            out.append(fn(A[i:i + 1], *one))
+        except (np.linalg.LinAlgError, DefinitenessError) as exc:
+            out.append(fn(np.eye(A.shape[-1])[None], *one))
+            errors[i] = exc
+    return np.concatenate(out), errors
+
+
 def _cholesky_logdet(S) -> np.ndarray:
     """Per slice of a stack: log det by its Cholesky factor, nan without one."""
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:  # raised for the whole stack, so split it
-        return np.array([_cholesky_logdet(s[None])[0] if len(S) > 1 else np.nan for s in S])
-    return 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+    L, errors = _per_slice(np.linalg.cholesky, S)
+    logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+    if errors:
+        logdet[list(errors)] = np.nan
+    return logdet
 
 
 def _has_cholesky(S) -> np.ndarray:

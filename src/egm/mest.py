@@ -40,7 +40,7 @@ adaptive quadrature.  Distribution functions come from ``scipy.special``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add
 from typing import Callable, Optional
@@ -50,7 +50,6 @@ import numpy as np
 from .covsel import AsymptoticScalars, _check_budget, _complete, _newton
 from .errors import (
     ConvergenceError,
-    DefinitenessError,
     DegenerateDataError,
     DimensionError,
     PreconditionError,
@@ -58,7 +57,7 @@ from .errors import (
     _results,
 )
 from .graphs import GraphIndex
-from .linops import _has_cholesky
+from .linops import _has_cholesky, _per_slice
 
 __all__ = [
     "EstimatorSpec",
@@ -319,7 +318,7 @@ def _groups(R: int, n: int) -> list:
     return [slice(t, t + g) for t in range(0, R, g)]
 
 
-def _reweight(X, mu, S, spec, center=None, live=None, step=False):
+def _reweight(X, mu, S, spec, center=None, live=None, step=False, errors=None):
     """The fixed-point map at (mu, S), per slice of the stacks X[live]
     (R, n, p), mu (R, p) and S (R, p, p), X[live] never copied whole: the
     u1-weighted mean and the u2-weighted scatter about ``center``, by
@@ -334,13 +333,16 @@ def _reweight(X, mu, S, spec, center=None, live=None, step=False):
 
     With ``step``, each slice is mapped at (mu, S / s) instead, and the
     factors (s, omega, omega1) of :func:`_factors`, from its radii at
-    (mu, S), are returned as a third array (3, R).
+    (mu, S), are returned as a third array (3, R).  ``errors`` maps the data
+    set of a slice without a Cholesky factor, mapped at I, to its LinAlgError.
     """
     n, p = X.shape[1:]
     live = np.arange(len(X)) if live is None else live
     blocks = [slice(a, a + _BLOCK) for a in range(0, n, _BLOCK)]
     # inverting the p x p factor once beats a general solve for n columns
-    L_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (S + S.mT)))
+    L, lost = _per_slice(np.linalg.cholesky, 0.5 * (S + S.mT))
+    ({} if errors is None else errors).update((live[i], exc) for i, exc in lost.items())
+    L_inv = np.linalg.inv(L)
     mu_new, scatter, factors = np.empty_like(mu), np.empty_like(S), np.ones((3, len(live)))
     for G in _groups(len(live), n):
         # a run of consecutive slices is a view, any other tile a copy
@@ -405,10 +407,11 @@ def _factors(radii, spec: EstimatorSpec, p: int) -> np.ndarray:
                      *np.where(np.isfinite(w) & (w > 0.0), w, 1.0)])
 
 
-def _residual(X, mu, S, spec, index: Optional[GraphIndex] = None, live=None) -> np.ndarray:
+def _residual(X, mu, S, spec, index: Optional[GraphIndex] = None, live=None, errors=None):
     """Max-abs residual of the estimating equations, per slice of X[live];
-    under ``index`` on edges and the diagonal, and |S^-1| on absent edges."""
-    mu_fix, W = _reweight(X, mu, S, spec, center=mu, live=live)
+    under ``index`` on edges and the diagonal, and |S^-1| on absent edges.
+    ``errors`` collects the slices without a factor (:func:`_reweight`)."""
+    mu_fix, W = _reweight(X, mu, S, spec, center=mu, live=live, errors=errors)
     scale = np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
     gap = np.abs(S - W).reshape(len(S), -1) if index is None else np.abs((S - W)[:, index.k_mask])
     res = np.maximum(np.max(np.abs(mu_fix - mu), axis=1), np.max(gap, axis=1) / scale)
@@ -426,13 +429,12 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
     A plain fit starts at the sample mean and covariance.  A graphical fit
     starts at the slice's plug-in estimate (:func:`_plug_in`), one outcome
     per slice in ``start`` or else computed here; a slice whose plug-in
-    failed fails with the plug-in's error, before any map evaluation, and a
-    plug-in that raises raises here.  Each evaluation maps (mu, S) at
-    (mu, S/s) to F and moves to mu + omega1 (F_mu - mu) and
-    S/s + omega (F_S - S/s) (:func:`_factors`), or to F for Gaussian
-    weights and where that S has no Cholesky factor: so a solve whose every
-    relaxation is rejected is the plain iteration with the scale step, bit
-    for bit.  Under a graph the scatter is then completed
+    failed fails with the plug-in's error, before any map evaluation.  Each
+    evaluation maps (mu, S) at (mu, S/s) to F and moves to mu + omega1
+    (F_mu - mu) and S/s + omega (F_S - S/s) (:func:`_factors`), or to F for
+    Gaussian weights and where that S has no Cholesky factor: so a solve
+    whose every relaxation is rejected is the plain iteration with the
+    scale step, bit for bit.  Under a graph the scatter is then completed
     (:func:`egm.covsel._newton`) from the previous completion, the
     plug-in's at first, to an inner tolerance that follows the outer
     progress down to tol/100.  An iterate converges once its change,
@@ -441,11 +443,10 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
     start, whose first steps are already small, the change must be within
     ``tol``/10, its location part taken relative to max(1, max|mu|) of the
     plug-in so that it stays above rounding.  A slice leaves the stack once
-    it converges or runs out of budget (``max_iter`` map evaluations, or
-    the steps of a completion), so it takes exactly the evaluations it
-    would take alone.  Returns one FitResult, or the ConvergenceError of an
-    exhausted budget, per slice.  Any other failure raises for the whole
-    stack, a lost definiteness as a ConvergenceError naming the evaluation.
+    it converges, runs out of budget (``max_iter`` map evaluations, or the
+    steps of a completion) or loses definiteness, in the map or a
+    completion, so it takes exactly the evaluations it would take alone.
+    Returns one FitResult or ConvergenceError per slice.
     """
     _check_budget(tol, max_iter, "iteration")
     R, n, p = X.shape
@@ -470,51 +471,65 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
         # the location change is relative to the plug-in's location, so
         # that the tighter stop stays above rounding
         unit = np.maximum(1.0, np.max(np.abs(mu), axis=1))
-    try:
-        change = np.full(len(live), np.inf)
-        step = spec.name != "gaussian"  # constant weights: F is the fixed point
-        while True:
-            # the slices with an outcome leave; the data stack is never copied
-            keep = np.array([out[r] is None for r in live], dtype=bool)
-            if not keep.all():
-                live, mu, S, change, unit = (a[keep] for a in (live, mu, S, change, unit))
-                W = None if W is None else W[keep]
-            if not live.size or it == max_iter:
-                break
-            it += 1
-            if step:
-                mu_F, S_F, (s, omega, omega1) = _reweight(X, mu, S, spec, live=live, step=True)
-                S_s = S / s[:, None, None]
-                S_new = S_s + omega[:, None, None] * (S_F - S_s)
-                ok = _has_cholesky(S_new)
-                mu_new = np.where(ok[:, None], mu + omega1[:, None] * (mu_F - mu), mu_F)
-                S_new = np.where(ok[:, None, None], S_new, S_F)
-                factor = np.where(ok, np.maximum(omega, omega1), 1.0)
-            else:
-                (mu_new, S_new), factor = _reweight(X, mu, S, spec, live=live), 1.0
-            if index is not None:
-                inner_tol = np.minimum(np.maximum(1e-2 * change, 1e-2 * tol), 1e-2)
-                W, _, failed = _newton(S_new, index.k_mask, inner_tol, start=W)
-                S_new = W
-                for i, exc in failed.items():
-                    out[live[i]] = exc
-            scale = np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
-            change = np.maximum(np.max(np.abs(mu_new - mu), axis=1) / unit,
-                                np.max(np.abs(S_new - S), axis=(1, 2)) / scale) / factor
-            mu, S = mu_new, S_new
-            conv = [i for i in np.flatnonzero(change <= stop) if out[live[i]] is None]
-            if conv:
-                c = slice(None) if len(conv) == len(live) else conv
-                for i, r in zip(conv, _residual(X, mu[c], S[c], spec, index, live[c])):
-                    if r <= tol:
-                        out[live[i]] = FitResult(mu[i].copy(), S[i].copy(), it, True, float(r))
-        if live.size:
-            for r, res in zip(live, _residual(X, mu, S, spec, index, live)):
+    lost = {}  # data set: the LinAlgError of a scatter without a factor
+
+    def fail(errors):
+        # a data set's first failure is its outcome, a lost factor named by its evaluation
+        for r, exc in errors.items():
+            if out[r] is None and not isinstance(exc, ConvergenceError):
+                out[r] = ConvergenceError(f"{what} lost positive definiteness at iteration {it}: "
+                                          f"{exc}")
+                out[r].__cause__ = exc
+            elif out[r] is None:
+                out[r] = exc
+
+    change = np.full(len(live), np.inf)
+    step = spec.name != "gaussian"  # constant weights: F is the fixed point
+    while True:
+        # the slices with an outcome leave; the data stack is never copied
+        keep = np.array([out[r] is None for r in live], dtype=bool)
+        if not keep.all():
+            live, mu, S, change, unit = (a[keep] for a in (live, mu, S, change, unit))
+            W = None if W is None else W[keep]
+        if not live.size or it == max_iter:
+            break
+        it += 1
+        if step:
+            mu_F, S_F, (s, omega, omega1) = _reweight(X, mu, S, spec, live=live, step=True,
+                                                      errors=lost)
+            S_s = S / s[:, None, None]
+            S_new = S_s + omega[:, None, None] * (S_F - S_s)
+            ok = _has_cholesky(S_new)
+            mu_new = np.where(ok[:, None], mu + omega1[:, None] * (mu_F - mu), mu_F)
+            S_new = np.where(ok[:, None, None], S_new, S_F)
+            factor = np.where(ok, np.maximum(omega, omega1), 1.0)
+        else:
+            (mu_new, S_new), factor = _reweight(X, mu, S, spec, live=live, errors=lost), 1.0
+        fail(lost)
+        if index is not None:
+            inner_tol = np.minimum(np.maximum(1e-2 * change, 1e-2 * tol), 1e-2)
+            W, _, failed = _newton(S_new, index.k_mask, inner_tol, start=W)
+            S_new = W
+            fail({live[i]: exc for i, exc in failed.items()})
+        scale = np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
+        change = np.maximum(np.max(np.abs(mu_new - mu), axis=1) / unit,
+                            np.max(np.abs(S_new - S), axis=(1, 2)) / scale) / factor
+        mu, S = mu_new, S_new
+        conv = [i for i in np.flatnonzero(change <= stop) if out[live[i]] is None]
+        if conv:
+            c = slice(None) if len(conv) == len(live) else conv
+            res = _residual(X, mu[c], S[c], spec, index, live[c], lost)
+            fail(lost)
+            for i, r in zip(conv, res):
+                if r <= tol and out[live[i]] is None:
+                    out[live[i]] = FitResult(mu[i].copy(), S[i].copy(), it, True, float(r))
+    if live.size:
+        res = _residual(X, mu, S, spec, index, live, lost)
+        fail(lost)
+        for r, x in zip(live, res):
+            if out[r] is None:
                 out[r] = ConvergenceError(f"{what} did not converge in {max_iter} iterations "
-                                          f"(residual {res:.3e})", residual=float(res))
-    except (np.linalg.LinAlgError, DefinitenessError) as exc:
-        raise ConvergenceError(
-            f"{what} lost positive definiteness at iteration {it}: {exc}") from exc
+                                          f"(residual {x:.3e})", residual=float(x))
     return out
 
 
@@ -530,16 +545,14 @@ def _plug_in(X, spec: EstimatorSpec, tol: float, max_iter: int, k_mask,
     """The plug-in estimate on each slice of an (R, n, p) stack of validated
     data sets: the unconstrained fit, its scatter completed under
     ``k_mask`` to ``completion_tol``.  One FitResult, or the
-    ConvergenceError of the fit or of the completion that ran out of
-    budget, per slice; any other failure raises for the whole stack."""
+    ConvergenceError of the fit or of the completion that failed, per
+    slice."""
     out = _solve(X, spec, tol, max_iter)
     ok = [i for i, f in enumerate(out) if isinstance(f, FitResult)]
     if ok:
         completed = _complete(np.array([out[i].scatter for i in ok]), k_mask, completion_tol)
         for i, c in zip(ok, completed):
-            f = out[i]
-            out[i] = c if isinstance(c, ConvergenceError) else FitResult(
-                f.mu, c.matrix, f.iterations, f.converged, f.residual)
+            out[i] = c if isinstance(c, ConvergenceError) else replace(out[i], scatter=c.matrix)
     return out
 
 
@@ -636,11 +649,10 @@ def _plug_in_and_graphical(X, index: GraphIndex, spec: EstimatorSpec, tol: float
     slice of an (R, n, p) stack of validated data sets, sharing one
     unconstrained fit: the graphical fits start at the plug-ins.  Per
     slice the pair of FitResults, or the error of the first of the two to
-    fail; any other failure raises for the whole stack."""
+    fail (a failed plug-in is also the graphical fit's error)."""
     plugs = _plug_in(X, spec, tol, max_iter, index.k_mask)
     fits = _solve(X, spec, tol, max_iter, index, plugs)
-    return [plug if isinstance(plug, Exception) else fit if isinstance(fit, Exception)
-            else (plug, fit) for plug, fit in zip(plugs, fits)]
+    return [fit if isinstance(fit, Exception) else (plug, fit) for plug, fit in zip(plugs, fits)]
 
 
 def sample_cov_scalars(kappa: float, p: Optional[int] = None) -> AsymptoticScalars:

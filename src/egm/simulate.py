@@ -9,13 +9,12 @@ same seed.
 The studies fit their replicates in chunks of up to ``_CHUNK`` = 128,
 each an (R, n, p) stack that one solver call advances together, tile by
 tile of the map, while every replicate stops exactly when it would stop
-alone.  A replicate that runs out of iterations or steps fails on its
-own; any other failure raises for the whole stack, and then the chunk
-reruns replicate by replicate, each a stack of one, which is the serial
-call.  A replicate's result therefore depends on neither the chunk size
-nor the other replicates in its chunk: it equals, bit for bit, the public
-serial calls on ``sample(model, n, [seed, r])``, and so does the reason
-it failed.
+alone.  A replicate that runs out of iterations or steps, or loses
+positive definiteness, fails on its own, with the error of its serial
+call, while the others go on.  A replicate's result therefore depends on
+neither the chunk size nor the other replicates in its chunk: it equals,
+bit for bit, the public serial calls on ``sample(model, n, [seed, r])``,
+and so does the reason it failed.
 """
 
 from __future__ import annotations
@@ -24,13 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covsel import pattern_violation
-from .errors import (
-    ConvergenceError,
-    DefinitenessError,
-    DimensionError,
-    PreconditionError,
-    _results,
-)
+from .errors import ConvergenceError, DimensionError, PreconditionError
 from .graphs import GraphIndex
 from .inference import _check_nesting, _deviance_stack
 from .linops import check_spd
@@ -61,11 +54,6 @@ FAILURE_CAP = 0.02
 
 # replicates fitted together as one stack; results do not depend on it
 _CHUNK = 128
-
-# what the kernel can raise for one replicate's data; anything else is a
-# bug and propagates
-_REPLICATE_ERRORS = (ConvergenceError, np.linalg.LinAlgError, DefinitenessError,
-                     DimensionError, PreconditionError)
 
 
 @dataclass(frozen=True)
@@ -105,15 +93,7 @@ class StudyReport:
     failure_log: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "replicates": self.replicates,
-            "metrics": self.metrics,
-            "summary": self.summary,
-            "failures": self.failures,
-            "failure_log": [[r, reason] for r, reason in self.failure_log],
-        }
+        return {**vars(self), "failure_log": [[r, reason] for r, reason in self.failure_log]}
 
     def csv_rows(self) -> list:
         """Per-replicate metrics flattened to (metric, group, replicate, value)."""
@@ -207,31 +187,11 @@ def _checked(X) -> np.ndarray:
     return X
 
 
-def _run_chunk(kernel, X) -> list:
-    """``kernel`` on the (R, n, p) stack X of a chunk: one outcome, a result or
-    an exception, per replicate.  If the stacked call raises, each replicate
-    reruns alone as a stack of one, and its outcome is what that raises."""
-    try:
-        return kernel(X)
-    except _REPLICATE_ERRORS:
-        pass
-    out = []
-    for x in X:
-        try:
-            out += kernel(x[None])
-        except _REPLICATE_ERRORS as exc:
-            out.append(exc)
-    return out
-
-
 def _record(r: int, outcome, failures: list, label: str = "") -> bool:
-    """True if the outcome is a result; a failed fit goes to ``failures``
-    and any other exception is raised, as in a serial loop over replicates."""
-    if isinstance(outcome, (ConvergenceError, np.linalg.LinAlgError)):
+    """True if the outcome is a result; a failed fit goes to ``failures``."""
+    if isinstance(outcome, ConvergenceError):
         failures.append((r, f"{label}{outcome}"))
-        return False
-    _results([outcome])
-    return True
+    return not isinstance(outcome, ConvergenceError)
 
 
 def _check_failure_cap(failures: list, total: int) -> None:
@@ -271,8 +231,8 @@ def equivalence_study(index: GraphIndex, model: EllipticalModel,
     failures = []
     for rs in chunks:
         X_full = _data(model, n_grid[-1], seed, rs, root)
-        by_n = [_run_chunk(lambda X: _plug_in_and_graphical(X, index, spec, tol, _MAX_ITER),
-                           _checked(np.ascontiguousarray(X_full[:, :n])))
+        by_n = [_plug_in_and_graphical(_checked(np.ascontiguousarray(X_full[:, :n])),
+                                       index, spec, tol, _MAX_ITER)
                 for n in n_grid]
         for i, r in enumerate(rs):
             for n, fits in zip(n_grid, by_n):
@@ -316,21 +276,15 @@ def deviance_null_study(index0: GraphIndex, index1: GraphIndex,
     scalars = scalars_for(spec, model.family, model.p)
     _check_nesting(index0, index1, scalars.sigma1)
     root = shape_sqrt(model.S)
-    stats = []
-    failures = []
-
-    def fit_and_test(X):
-        out = _solve(X, spec, tol, _MAX_ITER)
+    stats, failures = [], []
+    for rs in chunks:
+        out = _solve(_data(model, n, seed, rs, root), spec, tol, _MAX_ITER)
         ok = [i for i, f in enumerate(out) if isinstance(f, FitResult)]
         if ok:
             S = np.array([out[i].scatter for i in ok])
             for i, stat in zip(ok, _deviance_stack(S, index0, index1, n, scalars.sigma1)):
                 out[i] = stat
-        return out
-
-    for rs in chunks:
-        outcome = _run_chunk(fit_and_test, _data(model, n, seed, rs, root))
-        stats += [o for r, o in zip(rs, outcome) if _record(r, o, failures)]
+        stats += [o for r, o in zip(rs, out) if _record(r, o, failures)]
     _check_failure_cap(failures, replicates)
     from scipy.special import gammaincinv
     df = index0.q - index1.q

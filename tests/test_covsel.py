@@ -188,6 +188,39 @@ class TestStackedCompletion:
             assert fit.residual_history == alone.residual_history
         assert fit.iterations == 0
 
+    @staticmethod
+    def ill_conditioned(seed):
+        # Q diag(10^u) Q^T, u uniform on (-17, 0): at seeds 2231 and 3846 the 5-cycle
+        # completion meets a singular Newton system and an iterate without a factor
+        local = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(local.standard_normal((5, 5)))
+        A = (Q * 10.0 ** local.uniform(-17, 0, 5)) @ Q.T
+        return 0.5 * (A + A.T)
+
+    def test_lost_definiteness_is_isolated(self):
+        cycle = build_index(Graph.cycle(5))
+        A = np.array([rand_spd(5, np.random.default_rng(3)), self.ill_conditioned(2231),
+                      rand_spd(5, np.random.default_rng(4)), self.ill_conditioned(3846)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.filterwarnings("ignore", "input matrix has condition number", RuntimeWarning)
+            stacked = _complete(A, cycle.k_mask, 1e-10)
+        causes = []
+        for out, a in zip(stacked, A):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    alone = constrain_scatter(a, cycle)
+                except ConvergenceError as exc:
+                    assert type(out) is ConvergenceError and str(out) == str(exc)
+                    assert type(out.__cause__) is type(exc.__cause__)
+                    causes.append((type(out.__cause__), str(out.__cause__)))
+                    continue
+            assert np.array_equal(out.matrix, alone.matrix)
+            assert out.residual_history == alone.residual_history
+        assert causes == [(np.linalg.LinAlgError, "Singular matrix"),
+                          (DefinitenessError, "matrix is not positive definite")]
+
     def test_per_slice_tolerance_and_start(self):
         local = np.random.default_rng(42)
         A = self.inputs(local)[:4]

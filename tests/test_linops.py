@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from egm.errors import DimensionError, PreconditionError
+from egm.errors import DefinitenessError, DimensionError, PreconditionError
 from egm.linops import (
+    _cholesky_logdet,
+    _per_slice,
     check_spd,
     commutation_matrix,
     duplication_matrix,
@@ -54,6 +56,21 @@ class TestChecks:
             check_spd(A)
         with pytest.raises(PreconditionError, match="row 1, column 3"):
             check_spd(A[1])
+
+    def test_factor_helper_splits_where_the_public_checks_raise(self):
+        # a slice without a factor gets I and its own error; the others keep their bits
+        good = [np.cov(rng.standard_normal((4, 20))) for _ in range(2)]
+        S = np.array([good[0], np.diag([1.0, -1.0, 1.0, 1.0]), good[1]])
+        L, errors = _per_slice(np.linalg.cholesky, S)
+        assert list(errors) == [1] and type(errors[1]) is np.linalg.LinAlgError
+        assert np.array_equal(L[1], np.eye(4))
+        for i in (0, 2):
+            assert np.array_equal(L[i], np.linalg.cholesky(S[i]))
+        logdet = _cholesky_logdet(S)
+        assert np.isnan(logdet[1]) and np.array_equal(logdet[[0, 2]], [
+            _cholesky_logdet(S[i:i + 1])[0] for i in (0, 2)])
+        with pytest.raises(DefinitenessError):
+            check_spd(S)
 
 
 class TestKron:

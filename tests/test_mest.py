@@ -18,7 +18,7 @@ from egm.errors import (
     _results,
 )
 from egm.graphs import Graph, build_index
-from egm.inference import chordless_cycle_shape, deviance
+from egm.inference import _deviance_stack, chordless_cycle_shape, deviance
 from egm.linops import duplication_matrix, mat
 from egm.mest import (
     EstimatorSpec,
@@ -34,7 +34,7 @@ from egm.mest import (
     scalars_for,
 )
 from egm.mest import _BLOCK, _reweight, _solve
-from egm.simulate import EllipticalModel, _run_chunk, deviance_null_study, sample
+from egm.simulate import EllipticalModel, deviance_null_study, sample
 
 from _oracles import Q_K, hg_optimization_oracle, plain_fixed_point, rand_spd, reweight_oracle
 
@@ -768,7 +768,7 @@ class TestStackedSolver:
         index = build_index(Graph.cycle(4)) if graph else None
         spec = make_spec("t:5", 4)
         data = self.stack(outlier, graph)
-        stacked = _run_chunk(lambda X: _solve(X, spec, 1e-9, 11, index), np.array(data))
+        stacked = _solve(np.array(data), spec, 1e-9, 11, index)
         failed = []
         for i, (X, out) in enumerate(zip(data, stacked)):
             try:
@@ -784,6 +784,48 @@ class TestStackedSolver:
             assert (out.iterations, out.residual) == (fit.iterations, fit.residual)
         assert failed == [1, 2]
         assert "definiteness" in str(stacked[1]) and "did not converge" in str(stacked[2])
+
+    @staticmethod
+    def scatters():
+        # slice 1, the Gaussian scatter of near_collinear(1e8), stalls in its 4-cycle
+        # completion; the others are Gaussian scatters that complete
+        data = [sample(EllipticalModel(np.zeros(4), np.eye(4), "gaussian"), 100, s)
+                for s in (0, 1, 2)]
+        data.insert(1, near_collinear(1e8))
+        return np.array([m_estimate(X, make_spec("gaussian", 4)).scatter for X in data])
+
+    @pytest.mark.filterwarnings("ignore:input matrix has condition number")
+    def test_completion_failures_are_isolated(self):
+        cycle, chord = build_index(Graph.cycle(4)), build_index(Graph.cycle(4).with_edge(1, 3))
+        S = self.scatters()
+        completed = covsel._complete(S, cycle.k_mask, 1e-10)
+        stats = _deviance_stack(S, cycle, chord, 100, 1.0)
+        for i, (A, fit, stat) in enumerate(zip(S, completed, stats)):
+            if i != 1:
+                alone = constrain_scatter(A, cycle, tol=1e-10)
+                assert np.array_equal(fit.matrix, alone.matrix)
+                assert (fit.iterations, fit.residual_history) == (
+                    alone.iterations, alone.residual_history)
+                assert stat == deviance(A, cycle, chord, 100).statistic
+                continue
+            for out, serial in ((fit, lambda: constrain_scatter(A, cycle, tol=1e-10)),
+                                (stat, lambda: deviance(A, cycle, chord, 100))):
+                with pytest.raises(ConvergenceError, match="definiteness") as exc:
+                    serial()
+                assert type(out) is ConvergenceError and str(out) == str(exc.value)
+                assert type(out.__cause__) is type(exc.value.__cause__) is DefinitenessError
+
+    def test_failing_slices_emit_no_runtime_warning(self):
+        # a slice without a factor computes on a finite stand-in until it leaves
+        spec, cycle = make_spec("t:5", 4), build_index(Graph.cycle(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.filterwarnings("ignore", "input matrix has condition number", RuntimeWarning)
+            plain = _solve(np.array(self.stack(1e10)), spec, 1e-9, 11)
+            graphical = _solve(np.array(self.stack(1e8, graph=True)), spec, 1e-9, 11, cycle)
+            completed = covsel._complete(self.scatters(), cycle.k_mask, 1e-10)
+        for out in (plain[1], graphical[1], completed[1]):
+            assert isinstance(out, ConvergenceError) and "definiteness" in str(out)
 
 
 def cycle10_t5(n, seed):

@@ -407,8 +407,8 @@ class TestChunkedStudies:
 
 
 class TestChunkFallback:
-    """A chunk reruns replicate by replicate only when its stacked run raises,
-    and then every replicate still gets its serial outcome."""
+    """A replicate that fails leaves its chunk's stack inside the kernels, so
+    no chunk reruns, and every replicate still gets its serial outcome."""
 
     @staticmethod
     def count_solves(monkeypatch):
@@ -446,6 +446,19 @@ class TestChunkFallback:
         calls.clear()
         rep = equivalence_study(I4, m4, make_spec("t:5", 4), [30, 60], 64, seed=3)
         assert rep.failures == 0 and len(calls) == 2 * 2 * chunks
+
+    @pytest.mark.filterwarnings("ignore:input matrix has condition number")
+    def test_injected_failure_reruns_nothing(self, outlier_at_3, monkeypatch):
+        # chunks of 5: each makes exactly the solves of a failure-free chunk
+        monkeypatch.setattr(simulate, "_CHUNK", 5)
+        calls = self.count_solves(monkeypatch)
+        chunks = -(-64 // 5)
+        m5, m4 = _cycle_models("t:5")
+        rep = deviance_null_study(I5, I5_CHORD, m5, make_spec("t:5", 5), 100, 64, seed=3)
+        assert rep.failures == 1 and calls == [5] * (chunks - 1) + [4]
+        calls.clear()
+        rep = equivalence_study(I4, m4, make_spec("t:5", 4), [30, 60], 64, seed=3)
+        assert rep.failures == 2 and calls == ([5] * 4 * (chunks - 1) + [4] * 4)
 
     @pytest.mark.filterwarnings("ignore:input matrix has condition number")
     def test_injected_failure_in_null_study(self, outlier_at_3, monkeypatch):
