@@ -85,12 +85,12 @@ class AsymptoticScalars:
 class ConstrainedFit:
     """Result of a constrained-scatter completion.
 
-    ``residual`` is the max-abs violation of the defining condition that
-    the steps do not hold exactly: max |(W^-1)_D| on the absent edges D on
-    the dual side, where W = A on the edges and the diagonal; max |W - A|
-    there on the primal side, where W = K^-1 with K_D = 0, so (W^-1)_D is
-    0 up to about eps cond(K) max|K|.  ``residual_history`` holds the
-    start's value, then each Newton step's.
+    ``residual`` is the max-abs violation, at unit diagonal (W and A over
+    d d^T, d = sqrt(diag A)), of the condition that the steps do not hold
+    exactly: (W^-1)_D = 0 on the absent edges D on the dual side, where
+    W = A on the edges and the diagonal; W = A there on the primal side,
+    where W = K^-1 with K_D = 0.  ``residual_history`` holds the start's
+    value, then each Newton step's.
     """
 
     matrix: np.ndarray
@@ -120,7 +120,7 @@ def constrain_scatter(A, index: GraphIndex, tol: float = 1e-10,
         Graph machinery from :func:`egm.graphs.build_index`.
     tol : float
         Bound on the residual (see :class:`ConstrainedFit`) and on the
-        max-abs change of the last Newton step.
+        max-abs change of the last Newton step, both at unit diagonal.
     max_iter : int
         Maximum number of Newton steps.
 
@@ -172,30 +172,29 @@ def _complete(A, k_mask, tol: float, max_iter: int = _MAX_STEPS, start=None) -> 
     for _ in range(np.count_nonzero(cond)):
         warnings.warn("input matrix has condition number above 1e12", RuntimeWarning)
     # a complete graph, or a compliant input, is its own completion
-    res0 = np.where(k_mask, 0.0, np.abs(spd_inverse(one))).max(axis=(1, 2))
+    res0 = _off_pattern(spd_inverse(one), one, ~k_mask)
     done = res0 <= tol
     out = [ConstrainedFit(A[i].copy(), 0, float(res0[i]), [float(res0[i])], bool(cond[i]))
            if done[i] else None for i in range(len(A))]
     todo = np.flatnonzero(~done)
-    if todo.size:
-        W, history, errors = _newton(A[todo], k_mask[todo], tol, max_iter,
-                                     None if start is None else start[todo])
-        for i, t in enumerate(todo):
-            exc = errors.get(i)
-            if isinstance(exc, (DefinitenessError, np.linalg.LinAlgError)):  # the steps failed
-                exc = ConvergenceError(f"constrained completion lost positive definiteness: {exc}")
-                exc.__cause__ = errors[i]
-            out[t] = exc or ConstrainedFit(
-                W[i], len(history[i]) - 1, history[i][-1], history[i], bool(cond[t]))
+    W, history, errors = _newton(A[todo], k_mask[todo], tol, max_iter,
+                                 None if start is None else start[todo])
+    for i, t in enumerate(todo):
+        exc = errors.get(i)
+        if isinstance(exc, (DefinitenessError, np.linalg.LinAlgError)):  # the steps failed
+            exc = ConvergenceError(f"constrained completion lost positive definiteness: {exc}")
+            exc.__cause__ = errors[i]
+        out[t] = exc or ConstrainedFit(
+            W[i], len(history[i]) - 1, history[i][-1], history[i], bool(cond[t]))
     return out
 
 
 def _newton(A, k_mask, tol, max_iter: int = _MAX_STEPS, start=None):
     """Damped Newton steps (see :func:`constrain_scatter`) on an (R, p, p)
     stack under ``k_mask``, one (p, p) graph or one per slice, with one
-    ``tol`` or one per slice.  Slices with the same side and number of free
-    entries F step as one stack, each on its own F; the primal side needs
-    tol >= 1e-13 max|A|, as its residual stops near the rounding of K^-1.
+    ``tol`` or one per slice, on A / (d d^T), d = sqrt(diag A).  Slices with the
+    same side and number of free entries F step as one stack, each on its own
+    F; the primal side needs tol >= 1e-13 max(A^-1), as K^-1 rounds at eps cond A.
     M = W (dual) or K (primal) steps by M_F += t w H^-1 g: g = (M^-1 - T)_F,
     T = 0 or A, H = _pair(M^-1, F, F), w = 1/2 off the diagonal and 1 on
     it, and t = 1 where lambda^2 = g H^-1 g <= 1/16 or the full step keeps
@@ -210,9 +209,14 @@ def _newton(A, k_mask, tol, max_iter: int = _MAX_STEPS, start=None):
     _check_budget(tol, max_iter, "step")
     R, p = A.shape[:2]
     tols = np.broadcast_to(np.asarray(tol, dtype=float), (R,))
+    d = np.sqrt(np.diagonal(A, axis1=1, axis2=2))
+    dd = d[:, :, None] * d[:, None, :]
+    A, start = A / dd, None if start is None else start / dd
     iu = np.triu_indices(p)
     on = np.broadcast_to(k_mask, A.shape)[:, iu[0], iu[1]]
-    primal = (on.sum(axis=1) < (~on).sum(axis=1)) & (tols >= 1e-13 * np.abs(A).max(axis=(1, 2)))
+    primal = on.sum(axis=1) < (~on).sum(axis=1)
+    inv = _per_slice(np.linalg.inv, A[primal])[0]
+    primal[primal] = tols[primal] >= 1e-13 * inv.max(axis=(1, 2))
     free = np.where(primal[:, None], on, ~on)
     W, history, errors = np.empty_like(A), [[] for _ in range(R)], {}
 
@@ -305,7 +309,7 @@ def _newton(A, k_mask, tol, max_iter: int = _MAX_STEPS, start=None):
             last = trial - M
             stalled = (res > tol) & ~last.any(axis=(1, 2))
             M = trial
-    return W, history, errors
+    return W * dd, history, errors
 
 
 def _pair(T, rows, cols) -> np.ndarray:
@@ -395,13 +399,18 @@ def scatter_acov(V, scalars: AsymptoticScalars) -> np.ndarray:
     return 2.0 * scalars.sigma1 * _pair(V, every, every) + scalars.sigma2 * np.outer(vV, vV)
 
 
+def _off_pattern(U, V, d_mask) -> np.ndarray:
+    """The zero-pattern test, per slice: max |U_ij| sqrt(V_ii V_jj) over ``d_mask``, U = V^-1."""
+    d = np.sqrt(np.diagonal(V, axis1=-2, axis2=-1))
+    return np.where(d_mask, np.abs(U) * d[..., :, None] * d[..., None, :], 0.0).max(axis=(-2, -1))
+
+
 def pattern_violation(V, index: GraphIndex) -> float:
-    """Max-abs entry of V^{-1} on absent-edge positions."""
+    """Max of |(V^-1)_ij| sqrt(V_ii V_jj) over the absent edges: scale-free."""
     V = np.asarray(V, dtype=float)
     if V.shape != (index.p, index.p):
         raise DimensionError(f"graph has p={index.p} but V is {'x'.join(map(str, V.shape))}")
-    U = spd_inverse(V)
-    return float(np.max(np.abs(U[index.d_mask]))) if index.d_mask.any() else 0.0
+    return float(_off_pattern(spd_inverse(V), V, index.d_mask))
 
 
 def constrained_scatter_acov(V, index: GraphIndex, scalars: AsymptoticScalars,
@@ -411,8 +420,8 @@ def constrained_scatter_acov(V, index: GraphIndex, scalars: AsymptoticScalars,
     The result is 2 s1 J (V x V) J^T + s2 vec(V_G) vec(V_G)^T with J the
     completion derivative at V_G.  ``form`` selects V_G: "general" takes
     the completion of V; "reduced" takes V itself, valid when the inverse
-    of V has the graph's zero pattern (absent-edge partial correlations
-    within 1e-10); "auto" picks "reduced" exactly then.  With M = M_p(V x V)
+    of V has the graph's zero pattern (:func:`pattern_violation` within
+    1e-10); "auto" picks "reduced" exactly then.  With M = M_p(V x V)
     on the edges and diagonal and L from ``_derivative_block``, J (V x V) J^T
     has the blocks M, M L^T, L M and L M L^T, each formed once per unordered
     pair and gathered, so every column stays tangent to the graph.
@@ -422,16 +431,12 @@ def constrained_scatter_acov(V, index: GraphIndex, scalars: AsymptoticScalars,
     scalars.check_bounds(p)
     if form not in ("auto", "general", "reduced"):
         raise PreconditionError(f"unknown form {form!r}")
-    if V.shape != (p, p):
-        raise DimensionError(f"graph has p={p} but V is {'x'.join(map(str, V.shape))}")
-    U = spd_inverse(V)
-    d = np.sqrt(np.diagonal(U))
-    pattern_ok = not (np.abs(U) > 1e-10 * np.outer(d, d))[index.d_mask].any()
+    pattern_ok = pattern_violation(V, index) <= 1e-10
     if form == "reduced" and not pattern_ok:
         raise PreconditionError("reduced form requires the inverse zero pattern to hold")
     general = form == "general" or form == "auto" and not pattern_ok
     VG = constrain_scatter(V, index, tol=1e-12).matrix if general else V
-    kv, r, L = _derivative_block(spd_inverse(VG) if general else U, index)
+    kv, r, L = _derivative_block(spd_inverse(VG), index)
     k, M = np.searchsorted(kv, index.K), _pair(V, _rc(kv, p), _rc(kv, p))
     LM = L @ M
     v = vec(VG)[np.concatenate([index.K, index.D])]
@@ -457,9 +462,9 @@ def edge_basis_gram(V, index: GraphIndex) -> np.ndarray:
 def concentration_acov(V, index: GraphIndex, scalars: AsymptoticScalars) -> np.ndarray:
     """Asymptotic covariance of the free concentration entries.
 
-    Valid when the inverse of V carries the graph's zero pattern, to 1e-8
-    max-abs; raises otherwise.  Equals 2*s1*{Gamma^T (V x V) Gamma}^{-1}
-    + s2*u u^T with u the free entries of the inverse, and has full rank.
+    Valid when :func:`pattern_violation` is within 1e-8; raises otherwise.
+    Equals 2*s1*{Gamma^T (V x V) Gamma}^{-1} + s2*u u^T with u the free
+    entries of the inverse, and has full rank.
     """
     V = check_spd(V)
     scalars.check_bounds(index.p)

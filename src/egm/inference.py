@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .covsel import AsymptoticScalars, _complete, edge_basis_gram
+from .covsel import AsymptoticScalars, _complete, _off_pattern, edge_basis_gram
 from .errors import (
     ConvergenceError,
     DefinitenessError,
@@ -28,7 +28,7 @@ from .errors import (
     _results,
 )
 from .graphs import Graph, GraphIndex, build_index
-from .linops import check_spd, spd_inverse
+from .linops import _cholesky_logdet, check_spd, spd_inverse
 from .mest import (_COMPLETION_TOL, EstimatorSpec, _check_spec, _positive, _validate_data,
                    m_estimate, scalars_for)
 
@@ -81,14 +81,6 @@ class AreResult:
             raise PreconditionError(f"efficiency ratio {self.are} fell below 1")
 
 
-def _logdet(A):
-    """log det A, per slice of a stack; raises unless every determinant is positive."""
-    sign, val = np.linalg.slogdet(A)
-    if np.any(sign <= 0):
-        raise DefinitenessError("log-determinant of a non-positive-definite matrix")
-    return val
-
-
 def deviance(S_hat, index0: GraphIndex, index1: GraphIndex, n: int,
              sigma1: float = 1.0) -> DevianceReport:
     """Deviance test of the smaller model ``index0`` inside ``index1``.
@@ -126,12 +118,17 @@ def _deviance_stack(S, index0: GraphIndex, index1: GraphIndex, n: int, sigma1: f
     or the ConvergenceError that :func:`deviance` raises for that slice.
     One completion call serves both graphs."""
     masks = np.repeat(np.array([index0.k_mask, index1.k_mask]), len(S), axis=0)
-    fits = _complete(np.concatenate([S, S]), masks, _COMPLETION_TOL)
-    eye = np.eye(S.shape[-1])  # holds the place of a failed completion
-    ld = _logdet(np.array([getattr(f, "matrix", eye) for f in fits])).reshape(2, -1)
+    ld = _logdets(_complete(np.concatenate([S, S]), masks, _COMPLETION_TOL), S.shape[-1])
     return [a if isinstance(a, Exception) else b if isinstance(b, Exception)
-            else max(0.0, n * (float(x) - float(y)) / sigma1)
-            for a, b, x, y in zip(fits[:len(S)], fits[len(S):], *ld)]
+            else max(0.0, n * (a - b) / sigma1) for a, b in zip(ld[:len(S)], ld[len(S):])]
+
+
+def _logdets(fits, p: int) -> list:
+    """Per completion outcome: its error, else its log det by a Cholesky factor, else an error."""
+    ld = _cholesky_logdet(np.array([getattr(f, "matrix", np.eye(p)) for f in fits]))
+    lost = "a completed matrix has no Cholesky factor for its log-determinant"
+    return [f if isinstance(f, Exception) else float(x) if np.isfinite(x)
+            else ConvergenceError(lost) for f, x in zip(fits, ld)]
 
 
 def resolve_sigma1(spec: EstimatorSpec, p: int, sigma1, family) -> float:
@@ -176,10 +173,10 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
     1 - a > sqrt(b), that is where (1 - a)^2 > b, as |a| <= sqrt(b); elsewhere
     inf.  One stacked completion per step, started at W, scores every
     removal whose lower bound is within a margin of the least upper bound;
-    no other can win.  The margin,
-    8e-10 sum|U| + 1e-9 (1 + least upper bound), covers rounding and the
-    completions' error: they hold S within 1e-10 on their fixed entries,
-    moving a log det by about 1e-10 sum|U|.
+    no other can win.  The margin, 8e-10 sum_ij |U_ij| d_i d_j + 1e-9 (1 +
+    least upper bound) with d = sqrt(diag S), covers rounding and the
+    completions' error: they hold S within 1e-10 d_i d_j on their fixed
+    entries, moving a log det by about 1e-10 sum_ij |U_ij| d_i d_j.
     So each step's edge, deviance and stop are those of scoring them all.
 
     Returns the final graph and a per-step audit trail.  A ConvergenceError
@@ -200,23 +197,23 @@ def backward_elimination(X, spec: EstimatorSpec, alpha: float,
     current, k_mask, steps = Graph.complete(p), np.ones((p, p), dtype=bool), []
     try:
         W = S = m_estimate(X, spec, tol=tol).scatter
-        ld_cur = float(_logdet(S))
+        ld_cur, d = float(_cholesky_logdet(S[None])[0]), np.sqrt(np.diag(S))
         while current.edges:
             edges = current.sorted_edges()
             i, j = np.array(edges).T - 1
             lower, upper, U = _removal_bounds(W, i, j)
-            margin = 8.0 * _COMPLETION_TOL * np.abs(U).sum() + 1e-9 * (1.0 + upper.min())
+            margin = 8.0 * _COMPLETION_TOL * (d @ np.abs(U) @ d) + 1e-9 * (1.0 + upper.min())
             keep = np.flatnonzero(~(lower > upper.min() + margin))  # a nan bound is kept
             masks, at = np.repeat(k_mask[None], len(keep), axis=0), np.arange(len(keep))
             masks[at, i[keep], j[keep]] = masks[at, j[keep], i[keep]] = False
             fits = _complete(np.broadcast_to(S, masks.shape), masks, _COMPLETION_TOL,
                              start=np.broadcast_to(W, masks.shape))
-            for r, f in zip(keep, fits):
+            ld = _logdets(fits, p)
+            for r, f in zip(keep, ld):
                 if isinstance(f, ConvergenceError):
                     raise ConvergenceError(
                         f"estimator failed at step {len(steps) + 1} while testing "
                         f"removal of edge {edges[r]}: {f}", residual=f.residual) from f
-            ld = _logdet(np.array([f.matrix for f in fits])).tolist()
             stat, (a, b), r = min((max(0.0, n * (x - ld_cur) / s1), edges[k], r)
                                   for r, (k, x) in enumerate(zip(keep, ld)))
             p_value = float(chdtrc(1, stat))
@@ -312,7 +309,7 @@ def _asv_stack(V, K, index: Optional[GraphIndex], sigma1: float, i: int, j: int)
         return [float(2.0 * sigma1 * np.sum(x * y)) for x, y in zip(X, K @ X @ K)]
     if V.shape[1:] != index.k_mask.shape:
         raise DimensionError(f"graph has p={index.p} but V is {'x'.join(map(str, V.shape[1:]))}")
-    if np.abs(K[:, index.d_mask]).max(initial=0.0) > 1e-8:
+    if np.any(_off_pattern(K, V, index.d_mask) > 1e-8):
         raise PreconditionError("inverse of V violates the graph zero pattern")
     c, r = np.divmod(index.K, index.p)
     w = np.where(r == c, X[:, r, r], X[:, r, c] + X[:, c, r])

@@ -56,14 +56,14 @@ def check_symmetric(A, tol=0.0) -> np.ndarray:
 def check_spd(A, tol: float = 1e-12) -> np.ndarray:
     """Return ``A`` if symmetric positive definite, else raise.
 
-    The symmetry tolerance is ``tol`` times max(1, max-abs entry) of each
-    matrix.  Positive definiteness is established by a Cholesky
-    factorization, which fails exactly when the matrix is not numerically
-    SPD.  A stack passes only if every slice does.
+    The symmetry tolerance is ``tol`` times the max-abs entry of each
+    matrix, whatever its scale.  Positive definiteness is established by
+    a Cholesky factorization, which fails exactly when the matrix is not
+    numerically SPD.  A stack passes only if every slice does.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim >= 2:  # otherwise check_symmetric names the bad shape
-        tol = tol * np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1), keepdims=True))
+        tol = tol * np.max(np.abs(A), axis=(-2, -1), keepdims=True)
     A = check_symmetric(A, tol=tol)
     try:
         np.linalg.cholesky(0.5 * (A + A.mT))

@@ -47,7 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .covsel import AsymptoticScalars, _check_budget, _complete, _newton
+from .covsel import AsymptoticScalars, _check_budget, _complete, _newton, _off_pattern
 from .errors import (
     ConvergenceError,
     DegenerateDataError,
@@ -383,7 +383,7 @@ def _factors(radii, spec: EstimatorSpec, p: int) -> np.ndarray:
     """Per row of ``radii`` (k, n), the squared radii r_i of one slice at
     (mu, S), the factors (s, omega, omega1) of the solver's step from u1
     and u2 alone, with derivatives along the scale ray by central
-    differences (r -> (1 +- 1e-4) r): p gamma2 = mean r_i phi2'(r_i),
+    differences (r -> (1 +- 1e-4) r): p gamma2 = max(0, mean r_i phi2'(r_i)),
     phi2(v) = v u2(v), and d1 = mean r_i u1'(r_i).  s = 1 - (mean
     phi2(r_i) - p) / (p gamma2), one Newton step on the trace identity
     mean phi2(s r_i) = p, is kept in [1/2, 2] (wider steps on a flat phi2,
@@ -397,7 +397,7 @@ def _factors(radii, spec: EstimatorSpec, p: int) -> np.ndarray:
     u2 = [spec.u2(v) for v in at]
     u1 = u2 if spec.u1 is spec.u2 else [spec.u1(v) for v in at]  # t weights: u1 = u2
     # sums, not means: n cancels from omega1, and the rest divide by it once
-    g2 = (at[0] * u2[0] - at[1] * u2[1]).sum(axis=1) / (2.0 * h * n)
+    g2 = np.maximum((at[0] * u2[0] - at[1] * u2[1]).sum(axis=1) / (2.0 * h * n), 0.0)
     d1 = (u1[0] - u1[1]).sum(axis=1) / (2.0 * h)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.clip(1.0 - ((radii * u2[2]).sum(axis=1) / n - p) / g2, 0.5, 2.0)
@@ -407,17 +407,23 @@ def _factors(radii, spec: EstimatorSpec, p: int) -> np.ndarray:
                      *np.where(np.isfinite(w) & (w > 0.0), w, 1.0)])
 
 
+def _distance(mu, S, mu_new, S_new) -> np.ndarray:
+    """The solver's metric per slice, d = sqrt(diag S): the max of |S_new - S|_ij
+    / (d_i d_j) and |mu_new - mu|_j / max(d_j, |mu_j|), above rounding at any offset."""
+    d = np.sqrt(np.diagonal(S, axis1=1, axis2=2))
+    return np.maximum(np.max(np.abs(mu_new - mu) / np.maximum(d, np.abs(mu)), axis=1),
+                      np.max(np.abs(S_new - S) / (d[:, :, None] * d[:, None, :]), axis=(1, 2)))
+
+
 def _residual(X, mu, S, spec, index: Optional[GraphIndex] = None, live=None, errors=None):
-    """Max-abs residual of the estimating equations, per slice of X[live];
-    under ``index`` on edges and the diagonal, and |S^-1| on absent edges.
+    """The :func:`_distance` of (mu, S) to the map at it, per slice of X[live];
+    under ``index`` on edges and the diagonal, and the absent-edge test of S^-1.
     ``errors`` collects the slices without a factor (:func:`_reweight`)."""
     mu_fix, W = _reweight(X, mu, S, spec, center=mu, live=live, errors=errors)
-    scale = np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
-    gap = np.abs(S - W).reshape(len(S), -1) if index is None else np.abs((S - W)[:, index.k_mask])
-    res = np.maximum(np.max(np.abs(mu_fix - mu), axis=1), np.max(gap, axis=1) / scale)
-    if index is not None:
-        res = np.maximum(res, np.max(np.abs(np.linalg.inv(S)[:, index.d_mask]), axis=1))
-    return res
+    if index is None:
+        return _distance(mu, S, mu_fix, W)
+    return np.maximum(_distance(mu, S, mu_fix, np.where(index.k_mask, W, S)),
+                      _off_pattern(np.linalg.inv(S), S, index.d_mask))
 
 
 def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
@@ -439,10 +445,10 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
     plug-in's at first, to an inner tolerance that follows the outer
     progress down to tol/100.  An iterate converges once its change,
     divided by the larger relaxation factor so that it measures the plain
-    map's step, and then its residual are within ``tol``; from a plug-in
-    start, whose first steps are already small, the change must be within
-    ``tol``/10, its location part taken relative to max(1, max|mu|) of the
-    plug-in so that it stays above rounding.  A slice leaves the stack once
+    map's step, and then its residual are within ``tol``, both by
+    :func:`_distance`; from a plug-in start, whose first steps are already
+    small, the change must be within ``tol``/10.  So a fit of a X + b is
+    that of X mapped, in as many evaluations.  A slice leaves the stack once
     it converges, runs out of budget (``max_iter`` map evaluations, or the
     steps of a completion) or loses definiteness, in the map or a
     completion, so it takes exactly the evaluations it would take alone.
@@ -460,17 +466,13 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
         for G in _groups(R, n):
             Xc = X[G] - mu[G, None, :]
             S[G] = Xc.mT @ Xc / n
-        W, unit = None, np.ones(R)
     else:
         start = _plug_in(X, spec, tol, max_iter, index.k_mask) if start is None else start
         out = [f if isinstance(f, Exception) else None for f in start]
         live, stop = np.flatnonzero([f is None for f in out]), tol / 10
         mu = np.array([start[i].mu for i in live]).reshape(-1, p)
         # the plug-in's completion starts the first inner completion
-        S = W = np.array([start[i].scatter for i in live]).reshape(-1, p, p)
-        # the location change is relative to the plug-in's location, so
-        # that the tighter stop stays above rounding
-        unit = np.maximum(1.0, np.max(np.abs(mu), axis=1))
+        S = np.array([start[i].scatter for i in live]).reshape(-1, p, p)
     lost = {}  # data set: the LinAlgError of a scatter without a factor
 
     def fail(errors):
@@ -489,8 +491,7 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
         # the slices with an outcome leave; the data stack is never copied
         keep = np.array([out[r] is None for r in live], dtype=bool)
         if not keep.all():
-            live, mu, S, change, unit = (a[keep] for a in (live, mu, S, change, unit))
-            W = None if W is None else W[keep]
+            live, mu, S, change = (a[keep] for a in (live, mu, S, change))
         if not live.size or it == max_iter:
             break
         it += 1
@@ -508,12 +509,9 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
         fail(lost)
         if index is not None:
             inner_tol = np.minimum(np.maximum(1e-2 * change, 1e-2 * tol), 1e-2)
-            W, _, failed = _newton(S_new, index.k_mask, inner_tol, start=W)
-            S_new = W
+            S_new, _, failed = _newton(S_new, index.k_mask, inner_tol, start=S)
             fail({live[i]: exc for i, exc in failed.items()})
-        scale = np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
-        change = np.maximum(np.max(np.abs(mu_new - mu), axis=1) / unit,
-                            np.max(np.abs(S_new - S), axis=(1, 2)) / scale) / factor
+        change = _distance(mu, S, mu_new, S_new) / factor
         mu, S = mu_new, S_new
         conv = [i for i in np.flatnonzero(change <= stop) if out[live[i]] is None]
         if conv:
@@ -576,8 +574,8 @@ def m_estimate(X, spec: EstimatorSpec, tol: float = 1e-9,
     spec : EstimatorSpec
         Weight functions.
     tol : float
-        Bound on both the relative parameter change and the equation
-        residual when plugging the estimate back in.
+        Bound on both the parameter change and the equation residual, in
+        the estimate's units: the fit of a X + b is the fit of X mapped.
     max_iter : int
         Budget of fixed-point map evaluations.
 
@@ -616,8 +614,8 @@ def graphical_m_estimate(X, index: GraphIndex, spec: EstimatorSpec,
 
     The iteration starts at :func:`plug_in_estimate` (same ``tol`` and
     ``max_iter``), which lies O_p(1/n) from the graphical fixed point, and
-    stops once a step changes the estimate by at most ``tol``/10 (the
-    location relative to max(1, max|mu|)) and the residual is at most
+    stops once a step changes the estimate by at most ``tol``/10 and the
+    residual, with S^-1 on the absent edges at unit diagonal, is at most
     ``tol``.  Its completion warm-starts the first inner completion, and
     each later one starts from the previous, so most evaluations need a
     few Newton steps.  Gaussian weights take a single evaluation: their

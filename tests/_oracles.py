@@ -114,23 +114,23 @@ def plain_fixed_point(X, spec, tol, max_iter, index=None):
     every weight but the constant Gaussian one, and takes that map output.
 
     Unlike the rest of this module it is built from the solver's own map,
-    completion and residual primitives (``mest._reweight`` with its scale
+    completion and metric primitives (``mest._reweight`` with its scale
     step, ``covsel._newton`` with the previous completion as its start,
-    ``mest._residual``), so that a solver whose every relaxation is
-    rejected must equal it bit for bit.  A plain fit starts at the sample
-    mean and covariance and stops at the first map output whose change and
-    residual are both within ``tol``.  Under a graph it starts at its own plain fit, the scatter
-    completed to 1e-10, and that completion starts the first inner
-    completion; it stops once the change, its location part relative to
-    max(1, max|mu|) of the plain fit, is within ``tol``/10 and the
-    residual within ``tol``.  Returns (mu, S, map evaluations), or None
-    when ``max_iter`` evaluations do not get there.
+    ``mest._distance`` for the change and ``mest._residual``), so that a
+    solver whose every relaxation is rejected must equal it bit for bit.  A
+    plain fit starts at the sample mean and covariance and stops at the
+    first map output whose change and residual are both within ``tol``.
+    Under a graph it starts at its own plain fit, the scatter completed to
+    1e-10, and that completion starts the first inner completion; it stops
+    once the change is within ``tol``/10 and the residual within ``tol``.
+    Returns (mu, S, map evaluations), or None when ``max_iter`` evaluations
+    do not get there.
     """
     from egm.covsel import _complete, _newton
-    from egm.mest import _residual, _reweight
+    from egm.mest import _distance, _residual, _reweight
 
     X = np.asarray(X, dtype=float)[None]
-    stop, unit = tol, 1.0
+    stop = tol
     if index is None:
         mu = X.mean(axis=1)
         Xc = X - mu[:, None, :]
@@ -138,7 +138,6 @@ def plain_fixed_point(X, spec, tol, max_iter, index=None):
     else:
         mu, S, _ = plain_fixed_point(X[0], spec, tol, max_iter)
         mu, S, stop = mu[None], _complete(S[None], index.k_mask, 1e-10)[0].matrix[None], tol / 10
-        unit = max(1.0, np.max(np.abs(mu)))
     start, change = S, np.inf
     for it in range(1, max_iter + 1):
         mu_new, S_new = _reweight(X, mu, S, spec, step=spec.name != "gaussian")[:2]
@@ -147,9 +146,7 @@ def plain_fixed_point(X, spec, tol, max_iter, index=None):
             S_new, _, failed = _newton(S_new, index.k_mask, inner_tol, start=start)
             assert not failed
             start = S_new
-        scale = np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
-        change = np.maximum(np.max(np.abs(mu_new - mu), axis=1) / unit,
-                            np.max(np.abs(S_new - S), axis=(1, 2)) / scale)
+        change = _distance(mu, S, mu_new, S_new)
         mu, S = mu_new, S_new
         if change[0] <= stop and _residual(X, mu, S, spec, index)[0] <= tol:
             return mu[0], S[0], it
@@ -214,14 +211,15 @@ def backward_elimination_oracle(X, spec, alpha, sigma1=None, family=None, tol=1e
     from scipy.special import chdtrc
 
     from egm.covsel import _complete
-    from egm.inference import _logdet, resolve_sigma1
+    from egm.inference import resolve_sigma1
+    from egm.linops import _cholesky_logdet
     from egm.mest import m_estimate
 
     n, p = X.shape
     s1 = resolve_sigma1(spec, p, sigma1, family)
     graph, k_mask, steps = Graph.complete(p), np.ones((p, p), dtype=bool), []
     W = S = m_estimate(X, spec, tol=tol).scatter
-    ld_cur = float(_logdet(S))
+    ld_cur = float(_cholesky_logdet(S[None])[0])
     while graph.edges:
         edges = graph.sorted_edges()
         masks = np.repeat(k_mask[None], len(edges), axis=0)
@@ -230,7 +228,7 @@ def backward_elimination_oracle(X, spec, alpha, sigma1=None, family=None, tol=1e
         scatters = [f.matrix for f in _results(_complete(
             np.broadcast_to(S, masks.shape), masks, completion_tol,
             start=np.broadcast_to(W, masks.shape)))]
-        ld = _logdet(np.array(scatters)).tolist()
+        ld = _cholesky_logdet(np.array(scatters)).tolist()
         stat, (a, b), r = min((max(0.0, n * (x - ld_cur) / s1), e, r)
                               for r, (e, x) in enumerate(zip(edges, ld)))
         p_value = float(chdtrc(1, stat))

@@ -403,6 +403,17 @@ class TestSearch:
         assert cli.main(argv) == 1
         assert capsys.readouterr().out == ""
 
+    def test_completion_near_singularity_exits_2(self, tmp_path, capsys):
+        # a candidate completion that loses definiteness is numerical: exit 2, not 1
+        data = tmp_path / "X.csv"
+        write_csv(data, near_collinear(1e8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = cli.main(["search", "--data", str(data), "--estimator", "gaussian",
+                           "--alpha", "0.05"])
+        assert rc == 2
+        assert "while testing removal" in capsys.readouterr().err
+
     def test_search_deterministic(self, tmp_path, capsys):
         X = sample(EllipticalModel(np.zeros(3), np.eye(3), "gaussian"), 800, 3)
         data = tmp_path / "X.csv"

@@ -190,7 +190,7 @@ class TestStackedCompletion:
 
     @staticmethod
     def ill_conditioned(seed):
-        # Q diag(10^u) Q^T, u uniform on (-17, 0): at seeds 2231 and 3846 the 5-cycle
+        # Q diag(10^u) Q^T, u uniform on (-17, 0): at seeds 1845 and 1816 the 5-cycle
         # completion meets a singular Newton system and an iterate without a factor
         local = np.random.default_rng(seed)
         Q, _ = np.linalg.qr(local.standard_normal((5, 5)))
@@ -199,8 +199,8 @@ class TestStackedCompletion:
 
     def test_lost_definiteness_is_isolated(self):
         cycle = build_index(Graph.cycle(5))
-        A = np.array([rand_spd(5, np.random.default_rng(3)), self.ill_conditioned(2231),
-                      rand_spd(5, np.random.default_rng(4)), self.ill_conditioned(3846)])
+        A = np.array([rand_spd(5, np.random.default_rng(3)), self.ill_conditioned(1845),
+                      rand_spd(5, np.random.default_rng(4)), self.ill_conditioned(1816)])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             warnings.filterwarnings("ignore", "input matrix has condition number", RuntimeWarning)
@@ -622,7 +622,7 @@ class TestConstrainedScatterAcov:
                               constrained_scatter_acov(V, idx, s, form="general"))
         with pytest.raises(PreconditionError, match="reduced form"):
             constrained_scatter_acov(V, idx, s, form="reduced")
-        VG = constrain_scatter(V, idx, tol=1e-12 / a).matrix
+        VG = constrain_scatter(V, idx, tol=1e-12).matrix
         assert np.array_equal(constrained_scatter_acov(VG, idx, s),
                               constrained_scatter_acov(VG, idx, s, form="reduced"))
 

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from egm import inference
 from egm.covsel import AsymptoticScalars, _complete
-from egm.errors import DefinitenessError, DimensionError, NestingError, PreconditionError
+from egm.errors import (ConvergenceError, DefinitenessError, DimensionError, NestingError,
+                        PreconditionError)
 from egm.graphs import Graph, build_index
 from egm.inference import (
     _are_cycle_table,
-    _logdet,
     _removal_bounds,
     are_chordless_cycle,
     asv_partial_correlation,
@@ -20,12 +20,14 @@ from egm.inference import (
     partial_correlation_derivative,
     resolve_sigma1,
 )
-from egm.linops import commutation_matrix, kron, mat, spd_inverse, symmetrization_matrix, vec
+from egm.linops import (_cholesky_logdet, commutation_matrix, kron, mat, spd_inverse,
+                        symmetrization_matrix, vec)
 from egm.mest import m_estimate, make_spec
 from egm.simulate import EllipticalModel, sample
 
 from _oracles import (are_cell_oracle, asv_oracle, backward_elimination_oracle, fd_directional,
                       rand_spd, random_graph, random_symmetric_direction)
+from test_mest import near_collinear
 
 rng = np.random.default_rng(31415)
 
@@ -112,6 +114,24 @@ class TestDeviance:
         assert 0.0 <= d["p_value"] <= 1.0
 
 
+    def test_log_det_without_a_factor_fails_its_slice(self, monkeypatch):
+        # a completed matrix without a Cholesky factor fails its own slice, not the stack
+        cycle, chord = build_index(Graph.cycle(4)), build_index(Graph.cycle(4).with_edge(1, 3))
+        S = np.array([rand_spd(4, np.random.default_rng(s)) for s in (0, 1, 2)])
+        expected = [deviance(A, cycle, chord, 100).statistic for A in S]
+        complete = inference._complete
+
+        def lossy(A, masks, tol):
+            fits = complete(A, masks, tol)
+            fits[1].matrix = -fits[1].matrix
+            return fits
+
+        monkeypatch.setattr(inference, "_complete", lossy)
+        stats = inference._deviance_stack(S, cycle, chord, 100, 1.0)
+        assert type(stats[1]) is ConvergenceError and "Cholesky factor" in str(stats[1])
+        assert [stats[0], stats[2]] == [expected[0], expected[2]]
+
+
 class TestResolveSigma1:
     def test_explicit_wins(self):
         assert resolve_sigma1(make_spec("t:5", 3), 3, 1.7, "gaussian") == 1.7
@@ -146,6 +166,13 @@ class TestBackwardElimination:
     def test_rejects_data_not_a_matrix(self, shape):
         with pytest.raises(DimensionError, match="n x p matrix"):
             backward_elimination(np.ones(shape), make_spec("gaussian", 4), 0.05)
+
+    def test_scatter_near_singularity_is_a_convergence_error(self):
+        # definiteness is judged by a Cholesky factor: the scatter has one (its LU
+        # determinant sign is -1), and a candidate completion loses it
+        with pytest.warns(RuntimeWarning, match="condition number"):
+            with pytest.raises(ConvergenceError, match="while testing removal"):
+                backward_elimination(near_collinear(1e8), make_spec("gaussian", 4), 0.05)
 
     def test_rejects_spec_of_another_dimension(self):
         X = rng.standard_normal((100, 4))
@@ -314,7 +341,8 @@ class TestRemovalBounds:
         for r, (a, b) in enumerate(edges):
             masks[r, a - 1, b - 1] = masks[r, b - 1, a - 1] = False
         fits = _complete(np.broadcast_to(A, masks.shape), masks, tol)
-        return W, np.array(edges).T - 1, _logdet(np.array([f.matrix for f in fits])) - _logdet(W)
+        return W, np.array(edges).T - 1, (_cholesky_logdet(np.array([f.matrix for f in fits]))
+                                          - _cholesky_logdet(W[None])[0])
 
     @settings(max_examples=200)
     @given(p=st.integers(4, 10), seed=st.integers(0, 2**32 - 1),

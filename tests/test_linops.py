@@ -73,6 +73,16 @@ class TestChecks:
             check_spd(S)
 
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_symmetry_tolerance_is_relative(self, scale):
+        # the tolerance scales with the matrix: 0.2 against 1.0 is asymmetric at any scale
+        B = np.eye(3) * 2.0
+        B[0, 1], B[1, 0] = 1.0, 0.2
+        with pytest.raises(DimensionError, match="not symmetric"):
+            check_spd(scale * B)
+        assert np.array_equal(check_spd(scale * (B + B.T)), scale * (B + B.T))
+
+
 class TestKron:
     def test_identity(self):
         assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
