@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DefinitenessError, DimensionError, PreconditionError, _results
+from .errors import (ConvergenceError, DefinitenessError, DimensionError, PreconditionError,
+                     _check_budget, _results)
 from .graphs import GraphIndex
 from .linops import _cholesky_logdet, _per_slice, check_spd, spd_inverse, vec
 
@@ -47,6 +48,8 @@ __all__ = [
 COND_WARN = 1e12
 #: default budget of Newton steps: 3x the most that any input tried took (65)
 _MAX_STEPS = 200
+#: largest :func:`pattern_violation` of a shape that carries the graph's zero pattern
+_PATTERN_TOL = 1e-8
 #: free entries up to which a Newton step solves its f x f Hessian densely;
 #: beyond, conjugate gradients were faster (crossover 45-150) in O(p^2) memory
 _DENSE_MAX = 64
@@ -73,9 +76,9 @@ class AsymptoticScalars:
         if self.eta <= 0:
             raise PreconditionError(f"eta must be > 0, got {self.eta}")
 
-    def check_bounds(self, p: int, slack: float = 1e-12) -> None:
-        """Validate sigma2 >= -2*sigma1/p for dimension p."""
-        if self.sigma2 < -2.0 * self.sigma1 / p - slack:
+    def check_bounds(self, p: int) -> None:
+        """Validate sigma2 >= -2*sigma1/p for dimension p, up to 1e-12."""
+        if self.sigma2 < -2.0 * self.sigma1 / p - 1e-12:
             raise PreconditionError(
                 f"sigma2={self.sigma2} below the admissible bound {-2.0 * self.sigma1 / p} for p={p}"
             )
@@ -98,14 +101,6 @@ class ConstrainedFit:
     residual: float
     residual_history: list = field(default_factory=list)
     condition_warning: bool = False
-
-
-def _check_budget(tol, max_iter: int, unit: str) -> None:
-    """PreconditionError unless every tol is finite and > 0 and max_iter >= 1."""
-    if not np.all((np.asarray(tol) > 0) & np.isfinite(tol)):
-        raise PreconditionError(f"tol must be finite and > 0, got {tol}")
-    if max_iter < 1:
-        raise PreconditionError(f"a budget of at least one {unit} is needed, got {max_iter}")
 
 
 def constrain_scatter(A, index: GraphIndex, tol: float = 1e-10,
@@ -206,7 +201,6 @@ def _newton(A, k_mask, tol, max_iter: int = _MAX_STEPS, start=None):
     residual histories (the start's, then one per step) and {slice: error}: a
     ConvergenceError out of steps, a DefinitenessError for an M without a
     factor or a stalled step, or the LinAlgError of a singular H."""
-    _check_budget(tol, max_iter, "step")
     R, p = A.shape[:2]
     tols = np.broadcast_to(np.asarray(tol, dtype=float), (R,))
     d = np.sqrt(np.diagonal(A, axis1=1, axis2=2))
@@ -283,10 +277,11 @@ def _newton(A, k_mask, tol, max_iter: int = _MAX_STEPS, start=None):
             conv = (res <= tol) & ((change <= tol) | ((prev <= 0.25) & (lam > prev / 2)))
             for r, x in zip(live, res):
                 history[r].append(float(x))
-            for r in live[~conv] if step == max_iter else ():
+            for r, c in zip(live[~conv], change[~conv]) if step == max_iter else ():
                 errors[r] = ConvergenceError(
                     f"constrained completion did not reach tol={float(tols[r])} in {max_iter} "
-                    f"steps (last residual {history[r][-1]:.3e})", residual=history[r][-1])
+                    f"steps (last residual {history[r][-1]:.3e}, last step {c:.3e})",
+                    residual=history[r][-1])
             done = conv | stalled | (step == max_iter)
             for i, exc in bad.items():  # M without a factor, or a singular Newton system
                 errors[live[i]] = exc
@@ -370,20 +365,20 @@ def _tril_inverse(C) -> np.ndarray:
     return out
 
 
-def constrain_jacobian(A, index: GraphIndex, tol: float = 1e-12) -> np.ndarray:
+def constrain_jacobian(A, index: GraphIndex) -> np.ndarray:
     """Derivative of the constrained-completion map at A, as p^2 x p^2.
 
     With U the inverse of the completed matrix, the derivative equals
 
         M_p - M_p Q_D^T {Q_D M_p (U x U) Q_D^T}^{-1} Q_D (U x U) M_p,
 
-    and reduces to M_p when the graph is complete.  The inner q x q system
-    is factored once; a DefinitenessError unless it is positive definite, a
-    warning when it is ill-conditioned.
+    and reduces to M_p when the graph is complete; A is completed to 1e-12.
+    The inner q x q system is factored once; a DefinitenessError unless it is
+    positive definite, a warning when it is ill-conditioned.
     """
     p = index.p
     # a complete graph needs no completion: the derivative is M_p
-    U = spd_inverse(constrain_scatter(A, index, tol=tol).matrix) if index.q else None
+    U = spd_inverse(constrain_scatter(A, index, tol=1e-12).matrix) if index.q else None
     kv, r, L = _derivative_block(U, index)
     K = _rc(index.K, p)
     JK = np.vstack([_pair(np.eye(p), K, K), L[:, np.searchsorted(kv, index.K)]])
@@ -468,8 +463,9 @@ def concentration_acov(V, index: GraphIndex, scalars: AsymptoticScalars) -> np.n
     """
     V = check_spd(V)
     scalars.check_bounds(index.p)
-    if pattern_violation(V, index) > 1e-8:
-        raise PreconditionError("inverse of V violates the graph zero pattern beyond 1e-08")
+    if pattern_violation(V, index) > _PATTERN_TOL:
+        raise PreconditionError(
+            f"inverse of V violates the graph zero pattern beyond {_PATTERN_TOL}")
     U = spd_inverse(V)
     G = edge_basis_gram(V, index)
     u = vec(U)[index.K]

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the rule that turns a
-stacked call's per-slice failures into a raise."""
+"""Exception types shared across the package, the one check of each kind of
+argument, and the rule that turns a stacked call's per-slice failures into a raise."""
+
+import numpy as np
 
 
 class DimensionError(ValueError):
@@ -47,3 +49,29 @@ def _results(outcomes: list) -> list:
         if isinstance(x, Exception):
             raise x
     return outcomes
+
+
+def _integer(x, least: int) -> bool:
+    """Is ``x`` an integer, not a bool, and >= ``least``?"""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= least
+
+
+def _positive(x: float, what: str) -> float:
+    """``x`` if it is finite and > 0, else PreconditionError naming ``what``."""
+    if not 0.0 < x < np.inf:
+        raise PreconditionError(f"{what} must be finite and > 0, got {x}")
+    return x
+
+
+def _check_budget(tol: float, max_iter: int, unit: str) -> None:
+    """PreconditionError unless tol is finite and > 0 and max_iter an integer >= 1."""
+    _positive(tol, "tol")
+    if not _integer(max_iter, 1):
+        raise PreconditionError(
+            f"max_iter must be an integer budget of at least one {unit}, got {max_iter!r}")
+
+
+def _check_size(n) -> None:
+    """PreconditionError naming n unless it is an integer >= 1."""
+    if not _integer(n, 1):
+        raise PreconditionError(f"sample size n must be an integer >= 1, got n={n!r}")

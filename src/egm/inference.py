@@ -18,19 +18,21 @@ from typing import Optional
 
 import numpy as np
 
-from .covsel import AsymptoticScalars, _complete, _off_pattern, edge_basis_gram
+from .covsel import _PATTERN_TOL, AsymptoticScalars, _complete, _off_pattern, edge_basis_gram
 from .errors import (
     ConvergenceError,
     DefinitenessError,
     DimensionError,
     NestingError,
     PreconditionError,
+    _check_size,
+    _positive,
     _results,
 )
 from .graphs import Graph, GraphIndex, build_index
 from .linops import _cholesky_logdet, check_spd, spd_inverse
-from .mest import (_COMPLETION_TOL, EstimatorSpec, _check_spec, _positive, _validate_data,
-                   m_estimate, scalars_for)
+from .mest import (_COMPLETION_TOL, EstimatorSpec, _check_spec, _validate_data, m_estimate,
+                   scalars_for)
 
 __all__ = [
     "DevianceReport",
@@ -91,8 +93,7 @@ def deviance(S_hat, index0: GraphIndex, index1: GraphIndex, n: int,
     ``S_hat`` already carries graph 0's zero pattern.
     """
     _check_nesting(index0, index1, sigma1)
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise PreconditionError(f"sample size n must be an integer >= 1, got {n!r}")
+    _check_size(n)
     from scipy.special import chdtrc
     S_hat = check_spd(S_hat)
     stat, = _results(_deviance_stack(S_hat[None], index0, index1, n, sigma1))
@@ -309,7 +310,7 @@ def _asv_stack(V, K, index: Optional[GraphIndex], sigma1: float, i: int, j: int)
         return [float(2.0 * sigma1 * np.sum(x * y)) for x, y in zip(X, K @ X @ K)]
     if V.shape[1:] != index.k_mask.shape:
         raise DimensionError(f"graph has p={index.p} but V is {'x'.join(map(str, V.shape[1:]))}")
-    if np.any(_off_pattern(K, V, index.d_mask) > 1e-8):
+    if np.any(_off_pattern(K, V, index.d_mask) > _PATTERN_TOL):
         raise PreconditionError("inverse of V violates the graph zero pattern")
     c, r = np.divmod(index.K, index.p)
     w = np.where(r == c, X[:, r, r], X[:, r, c] + X[:, c, r])

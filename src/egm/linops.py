@@ -7,12 +7,12 @@ tests.
 Positions are 0-based: entry (i, j) of a p x p matrix sits at position
 j * p + i of vec(A).
 
-The checks and :func:`spd_inverse` also take (R, p, p) stacks.  numpy's
-stacked factorizations call the same LAPACK routine per slice as the 2-D
-call, so a slice of a stacked result has the bits of the 2-D result.  The
-public checks fail as a whole: if one slice fails a check or a
-factorization, the call raises the error that slice raises alone.  The
-solvers' private :func:`_per_slice` gives each slice its own error instead.
+:func:`check_spd`, the one input check, and :func:`spd_inverse` also take
+(R, p, p) stacks.  numpy's stacked factorizations call the same LAPACK
+routine per slice as the 2-D call, so a slice of a stacked result has the
+bits of the 2-D result.  The public check fails as a whole: if one slice
+fails it, the call raises the error that slice raises alone.  The solvers'
+private :func:`_per_slice` gives each slice its own error instead.
 """
 
 from __future__ import annotations
@@ -28,18 +28,19 @@ __all__ = [
     "commutation_matrix",
     "symmetrization_matrix",
     "duplication_matrix",
-    "check_symmetric",
     "check_spd",
     "spd_inverse",
 ]
 
 
-def check_symmetric(A, tol=0.0) -> np.ndarray:
-    """Return ``A`` as a float array, raising if it is not square symmetric
-    or has a non-finite entry.
+def check_spd(A) -> np.ndarray:
+    """Return ``A`` as a float array if it is square, finite, symmetric and
+    positive definite, else raise.
 
-    ``tol`` is an absolute entrywise tolerance (per slice of a stack when
-    it broadcasts so); the default demands exact symmetry.
+    Symmetry holds entrywise within 1e-12 times the max-abs entry of each
+    matrix, whatever its scale.  Positive definiteness is established by
+    a Cholesky factorization, which fails exactly when the matrix is not
+    numerically SPD.  A stack passes only if every slice does.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
@@ -48,23 +49,8 @@ def check_symmetric(A, tol=0.0) -> np.ndarray:
     if bad.size:
         i, j = bad[0][-2:] + 1
         raise PreconditionError(f"matrix has a non-finite value at row {i}, column {j}")
-    if not np.all(np.abs(A - A.mT) <= tol):
+    if not np.all(np.abs(A - A.mT) <= 1e-12 * np.max(np.abs(A), axis=(-2, -1), keepdims=True)):
         raise DimensionError("matrix is not symmetric")
-    return A
-
-
-def check_spd(A, tol: float = 1e-12) -> np.ndarray:
-    """Return ``A`` if symmetric positive definite, else raise.
-
-    The symmetry tolerance is ``tol`` times the max-abs entry of each
-    matrix, whatever its scale.  Positive definiteness is established by
-    a Cholesky factorization, which fails exactly when the matrix is not
-    numerically SPD.  A stack passes only if every slice does.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim >= 2:  # otherwise check_symmetric names the bad shape
-        tol = tol * np.max(np.abs(A), axis=(-2, -1), keepdims=True)
-    A = check_symmetric(A, tol=tol)
     try:
         np.linalg.cholesky(0.5 * (A + A.mT))
     except np.linalg.LinAlgError:

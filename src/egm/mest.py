@@ -33,9 +33,10 @@ offered for graphical fitting: its phi2 is constant, which sits on the
 boundary of the monotonicity assumptions, and its scale indeterminacy
 does not mix well with the constrained estimating equations.
 
-The t maximum-likelihood estimator at its own family has closed-form
-scalars; every other pairing integrates its radial law's density by
-adaptive quadrature.  Distribution functions come from ``scipy.special``.
+Gaussian weights (the sample covariance, by the family's kurtosis) and the
+t maximum-likelihood estimator at its own family have closed-form scalars;
+every other pairing integrates its radial law's density by adaptive
+quadrature.  Distribution functions come from ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -47,13 +48,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .covsel import AsymptoticScalars, _check_budget, _complete, _newton, _off_pattern
+from .covsel import AsymptoticScalars, _complete, _newton, _off_pattern
 from .errors import (
     ConvergenceError,
     DegenerateDataError,
     DimensionError,
     PreconditionError,
     SampleSizeError,
+    _check_budget,
+    _integer,
+    _positive,
     _results,
 )
 from .graphs import GraphIndex
@@ -98,32 +102,19 @@ class EstimatorSpec:
         s = np.asarray(s, dtype=float)
         return s * self.u2(s)
 
-    def check_monotone(self, upper: float = 100.0, n: int = 1000,
-                       slack: float = 1e-10) -> None:
+    def check_monotone(self) -> None:
         """Verify u1, u2 non-increasing and phi1, phi2 non-decreasing.
 
-        Checked on a grid of ``n`` points over (0, upper]; raises
+        Checked within 1e-10 on a grid of 1000 points over (0, 100]; raises
         PreconditionError on violation, a NaN value included.
         """
-        grid = np.linspace(upper / n, upper, n)
+        grid = np.linspace(0.1, 100.0, 1000)
         for label, f, sign in (("u1", self.u1, -1), ("u2", self.u2, -1),
                                ("phi1", self.phi1, 1), ("phi2", self.phi2, 1)):
             d = sign * np.diff(np.asarray(f(grid), dtype=float))
-            if not np.all(d >= -slack):
+            if not np.all(d >= -1e-10):
                 kind = "non-increasing" if sign < 0 else "non-decreasing"
                 raise PreconditionError(f"{label} of spec {self.name!r} is not {kind}")
-
-
-def _positive(x: float, what: str) -> float:
-    """``x`` if it is finite and > 0, else PreconditionError naming ``what``."""
-    if not 0.0 < x < np.inf:
-        raise PreconditionError(f"{what} must be finite and > 0, got {x}")
-    return x
-
-
-def _integer(x, least: int) -> bool:
-    """Is ``x`` an integer, not a bool, and >= ``least``?"""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= least
 
 
 def _dimension(p, what: str) -> None:
@@ -476,14 +467,15 @@ def _solve(X, spec: EstimatorSpec, tol: float, max_iter: int,
     lost = {}  # data set: the LinAlgError of a scatter without a factor
 
     def fail(errors):
-        # a data set's first failure is its outcome, a lost factor named by its evaluation
+        # a data set's first failure is its outcome, named by its evaluation: a lost
+        # factor, or an inner completion out of steps, whose residual it keeps
         for r, exc in errors.items():
-            if out[r] is None and not isinstance(exc, ConvergenceError):
-                out[r] = ConvergenceError(f"{what} lost positive definiteness at iteration {it}: "
-                                          f"{exc}")
+            if out[r] is None:
+                how = ("ran out of completion steps" if isinstance(exc, ConvergenceError)
+                       else "lost positive definiteness")
+                out[r] = ConvergenceError(f"{what} {how} at iteration {it}: {exc}",
+                                          residual=getattr(exc, "residual", None))
                 out[r].__cause__ = exc
-            elif out[r] is None:
-                out[r] = exc
 
     change = np.full(len(live), np.inf)
     step = spec.name != "gaussian"  # constant weights: F is the fixed point
@@ -538,17 +530,16 @@ _COMPLETION_TOL = 1e-10
 _MAX_ITER = 500
 
 
-def _plug_in(X, spec: EstimatorSpec, tol: float, max_iter: int, k_mask,
-             completion_tol: float = _COMPLETION_TOL) -> list:
+def _plug_in(X, spec: EstimatorSpec, tol: float, max_iter: int, k_mask) -> list:
     """The plug-in estimate on each slice of an (R, n, p) stack of validated
     data sets: the unconstrained fit, its scatter completed under
-    ``k_mask`` to ``completion_tol``.  One FitResult, or the
+    ``k_mask`` to ``_COMPLETION_TOL``.  One FitResult, or the
     ConvergenceError of the fit or of the completion that failed, per
     slice."""
     out = _solve(X, spec, tol, max_iter)
     ok = [i for i, f in enumerate(out) if isinstance(f, FitResult)]
     if ok:
-        completed = _complete(np.array([out[i].scatter for i in ok]), k_mask, completion_tol)
+        completed = _complete(np.array([out[i].scatter for i in ok]), k_mask, _COMPLETION_TOL)
         for i, c in zip(ok, completed):
             out[i] = c if isinstance(c, ConvergenceError) else replace(out[i], scatter=c.matrix)
     return out
@@ -631,13 +622,10 @@ def graphical_m_estimate(X, index: GraphIndex, spec: EstimatorSpec,
 
 
 def plug_in_estimate(X, index: GraphIndex, spec: EstimatorSpec,
-                     tol: float = 1e-9, max_iter: int = _MAX_ITER,
-                     completion_tol: float = _COMPLETION_TOL) -> FitResult:
+                     tol: float = 1e-9, max_iter: int = _MAX_ITER) -> FitResult:
     """Unconstrained M-estimate (:func:`m_estimate`, same ``tol`` and
-    ``max_iter``), its scatter completed under ``index`` to
-    ``completion_tol``."""
-    fit, = _results(_plug_in(_one(X, spec, index), spec, tol, max_iter, index.k_mask,
-                             completion_tol))
+    ``max_iter``), its scatter completed under ``index`` to 1e-10."""
+    fit, = _results(_plug_in(_one(X, spec, index), spec, tol, max_iter, index.k_mask))
     return fit
 
 

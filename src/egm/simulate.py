@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .covsel import pattern_violation
-from .errors import ConvergenceError, DimensionError, PreconditionError
+from .covsel import _PATTERN_TOL, pattern_violation
+from .errors import ConvergenceError, DimensionError, PreconditionError, _check_size, _integer
 from .graphs import GraphIndex
 from .inference import _check_nesting, _deviance_stack
 from .linops import check_spd
@@ -33,7 +33,6 @@ from .mest import (
     _MAX_ITER,
     _check_spec,
     _family_nu,
-    _integer,
     _plug_in_and_graphical,
     _solve,
     _validate_data,
@@ -123,12 +122,6 @@ def sample(model: EllipticalModel, n: int, seed) -> np.ndarray:
     _check_size(n)
     _check_seed(seed)
     return _draw(model, n, seed, shape_sqrt(model.S))
-
-
-def _check_size(n) -> None:
-    """PreconditionError naming n unless it is an integer >= 1."""
-    if not _integer(n, 1):
-        raise PreconditionError(f"sample size n must be an integer >= 1, got n={n!r}")
 
 
 def _check_seed(seed, sequence: bool = True) -> None:
@@ -222,7 +215,7 @@ def equivalence_study(index: GraphIndex, model: EllipticalModel,
     if not n_grid or len(set(n_grid)) < len(n_grid):
         raise PreconditionError(f"the n grid must be non-empty and distinct, got {n_grid}")
     _check_spec(spec, model.p)
-    if pattern_violation(model.S, index) > 1e-8:
+    if pattern_violation(model.S, index) > _PATTERN_TOL:
         raise PreconditionError(
             "model shape violates the graph: inverse has mass on absent edges")
     root = shape_sqrt(model.S)
@@ -270,7 +263,7 @@ def deviance_null_study(index0: GraphIndex, index1: GraphIndex,
     _check_seed(seed, sequence=False)
     _check_size(n)
     _check_spec(spec, model.p)
-    if pattern_violation(model.S, index0) > 1e-8:
+    if pattern_violation(model.S, index0) > _PATTERN_TOL:
         raise PreconditionError(
             "model shape violates the null graph: inverse has mass on absent edges")
     scalars = scalars_for(spec, model.family, model.p)

@@ -161,7 +161,7 @@ class TestConstrainScatter:
         with pytest.raises(PreconditionError, match="tol must be finite and > 0"):
             constrain_scatter(rand_spd(4, np.random.default_rng(8)), CYCLE4, tol=tol)
 
-    @pytest.mark.parametrize("max_iter", [0, -1])
+    @pytest.mark.parametrize("max_iter", [0, -1, 2.5, True])
     def test_budget_below_one_sweep_rejected(self, max_iter):
         K, S = chordless_cycle_shape(6, -0.49)
         A = rand_spd(6, np.random.default_rng(9)) + 5 * S

@@ -56,7 +56,7 @@ class TestDeviance:
         with pytest.raises(PreconditionError, match="non-finite value at row 1, column 4"):
             deviance(S, build_index(Graph.cycle(4)), build_index(Graph.complete(4)), 50)
 
-    @pytest.mark.parametrize("n", [-5, 0, 2.5])
+    @pytest.mark.parametrize("n", [-5, 0, 2.5, True])
     def test_rejects_sample_size_not_a_positive_integer(self, n):
         idx0, idx1 = build_index(Graph.cycle(4)), build_index(Graph.complete(4))
         with pytest.raises(PreconditionError, match="integer >= 1"):

@@ -335,9 +335,14 @@ class TestMEstimate:
             m_estimate(X, make_spec("gaussian", 3))
 
     def test_zero_budget_rejected(self):
-        X = sample(EllipticalModel(np.zeros(3), np.eye(3), "t:5"), 100, 5)
-        with pytest.raises(PreconditionError, match="at least one iteration"):
-            m_estimate(X, make_spec("t:5", 3), max_iter=0)
+        X = sample(EllipticalModel(np.zeros(4), np.eye(4), "t:5"), 100, 5)
+        spec, cycle = make_spec("t:5", 4), build_index(Graph.cycle(4))
+        # a float or a bool is no count: at tol=1e-17 a budget of 2.5 never ran out
+        for max_iter, tol in [(0, 1e-9), (2.5, 1e-9), (True, 1e-9), (2.5, 1e-17)]:
+            for fit in (lambda **kw: m_estimate(X, spec, **kw),
+                        lambda **kw: graphical_m_estimate(X, cycle, spec, **kw)):
+                with pytest.raises(PreconditionError, match="at least one iteration"):
+                    fit(tol=tol, max_iter=max_iter)
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0])
     def test_tolerance_not_finite_and_positive_rejected(self, tol):
@@ -500,6 +505,22 @@ class TestGraphicalMEstimate:
         cause = DefinitenessError if gaussian else np.linalg.LinAlgError
         assert type(exc.value.__cause__) is cause
 
+    def test_inner_completion_out_of_steps_is_named(self, monkeypatch):
+        # an inner completion with one step runs out: the fit's error names the
+        # evaluation and the last step, chained to the kernel's error and its residual
+        kernel = covsel._newton
+        monkeypatch.setattr(mest, "_newton", lambda *a, **kw: kernel(*a, max_iter=1, **kw))
+        K0, S0 = chordless_cycle_shape(5, -0.3)
+        X = sample(EllipticalModel(np.zeros(5), S0, "t:5"), 200, 3)
+        with pytest.raises(ConvergenceError, match=(
+                r"^graphical M-estimation ran out of completion steps at iteration 2: "
+                r"constrained completion did not reach tol=\S+ in 1 steps "
+                r"\(last residual \S+, last step \S+\)$")) as exc:
+            graphical_m_estimate(X, build_index(Graph.cycle(5)), make_spec("t:5", 5))
+        cause = exc.value.__cause__
+        assert type(cause) is ConvergenceError
+        assert exc.value.residual == cause.residual > 0.0
+
     @pytest.mark.parametrize("case", ["collinear gaussian", "collinear t:5"])
     def test_fails_exactly_like_its_plug_in(self, monkeypatch, case):
         # there is no other start: a failed plug-in is the graphical fit's error
@@ -576,18 +597,12 @@ class TestPlugIn:
         assert np.array_equal(plug.scatter, plain.scatter)
         assert np.array_equal(plug.mu, plain.mu)
 
-    def test_completion_tolerance_not_finite_rejected(self):
-        X = sample(EllipticalModel(np.zeros(4), np.eye(4), "t:5"), 100, 5)
-        with pytest.raises(PreconditionError, match="tol must be finite and > 0"):
-            plug_in_estimate(X, build_index(Graph.cycle(4)), make_spec("t:5", 4),
-                             completion_tol=np.nan)
-
     def test_edge_entries_and_inverse_zeros(self):
         idx = build_index(Graph.cycle(4))
         X = sample(EllipticalModel(np.zeros(4), np.eye(4), "t:5"), 400, 13)
         spec = make_spec("t:5", 4)
         plain = m_estimate(X, spec, tol=1e-10)
-        plug = plug_in_estimate(X, idx, spec, tol=1e-10, completion_tol=1e-11)
+        plug = plug_in_estimate(X, idx, spec, tol=1e-10)
         assert np.max(np.abs((plug.scatter - plain.scatter)[idx.k_mask])) <= 1e-9
         assert np.max(np.abs(np.linalg.inv(plug.scatter)[idx.d_mask])) <= 1e-9
 
@@ -624,7 +639,7 @@ class TestPlugIn:
     def test_gaussian_cycle_matches_likelihood_oracle(self):
         idx = build_index(Graph.cycle(4))
         X = rng.standard_normal((500, 4))
-        plug = plug_in_estimate(X, idx, make_spec("gaussian", 4), completion_tol=1e-12)
+        plug = plug_in_estimate(X, idx, make_spec("gaussian", 4))
         Xc = X - X.mean(axis=0)
         oracle = hg_optimization_oracle(Xc.T @ Xc / len(X), idx)
         assert np.linalg.norm(plug.scatter - oracle, "fro") <= 1e-6
